@@ -14,7 +14,8 @@ from .allocator import (cdnn_features, cluster_partition, ddnn_features,
                         save_model)
 from .config import NetworkConfig, load_config, save_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
-                     SolverDegeneracyError, TrainingDivergedError)
+                     NumericalError, SolverDegeneracyError,
+                     TrainingDivergedError)
 from .estimation import ChannelBatch, mmse_estimate, sample_channels
 from .heuristics import (equal_power, fractional_coefficients,
                          heuristic_allocation, side_info_ratios)

@@ -30,10 +30,11 @@ import struct
 
 import numpy as np
 
-from .config import NetworkConfig
+from .config import NetworkConfig, is_int, is_number
+from .dataset import check_fields, read_json_header
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
-from .mlp import DenseLayer, MlpModel, forward
+from .mlp import ACTIVATIONS, DenseLayer, MlpModel, forward
 from .scaling import ScalerParams, apply_scaler
 from .se import PowerAllocation
 
@@ -202,21 +203,25 @@ def save_model(model: MlpModel, path):
         fh.write(payload)
 
 
-def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
-        raise DataFormatError(f"{path}: not a model container")
-    (head_len,) = struct.unpack_from("<I", blob, 8)
-    try:
-        header = json.loads(blob[12:12 + head_len])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: bad model header") from exc
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported model format version")
-    sizes = header["layer_sizes"]
-    acts = header["activations"]
-    off = 12 + head_len
+_HEADER_FIELDS = {"kind": str, "unit_id": int, "member_aps": list,
+                  "layer_sizes": list, "activations": list,
+                  "scaler_median": (list, type(None)),
+                  "scaler_iqr": (list, type(None))}
+
+
+def _parse_model(blob: bytes) -> MlpModel:
+    header, off = read_json_header(blob, _MAGIC, FORMAT_VERSION, "model")
+    check_fields(header, _HEADER_FIELDS, "model")
+    sizes, acts = header["layer_sizes"], header["activations"]
+    if (len(sizes) < 2 or len(acts) != len(sizes) - 1
+            or not all(is_int(n) and n >= 1 for n in sizes)
+            or not all(a in ACTIVATIONS for a in acts)
+            or not all(map(is_int, header["member_aps"]))):
+        raise DataFormatError("inconsistent model header")
+    n_weights = sum(n_in * n_out + n_out
+                    for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    if len(blob) - off != 8 * n_weights:
+        raise DataFormatError("weight payload size mismatch")
     weights = np.frombuffer(blob, dtype="<f8", offset=off)
     layers = []
     pos = 0
@@ -226,12 +231,24 @@ def load_model(path) -> MlpModel:
         b = weights[pos:pos + n_out].copy()
         pos += n_out
         layers.append(DenseLayer(W=W, b=b, activation=act))
-    if pos != weights.size:
-        raise DataFormatError(f"{path}: weight payload size mismatch")
+    median, iqr = header["scaler_median"], header["scaler_iqr"]
     scaler = None
-    if header["scaler_median"] is not None:
-        scaler = ScalerParams(median=np.asarray(header["scaler_median"]),
-                              iqr=np.asarray(header["scaler_iqr"]))
+    if median is not None or iqr is not None:
+        if not (isinstance(median, list) and isinstance(iqr, list)
+                and len(median) == len(iqr) == sizes[0]
+                and all(map(is_number, median + iqr))):
+            raise DataFormatError("inconsistent model scaler")
+        scaler = ScalerParams(median=np.asarray(median, dtype=float),
+                              iqr=np.asarray(iqr, dtype=float))
     return MlpModel(kind=header["kind"], unit_id=header["unit_id"],
                     member_aps=tuple(header["member_aps"]),
                     layers=layers, scaler=scaler)
+
+
+def load_model(path) -> MlpModel:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return _parse_model(blob)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

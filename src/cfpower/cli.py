@@ -11,7 +11,8 @@
   cfpower inspect   train.cfds
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 optimizer
-degeneracy. --config takes a file path or a preset name (large, desk).
+degeneracy, 4 numerical failure (indefinite subproblem matrix, SINR below
+the noise floor). --config takes a file path or a preset name (large, desk).
 """
 
 import argparse
@@ -23,7 +24,7 @@ import sys
 from . import pipeline
 from .config import NetworkConfig, load_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
-                     SolverDegeneracyError)
+                     NumericalError, SolverDegeneracyError)
 from .mlp import TrainConfig
 from .wmmse import SolverConfig
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
+EXIT_NUMERICAL = 4
 
 PRESETS = ("large", "desk")
 
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
     except SolverDegeneracyError as exc:
         print(f"solver degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -92,14 +92,32 @@ def _parse_value(key, raw):
     return raw
 
 
+def is_int(value) -> bool:
+    """An integer parsed from JSON: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A number parsed from JSON: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_ok(kind, value) -> bool:
+    if kind in (int, "int"):
+        return is_int(value)
+    if kind in (float, "float"):
+        return is_number(value)
+    return isinstance(value, str)
+
+
 def config_from_dict(values: dict) -> NetworkConfig:
     unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return NetworkConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in values.items():
+        if not _type_ok(_FIELD_TYPES[key], value):
+            raise ConfigError(f"bad value for {key}: {value!r}")
+    return NetworkConfig(**values)
 
 
 def load_config(path) -> NetworkConfig:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NetworkConfig, config_from_dict
-from .errors import DataFormatError
+from .config import NetworkConfig, config_from_dict, is_int
+from .errors import ConfigError, DataFormatError
 
 _MAGIC = b"CFDSET01"
 FORMAT_VERSION = 1
@@ -107,25 +107,63 @@ class DatasetHeader:
         return _MAGIC + struct.pack("<I", len(head)) + head
 
 
-def _parse_header(blob: bytes):
-    if blob[:8] != _MAGIC:
-        raise DataFormatError("not a dataset container")
+def read_json_header(blob: bytes, magic: bytes, version: int, what: str):
+    """Parse `magic | uint32 length | JSON object` into (header, data offset).
+
+    Anything but a complete UTF-8 JSON object with the expected
+    format_version raises DataFormatError.
+    """
+    if blob[:8] != magic:
+        raise DataFormatError(f"not a {what} container")
     if len(blob) < 12:
-        raise DataFormatError("truncated dataset header")
+        raise DataFormatError(f"truncated {what} header")
     (head_len,) = struct.unpack_from("<I", blob, 8)
+    if len(blob) < 12 + head_len:
+        raise DataFormatError(f"truncated {what} header")
     try:
-        payload = json.loads(blob[12:12 + head_len])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError("bad dataset header") from exc
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise DataFormatError("unsupported dataset format version")
-    header = DatasetHeader(config=config_from_dict(payload["config"]),
+        header = json.loads(blob[12:12 + head_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"bad {what} header") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"bad {what} header: not a JSON object")
+    if header.get("format_version") != version:
+        raise DataFormatError(f"unsupported {what} format version")
+    return header, 12 + head_len
+
+
+def check_fields(header: dict, types: dict, what: str):
+    """Require every key of `types` in the header with a value of that type.
+
+    `int` excludes bool; a tuple of types accepts any of them.
+    """
+    for key, kind in types.items():
+        if key not in header:
+            raise DataFormatError(f"{what} header lacks {key!r}")
+        value = header[key]
+        ok = is_int(value) if kind is int else isinstance(value, kind)
+        if not ok:
+            raise DataFormatError(f"{what} header field {key!r} has the "
+                                  f"wrong type")
+
+
+_HEADER_FIELDS = {"config": dict, "objective": str, "precoder": str,
+                  "n_samples": int, "n_real": int, "master_seed": int}
+
+
+def _parse_header(blob: bytes):
+    payload, start = read_json_header(blob, _MAGIC, FORMAT_VERSION, "dataset")
+    check_fields(payload, _HEADER_FIELDS, "dataset")
+    try:
+        config = config_from_dict(payload["config"])
+    except ConfigError as exc:
+        raise DataFormatError(f"bad dataset config: {exc}") from exc
+    header = DatasetHeader(config=config,
                            objective=payload["objective"],
                            precoder=payload["precoder"],
                            n_samples=payload["n_samples"],
                            n_real=payload["n_real"],
                            master_seed=payload["master_seed"])
-    return header, 12 + head_len
+    return header, start
 
 
 class DatasetFile:

@@ -19,3 +19,8 @@ class SolverDegeneracyError(CfPowerError):
 
 class TrainingDivergedError(CfPowerError):
     """Loss became non-finite during training."""
+
+
+class NumericalError(CfPowerError, RuntimeError):
+    """A numeric consistency check failed (indefinite matrix, SINR below
+    the noise floor); the inputs cannot give a trustworthy result."""

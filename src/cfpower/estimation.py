@@ -4,6 +4,11 @@ Channels are drawn as h = R^(1/2) z with z circularly-symmetric complex
 Gaussian. Pilot observations at each AP are despread per pilot sequence,
 so UEs sharing a pilot contaminate each other's estimates. Channel draws
 and pilot-noise draws come from separate seeds.
+
+Every per-link linear map (R^(1/2) and the MMSE filter) is applied to all
+links at once. When every R[k, l] is diagonal, as in the uncorrelated model,
+the maps are diagonal too (eigh and inv of a diagonal matrix are exact) and
+act elementwise; otherwise one batched matmul applies the full matrices.
 """
 
 from dataclasses import dataclass
@@ -21,18 +26,38 @@ class ChannelBatch:
 
     h: np.ndarray        # (n_real, K, L, N) complex
     h_hat: np.ndarray    # (n_real, K, L, N) complex
-    psi: np.ndarray      # (K, L, N, N) despread pilot covariance
 
     @property
     def n_real(self):
         return self.h.shape[0]
 
 
+def _is_diagonal(M):
+    """True when every trailing (N, N) matrix of the stack is diagonal."""
+    N = M.shape[-1]
+    return not np.any(M.reshape(-1, N * N)[:, ~np.eye(N, dtype=bool).ravel()])
+
+
+def _apply_per_link(x, M):
+    """out[:, k, l] = M[k, l] @ x[:, k, l] for x (n, K, L, N), M (K, L, N, N).
+
+    Diagonal stacks multiply elementwise, which gives the same bits as the
+    matrix product because the off-diagonal terms are exact zeros.
+    """
+    if _is_diagonal(M):
+        return x * np.diagonal(M, axis1=-2, axis2=-1)
+    out = np.empty(x.shape, dtype=complex)
+    np.matmul(x.transpose(1, 2, 0, 3), np.swapaxes(M, -1, -2),
+              out=out.transpose(1, 2, 0, 3))
+    return out
+
+
 def _sqrtm_psd(R):
-    """Hermitian PSD square root via eigendecomposition."""
+    """Hermitian PSD square root of a stack of matrices via eigh."""
     eigval, eigvec = np.linalg.eigh(R)
     eigval = np.clip(eigval, 0.0, None)
-    return (eigvec * np.sqrt(eigval)) @ eigvec.conj().T
+    return (eigvec * np.sqrt(eigval)[..., None, :]) @ np.swapaxes(
+        eigvec.conj(), -1, -2)
 
 
 def sample_channels(stats: ChannelStatistics, n_real: int, seed) -> np.ndarray:
@@ -43,12 +68,7 @@ def sample_channels(stats: ChannelStatistics, n_real: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n_real, K, L, N))
          + 1j * rng.standard_normal((n_real, K, L, N))) / np.sqrt(2.0)
-    h = np.empty_like(z)
-    for k in range(K):
-        for l in range(L):
-            S = _sqrtm_psd(stats.R[k, l])
-            h[:, k, l, :] = z[:, k, l, :] @ S.T
-    return h
+    return _apply_per_link(z, _sqrtm_psd(stats.R))
 
 
 def mmse_estimate(h: np.ndarray, stats: ChannelStatistics,
@@ -66,34 +86,16 @@ def mmse_estimate(h: np.ndarray, stats: ChannelStatistics,
              + 1j * rng.standard_normal((n_real, tau_p, L, N)))
     noise *= np.sqrt(sigma2 / 2.0)
     y = noise
+    # psi[t, l] is the covariance of y_t at AP l, shared by the pilot group
+    psi = np.empty((tau_p, L, N, N), dtype=complex)
     for t, group in enumerate(pilots.groups):
+        psi[t] = sigma2 * np.eye(N)
         for i in group:
             y[:, t] += amp * h[:, i]
+            psi[t] = psi[t] + tau_p * p_ul * stats.R[i]
+    # cholesky doubles as the positive-definiteness assertion
+    np.linalg.cholesky(psi)
 
-    # psi is the covariance of y_t at one AP, shared by the pilot group
-    psi = np.empty((K, L, N, N), dtype=complex)
-    psi_tl = {}
-    eye = np.eye(N)
-    for t, group in enumerate(pilots.groups):
-        if not group:
-            continue
-        for l in range(L):
-            M = sigma2 * eye.astype(complex)
-            for i in group:
-                M = M + tau_p * p_ul * stats.R[i, l]
-            psi_tl[(t, l)] = M
-    for k in range(K):
-        t = int(pilots.pilot_of[k])
-        for l in range(L):
-            psi[k, l] = psi_tl[(t, l)]
-
-    h_hat = np.empty_like(h)
-    for k in range(K):
-        t = int(pilots.pilot_of[k])
-        for l in range(L):
-            P = psi_tl[(t, l)]
-            # cholesky doubles as the positive-definiteness assertion
-            np.linalg.cholesky(P)
-            A = amp * stats.R[k, l] @ np.linalg.inv(P)
-            h_hat[:, k, l, :] = y[:, t, l, :] @ A.T
-    return ChannelBatch(h=h, h_hat=h_hat, psi=psi)
+    pilot_of = np.asarray(pilots.pilot_of, dtype=int)
+    filters = amp * stats.R @ np.linalg.inv(psi)[pilot_of]
+    return ChannelBatch(h=h, h_hat=_apply_per_link(y[:, pilot_of], filters))

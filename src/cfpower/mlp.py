@@ -22,6 +22,7 @@ from .errors import TrainingDivergedError
 from .scaling import ScalerParams
 
 MODEL_KINDS = ("ddnn", "ddnn-si", "cdnn")
+ACTIVATIONS = ("linear", "tanh", "relu", "elu")
 
 
 def layer_plan(kind: str, K: int, cluster_size: int = 1):

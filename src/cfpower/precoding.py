@@ -31,11 +31,12 @@ def compute_precoders(batch: ChannelBatch, scheme: str, p_ul: float,
     if scheme == "mr":
         w = hh.copy()
     else:
-        # per (realization, AP) regularized covariance of the estimates
-        A = p_ul * np.einsum("rkln,rklm->rlnm", hh, hh.conj())
-        A += sigma2 * np.eye(N)
-        # solve A x = h_hat for all UEs at once: rhs (r, L, N, K)
+        # the estimates of all UEs per (realization, AP), as (r, L, N, K)
         rhs = np.moveaxis(hh, 1, 3)
+        # per (realization, AP) regularized covariance of the estimates
+        A = p_ul * np.matmul(rhs, np.swapaxes(rhs.conj(), -1, -2))
+        A += sigma2 * np.eye(N)
+        # solve A x = h_hat for all UEs at once
         x = np.linalg.solve(A, rhs)
         w = p_ul * np.moveaxis(x, 3, 1)
     norms = np.linalg.norm(w, axis=-1)

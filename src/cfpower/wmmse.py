@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .errors import NumericalError
 from .se import PowerAllocation, SEParameters, effective_sinr
 
 log = logging.getLogger(__name__)
@@ -120,7 +121,7 @@ def subproblem_matrices(params: SEParameters, omega: np.ndarray,
     eigval, eigvec = np.linalg.eigh(C)
     scale = max(float(eigval.max()), 1.0)
     if float(eigval.min()) < _EIG_FLOOR * scale:
-        raise RuntimeError("subproblem matrix is indefinite beyond tolerance")
+        raise NumericalError("subproblem matrix is indefinite beyond tolerance")
     eigval = np.clip(eigval, 0.0, None)
     C = np.einsum("iab,ib,icb->iac", eigvec, eigval, eigvec)
     C = 0.5 * (C + np.transpose(C, (0, 2, 1)))

@@ -4,14 +4,19 @@ The reference covariances come straight from the linear-Gaussian model: an
 estimate from a despread pilot y = sum_group amp h_i + n has covariance
 amp^2 R Psi^-1 R with Psi = sum_group amp^2 R_i + sigma2 I. Sample moments
 at a few 10^4 realizations sit well inside the tolerances used here.
+
+The batched implementation is also checked draw by draw against plain
+per-link loops that share the random draw order.
 """
 
 import numpy as np
 import pytest
 
+from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
 from cfpower.estimation import mmse_estimate, sample_channels
-from cfpower.network import ChannelStatistics
+from cfpower.network import (ChannelStatistics, build_statistics,
+                             drop_scenario)
 from cfpower.pilots import assign_pilots
 
 
@@ -58,18 +63,27 @@ def _one_link_cfg(N=2, tau_p=2):
 
 
 def test_psi_matches_model():
-    cfg = _one_link_cfg(tau_p=1)
+    # the estimate is linear in the pilot observation, so two channel draws
+    # under one noise seed differ by the filter applied to the change of
+    # the group's channels alone: the noise cancels and Psi is pinned;
+    # sigma2 is raised so that its share of Psi is visible
+    cfg = _one_link_cfg(tau_p=1).replace(noise_power=0.3)
     R0 = HANDY_R
     R1 = 0.5 * np.eye(2, dtype=complex)
     stats = stats_from_R([[R0], [R1]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     assert pilots.groups == ((0, 1),)
     h = sample_channels(stats, 128, seed=1)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=2)
-    expected = cfg.tau_p * cfg.p_ul * (R0 + R1) \
-        + cfg.noise_power * np.eye(2)
-    assert np.allclose(batch.psi[0, 0], expected, rtol=1e-12)
-    assert np.allclose(batch.psi[1, 0], expected, rtol=1e-12)
+    h2 = sample_channels(stats, 128, seed=3)
+    b1 = mmse_estimate(h, stats, pilots, cfg, noise_seed=2)
+    b2 = mmse_estimate(h2, stats, pilots, cfg, noise_seed=2)
+    q = cfg.tau_p * cfg.p_ul
+    psi = q * (R0 + R1) + cfg.noise_power * np.eye(2)
+    dh = (h2 - h)[:, 0, 0, :] + (h2 - h)[:, 1, 0, :]
+    for k, R in ((0, R0), (1, R1)):
+        expected = dh @ (q * R @ np.linalg.inv(psi)).T
+        got = b2.h_hat[:, k, 0, :] - b1.h_hat[:, k, 0, :]
+        assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 def test_estimate_covariance_orthogonal_pilots():
@@ -160,3 +174,76 @@ def test_noise_seed_changes_estimates_only():
     assert not np.array_equal(b1.h_hat, b2.h_hat)
     assert np.array_equal(b1.h_hat, b3.h_hat)
     assert b1.n_real == 128
+
+
+def reference_sample_channels(stats, n_real, seed):
+    """Per-link loop: h_kl = R_kl^(1/2) z_kl with one eigh per link."""
+    K, L, N = stats.R.shape[:3]
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n_real, K, L, N))
+         + 1j * rng.standard_normal((n_real, K, L, N))) / np.sqrt(2.0)
+    h = np.empty_like(z)
+    for k in range(K):
+        for l in range(L):
+            eigval, eigvec = np.linalg.eigh(stats.R[k, l])
+            eigval = np.clip(eigval, 0.0, None)
+            S = (eigvec * np.sqrt(eigval)) @ eigvec.conj().T
+            h[:, k, l, :] = z[:, k, l, :] @ S.T
+    return h
+
+
+def reference_mmse_estimate(h, stats, pilots, cfg, noise_seed):
+    """Per-link loop: h_hat_kl = amp R_kl Psi_tl^-1 y_tl."""
+    n_real, K, L, N = h.shape
+    tau_p, p_ul, sigma2 = cfg.tau_p, cfg.p_ul, cfg.noise_power
+    rng = np.random.default_rng(noise_seed)
+    amp = np.sqrt(tau_p * p_ul)
+    y = (rng.standard_normal((n_real, tau_p, L, N))
+         + 1j * rng.standard_normal((n_real, tau_p, L, N)))
+    y *= np.sqrt(sigma2 / 2.0)
+    for t, group in enumerate(pilots.groups):
+        for i in group:
+            y[:, t] += amp * h[:, i]
+    h_hat = np.empty_like(h)
+    for k in range(K):
+        t = int(pilots.pilot_of[k])
+        for l in range(L):
+            P = sigma2 * np.eye(N, dtype=complex)
+            for i in pilots.groups[t]:
+                P = P + tau_p * p_ul * stats.R[i, l]
+            A = amp * stats.R[k, l] @ np.linalg.inv(P)
+            h_hat[:, k, l, :] = y[:, t, l, :] @ A.T
+    return h_hat
+
+
+def _desk_stats(correlation_model):
+    cfg = resolve_config("desk").replace(correlation_model=correlation_model)
+    stats = build_statistics(cfg, drop_scenario(cfg, seed=21))
+    return cfg, stats
+
+
+def _mixed_stats():
+    # local-scattering links with every third one replaced by beta I
+    cfg, stats = _desk_stats("local-scattering")
+    R = stats.R.copy()
+    K, L, N = R.shape[:3]
+    for k in range(K):
+        for l in range(L):
+            if (k * L + l) % 3 == 0:
+                R[k, l] = stats.beta[k, l] * np.eye(N)
+    return cfg, ChannelStatistics(beta=stats.beta, R=R)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _desk_stats("uncorrelated"),
+    lambda: _desk_stats("local-scattering"),
+    _mixed_stats,
+], ids=["diagonal", "local-scattering", "mixed"])
+def test_batched_estimation_matches_reference_loops(make):
+    cfg, stats = make()
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    h = sample_channels(stats, 150, seed=22)
+    assert np.array_equal(h, reference_sample_channels(stats, 150, seed=22))
+    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
+    ref = reference_mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
+    assert np.allclose(batch.h_hat, ref, rtol=1e-12, atol=0.0)

@@ -5,6 +5,7 @@ so the whole file stays fast. Determinism checks compare bytes on disk.
 """
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -312,6 +313,29 @@ def test_cli_degeneracy_exit_code(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "d.cfds")])
     assert code == 3
     assert "solver degeneracy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, b_scale, message", [
+    # -B makes every WMMSE subproblem matrix negative definite
+    (["generate", "--samples", "1", "--out", "d.cfds"], -1.0, "indefinite"),
+    # B = 0 puts every SINR denominator below the noise floor
+    (["evaluate", "--samples", "1", "--strategies", "equal", "--out", "rep"],
+     0.0, "noise floor"),
+])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch,
+                                         command, b_scale, message):
+    def inconsistent(*args, **kwargs):
+        sample = build_sample(*args, **kwargs)
+        params = dataclasses.replace(sample.params,
+                                     B=b_scale * sample.params.B)
+        return dataclasses.replace(sample, params=params)
+    monkeypatch.setattr("cfpower.pipeline.build_sample", inconsistent)
+    monkeypatch.chdir(tmp_path)
+    code = main(command + ["--config", "desk",
+                           "--realizations", str(N_REAL)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
 
 
 def test_cli_full_walkthrough(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_degenerate_estimate_gives_zero_precoder(caplog):
     cfg, batch = small_batch(K=2, L=1, N=2, n_real=4)
     hh = batch.h_hat.copy()
     hh[:, 0, 0, :] = 0.0
-    zeroed = ChannelBatch(h=batch.h, h_hat=hh, psi=batch.psi)
+    zeroed = ChannelBatch(h=batch.h, h_hat=hh)
     w = compute_precoders(zeroed, "mr", cfg.p_ul, cfg.noise_power)
     assert np.all(w[:, 0, 0, :] == 0.0)
     norms = np.linalg.norm(w[:, 1, 0, :], axis=-1)

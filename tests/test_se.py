@@ -15,6 +15,7 @@ import logging
 import numpy as np
 import pytest
 
+from cfpower import se
 from cfpower.config import NetworkConfig
 from cfpower.errors import DataFormatError
 from cfpower.estimation import ChannelBatch, mmse_estimate, sample_channels
@@ -84,11 +85,13 @@ def random_batch(n_real, K=2, L=2, N=2, seed=0):
 
 @pytest.mark.parametrize("n_real", [128, 300])
 def test_estimator_matches_naive_loops(n_real):
-    # 300 crosses the internal chunk boundary, 128 stays inside it
+    # 128 is an exact multiple of the realization chunk; 300 ends in a
+    # partial chunk
+    assert 128 % se._CHUNK == 0 and 300 % se._CHUNK != 0
     h, w = random_batch(n_real)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w, psi=np.zeros((2, 2, 2, 2), complex))
+    batch = ChannelBatch(h=h, h_hat=w)
     params = estimate_se_parameters(batch, w, cfg)
     a_ref, b_ref = naive_estimates(h, w)
     assert np.allclose(params.a, a_ref, rtol=1e-12, atol=1e-15)
@@ -100,11 +103,11 @@ def test_estimator_input_guards():
     h, w = random_batch(99)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w, psi=np.zeros((2, 2, 2, 2), complex))
+    batch = ChannelBatch(h=h, h_hat=w)
     with pytest.raises(ValueError, match="100"):
         estimate_se_parameters(batch, w, cfg)
     h, w = random_batch(128)
-    batch = ChannelBatch(h=h, h_hat=w, psi=np.zeros((2, 2, 2, 2), complex))
+    batch = ChannelBatch(h=h, h_hat=w)
     with pytest.raises(ValueError, match="shape"):
         estimate_se_parameters(batch, w[:, :1], cfg)
 
@@ -117,7 +120,7 @@ def test_rotation_warning_fires_only_when_rotated(caplog):
     w[:] = h / np.linalg.norm(h, axis=-1, keepdims=True)
     net = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w, psi=np.zeros((2, 2, 2, 2), complex))
+    batch = ChannelBatch(h=h, h_hat=w)
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
         clean = estimate_se_parameters(batch, w, net)
     assert not any("residue" in r.message for r in caplog.records)
