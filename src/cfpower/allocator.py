@@ -30,8 +30,8 @@ import struct
 
 import numpy as np
 
-from .config import NetworkConfig, is_int, is_number
-from .dataset import check_fields, read_json_header
+from .config import NetworkConfig
+from .container import check_fields, json_kind_ok, read_json_header
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
 from .mlp import ACTIVATIONS, DenseLayer, MlpModel, forward
@@ -214,9 +214,9 @@ def _parse_model(blob: bytes) -> MlpModel:
     check_fields(header, _HEADER_FIELDS, "model")
     sizes, acts = header["layer_sizes"], header["activations"]
     if (len(sizes) < 2 or len(acts) != len(sizes) - 1
-            or not all(is_int(n) and n >= 1 for n in sizes)
+            or not all(json_kind_ok(n, int) and n >= 1 for n in sizes)
             or not all(a in ACTIVATIONS for a in acts)
-            or not all(map(is_int, header["member_aps"]))):
+            or not all(json_kind_ok(i, int) for i in header["member_aps"])):
         raise DataFormatError("inconsistent model header")
     n_weights = sum(n_in * n_out + n_out
                     for n_in, n_out in zip(sizes[:-1], sizes[1:]))
@@ -236,7 +236,7 @@ def _parse_model(blob: bytes) -> MlpModel:
     if median is not None or iqr is not None:
         if not (isinstance(median, list) and isinstance(iqr, list)
                 and len(median) == len(iqr) == sizes[0]
-                and all(map(is_number, median + iqr))):
+                and all(json_kind_ok(x, float) for x in median + iqr)):
             raise DataFormatError("inconsistent model scaler")
         scaler = ScalerParams(median=np.asarray(median, dtype=float),
                               iqr=np.asarray(iqr, dtype=float))

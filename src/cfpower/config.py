@@ -9,6 +9,7 @@ urban-microcell defaults below.
 import math
 from dataclasses import dataclass, fields, replace
 
+from .container import json_kind_ok
 from .errors import ConfigError
 
 CORRELATION_MODELS = ("uncorrelated", "local-scattering")
@@ -83,31 +84,13 @@ _FIELD_TYPES = {f.name: f.type for f in fields(NetworkConfig)}
 def _parse_value(key, raw):
     kind = _FIELD_TYPES[key]
     try:
-        if kind in (int, "int"):
+        if kind is int:
             return int(raw)
-        if kind in (float, "float"):
+        if kind is float:
             return float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return raw
-
-
-def is_int(value) -> bool:
-    """An integer parsed from JSON: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    """A number parsed from JSON: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _type_ok(kind, value) -> bool:
-    if kind in (int, "int"):
-        return is_int(value)
-    if kind in (float, "float"):
-        return is_number(value)
-    return isinstance(value, str)
 
 
 def config_from_dict(values: dict) -> NetworkConfig:
@@ -115,7 +98,7 @@ def config_from_dict(values: dict) -> NetworkConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in values.items():
-        if not _type_ok(_FIELD_TYPES[key], value):
+        if not json_kind_ok(value, _FIELD_TYPES[key]):
             raise ConfigError(f"bad value for {key}: {value!r}")
     return NetworkConfig(**values)
 

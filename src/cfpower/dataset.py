@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NetworkConfig, config_from_dict, is_int
+from .config import NetworkConfig, config_from_dict
+from .container import check_fields, read_json_header
 from .errors import ConfigError, DataFormatError
 
 _MAGIC = b"CFDSET01"
@@ -105,45 +106,6 @@ class DatasetHeader:
         head = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode()
         return _MAGIC + struct.pack("<I", len(head)) + head
-
-
-def read_json_header(blob: bytes, magic: bytes, version: int, what: str):
-    """Parse `magic | uint32 length | JSON object` into (header, data offset).
-
-    Anything but a complete UTF-8 JSON object with the expected
-    format_version raises DataFormatError.
-    """
-    if blob[:8] != magic:
-        raise DataFormatError(f"not a {what} container")
-    if len(blob) < 12:
-        raise DataFormatError(f"truncated {what} header")
-    (head_len,) = struct.unpack_from("<I", blob, 8)
-    if len(blob) < 12 + head_len:
-        raise DataFormatError(f"truncated {what} header")
-    try:
-        header = json.loads(blob[12:12 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"bad {what} header") from exc
-    if not isinstance(header, dict):
-        raise DataFormatError(f"bad {what} header: not a JSON object")
-    if header.get("format_version") != version:
-        raise DataFormatError(f"unsupported {what} format version")
-    return header, 12 + head_len
-
-
-def check_fields(header: dict, types: dict, what: str):
-    """Require every key of `types` in the header with a value of that type.
-
-    `int` excludes bool; a tuple of types accepts any of them.
-    """
-    for key, kind in types.items():
-        if key not in header:
-            raise DataFormatError(f"{what} header lacks {key!r}")
-        value = header[key]
-        ok = is_int(value) if kind is int else isinstance(value, kind)
-        if not ok:
-            raise DataFormatError(f"{what} header field {key!r} has the "
-                                  f"wrong type")
 
 
 _HEADER_FIELDS = {"config": dict, "objective": str, "precoder": str,

@@ -6,9 +6,7 @@ so UEs sharing a pilot contaminate each other's estimates. Channel draws
 and pilot-noise draws come from separate seeds.
 
 Every per-link linear map (R^(1/2) and the MMSE filter) is applied to all
-links at once. When every R[k, l] is diagonal, as in the uncorrelated model,
-the maps are diagonal too (eigh and inv of a diagonal matrix are exact) and
-act elementwise; otherwise one batched matmul applies the full matrices.
+links at once by one batched matmul.
 """
 
 from dataclasses import dataclass
@@ -32,20 +30,8 @@ class ChannelBatch:
         return self.h.shape[0]
 
 
-def _is_diagonal(M):
-    """True when every trailing (N, N) matrix of the stack is diagonal."""
-    N = M.shape[-1]
-    return not np.any(M.reshape(-1, N * N)[:, ~np.eye(N, dtype=bool).ravel()])
-
-
 def _apply_per_link(x, M):
-    """out[:, k, l] = M[k, l] @ x[:, k, l] for x (n, K, L, N), M (K, L, N, N).
-
-    Diagonal stacks multiply elementwise, which gives the same bits as the
-    matrix product because the off-diagonal terms are exact zeros.
-    """
-    if _is_diagonal(M):
-        return x * np.diagonal(M, axis1=-2, axis2=-1)
+    """out[:, k, l] = M[k, l] @ x[:, k, l] for x (n, K, L, N), M (K, L, N, N)."""
     out = np.empty(x.shape, dtype=complex)
     np.matmul(x.transpose(1, 2, 0, 3), np.swapaxes(M, -1, -2),
               out=out.transpose(1, 2, 0, 3))

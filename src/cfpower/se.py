@@ -13,12 +13,13 @@ Monte-Carlo estimates over channel realizations; everything downstream
 The Monte-Carlo reduction runs over fixed 64-realization chunks in
 realization order. Per chunk, g = h^H w is one batched (K, N) @ (N, K)
 matmul per (realization, AP), and B takes one real Gram product per (k, i)
-pair. Summation order is fixed by the chunk size and the BLAS kernels, so
-the same batch gives the same bytes on one BLAS build; OpenBLAS splits a
-gemm across threads by output blocks, so the thread count does not change
-them (a `large` drop's digest is the same at 1 and 2 threads). Another
-chunk size moves (a, B) in the last bits. The chunk bounds memory: its g is
-6.6 MB at `large`, where a full (n_real, K, K, L) g would be 102 MB.
+pair. Summation order is fixed by the chunk size and by the BLAS kernels,
+so the same batch on the same BLAS build and CPU gives the same bytes.
+Dataset bytes and SE digests may differ between BLAS builds or CPUs. As
+measured on one x86_64 OpenBLAS build, a `large` drop's digest was the same
+at 1 and 2 OpenBLAS threads. Another chunk size moves (a, B) in the last
+bits. The chunk bounds memory: its g is 6.6 MB at `large`, where a full
+(n_real, K, K, L) g would be 102 MB.
 
 Binary container layout (little-endian): magic "CFSEP001", then
 K, L as uint32, n_real as uint64, prelog, sigma2 as float64, then the a
