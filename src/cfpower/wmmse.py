@@ -22,17 +22,22 @@ entries of a solution are flipped to their positive counterparts afterwards
 (the balls are sign-symmetric, so feasibility is preserved). Normalized
 objective comparisons in the test-suite use
 |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
+
+Each outer step computes the eigenbasis of the C_i once, to check and PSD-clip
+C; ADMM reuses it for its x-update operator (C_i + rho I)^-1, which it rebuilds
+only when residual balancing moves rho. SINR terms come from se.sinr_terms.
 """
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import NumericalError
-from .se import PowerAllocation, SEParameters, effective_sinr
+from .se import PowerAllocation, SEParameters, effective_sinr, sinr_terms
 
 log = logging.getLogger(__name__)
 
@@ -95,16 +100,13 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    sig = np.einsum("kl,kl->k", params.a, mu)
-    den = np.einsum("il,kilm,im->k", mu, params.B, mu) + params.sigma2
+    sig, interf = sinr_terms(params, mu)
+    den = interf + params.sigma2
     v = sig / den
     e_raw = 1.0 - sig ** 2 / den
     e = np.clip(e_raw, E_CLAMP, 1.0 - E_CLAMP)
     clamped = int(np.sum(e != e_raw))
-    if objective == "sumse":
-        omega = 1.0 / e
-    else:
-        omega = -1.0 / (e * np.log(e))
+    omega = 1.0 / e if objective == "sumse" else -1.0 / (e * np.log(e))
     return AuxiliaryUpdate(v=v, e=e, omega=omega, clamped=clamped)
 
 
@@ -115,18 +117,23 @@ def subproblem_matrices(params: SEParameters, omega: np.ndarray,
     C_i inherits positive semidefiniteness from the B estimates; eigenvalues
     below the relative floor indicate corrupt inputs and raise.
     """
-    weights = omega * v ** 2
-    C = np.einsum("k,kilm->ilm", weights, params.B)
-    C = 0.5 * (C + np.transpose(C, (0, 2, 1)))
+    return _subproblem(params, omega, v)[:2]
+
+
+def _subproblem(params, omega, v):
+    """(C, q) plus the clipped eigenbasis (eigval, eigvec) of C."""
+    # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
+    C = np.tensordot(omega * v ** 2, params.B, axes=1)
+    C = 0.5 * (C + np.swapaxes(C, 1, 2))
     eigval, eigvec = np.linalg.eigh(C)
     scale = max(float(eigval.max()), 1.0)
     if float(eigval.min()) < _EIG_FLOOR * scale:
         raise NumericalError("subproblem matrix is indefinite beyond tolerance")
     eigval = np.clip(eigval, 0.0, None)
-    C = np.einsum("iab,ib,icb->iac", eigvec, eigval, eigvec)
-    C = 0.5 * (C + np.transpose(C, (0, 2, 1)))
+    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
+    C = 0.5 * (C + np.swapaxes(C, 1, 2))
     q = (omega * v)[:, None] * params.a
-    return C, q
+    return C, q, eigval, eigvec
 
 
 def subproblem_objective(C: np.ndarray, q: np.ndarray,
@@ -139,19 +146,9 @@ def subproblem_objective(C: np.ndarray, q: np.ndarray,
 
 def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
     """Project each AP column onto the ball of radius sqrt(p_max)."""
-    radius = np.sqrt(p_max)
-    norms = np.linalg.norm(X, axis=0)
-    scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    norms = np.sqrt((X * X).sum(axis=0))
+    scale = np.minimum(1.0, np.sqrt(p_max) / np.maximum(norms, 1e-300))
     return X * scale[None, :]
-
-
-@dataclass
-class _AdmmState:
-    """Warm-start carrier across outer iterations."""
-
-    Z: np.ndarray
-    U: np.ndarray
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -164,54 +161,51 @@ class SubproblemResult:
     n_flipped: int
 
 
-def _admm(C, q, p_max, cfg: AdmmConfig, x0, state: Optional[_AdmmState]):
-    K, L = q.shape
-    eigval, eigvec = np.linalg.eigh(C)
-    eigval = np.clip(eigval, 0.0, None)
-    eigvec_t = np.ascontiguousarray(np.transpose(eigvec, (0, 2, 1)))
+def _norm(x):
+    """Frobenius norm as np.linalg.norm computes it, without its overhead."""
+    return math.sqrt(np.vdot(x, x))
+
+
+def _admm(q, eigval, eigvec, p_max, cfg: AdmmConfig, x0, state):
+    """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None."""
     if state is None:
-        rho = cfg.rho
-        Z = project_per_ap(x0, p_max)
-        U = np.zeros_like(Z)
-    else:
-        rho, Z, U = state.rho, state.Z.copy(), state.U.copy()
+        state = (project_per_ap(x0, p_max), np.zeros_like(x0), cfg.rho)
+    Z, U, rho = state
     eps = cfg.eps_inner
-    sqrt_n = np.sqrt(K * L)
+    sqrt_n = np.sqrt(q.size)
     converged = False
     it = 0
+    inv_rho = None
     for it in range(1, cfg.max_iters + 1):
-        rhs = q + rho * (Z - U)
-        # x-update through the cached eigenbasis: (C + rho I)^-1 rhs
-        t = np.einsum("kab,kb->ka", eigvec_t, rhs)
-        t /= eigval + rho
-        X = np.einsum("kab,kb->ka", eigvec, t)
+        if rho != inv_rho:
+            # x-update operator (C + rho I)^-1 from the eigenbasis
+            inv = np.matmul(eigvec / (eigval + rho)[:, None, :],
+                            np.swapaxes(eigvec, 1, 2))
+            inv_rho = rho
+        X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
         Xu = X + U
         Z_new = project_per_ap(Xu, p_max)
-        r_norm = float(np.linalg.norm(X - Z_new))
-        s_norm = rho * float(np.linalg.norm(Z_new - Z))
+        r_norm = _norm(X - Z_new)
+        s_norm = rho * _norm(Z_new - Z)
         Z = Z_new
         U = Xu - Z_new
-        eps_pri = sqrt_n * eps + eps * max(float(np.linalg.norm(X)),
-                                           float(np.linalg.norm(Z)))
-        eps_dual = sqrt_n * eps + eps * rho * float(np.linalg.norm(U))
+        eps_pri = sqrt_n * eps + eps * max(_norm(X), _norm(Z))
+        eps_dual = sqrt_n * eps + eps * rho * _norm(U)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
         # residual balancing keeps the penalty near the problem's scale
-        if it % 10 == 0:
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                U *= 0.5
-            elif s_norm > 10.0 * r_norm:
-                rho *= 0.5
-                U *= 2.0
-    return Z, it, converged, _AdmmState(Z=Z, U=U, rho=rho)
+        if it % 10 == 0 and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
+            factor = 2.0 if r_norm > s_norm else 0.5
+            rho *= factor
+            U /= factor
+    return Z, it, converged, (Z, U, rho)
 
 
-def _projected_gradient(C, q, p_max, cfg: ProjGradConfig, x0):
+def _projected_gradient(C, q, eigval, p_max, cfg: ProjGradConfig, x0):
     step = cfg.step
     if step <= 0.0:
-        lam_max = float(np.linalg.eigvalsh(C)[:, -1].max())
+        lam_max = float(eigval[:, -1].max())
         step = 1.0 / (2.0 * max(lam_max, 1e-300))
     X = project_per_ap(x0, p_max)
     converged = False
@@ -240,17 +234,18 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
     """
     if sub_cfg is None:
         sub_cfg = AdmmConfig()
-    C, q = subproblem_matrices(params, omega, v)
+    C, q, eigval, eigvec = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
     if isinstance(sub_cfg, AdmmConfig):
         prev = warm_state.get("admm") if warm_state is not None else None
-        x, n_iters, converged, state = _admm(C, q, p_max, sub_cfg, mu0, prev)
+        x, n_iters, converged, state = _admm(q, eigval, eigvec, p_max,
+                                             sub_cfg, mu0, prev)
         if warm_state is not None:
             warm_state["admm"] = state
     elif isinstance(sub_cfg, ProjGradConfig):
         x, n_iters, converged, _ = _projected_gradient(
-            C, q, p_max, sub_cfg, mu0)
+            C, q, eigval, p_max, sub_cfg, mu0)
     else:
         raise TypeError(f"unknown subproblem config {type(sub_cfg).__name__}")
     n_flipped = int(np.sum(x < 0.0))
@@ -283,6 +278,7 @@ class WmmseResult:
     violations: np.ndarray     # max relative budget excess per trace entry
     converged: bool
     n_outer: int
+    admm_iters: int            # subproblem iterations over all outer steps
     clamp_events: int
     subproblem_exhausted: int
     sign_flips: int            # negative entries seen across subproblem runs
@@ -331,9 +327,7 @@ def wmmse_solve(params: SEParameters, p_max: float,
 
     trace = [utility(params, mu, cfg.objective)]
     violations = [max_violation(mu)]
-    clamp_events = 0
-    exhausted = 0
-    sign_flips = 0
+    clamp_events = exhausted = admm_iters = sign_flips = 0
     converged = False
     n_outer = 0
     warm_state = {}
@@ -343,8 +337,8 @@ def wmmse_solve(params: SEParameters, p_max: float,
         result = solve_subproblem(params, aux.omega, aux.v, p_max,
                                   cfg.subproblem, mu0=mu,
                                   warm_state=warm_state)
-        if not result.converged:
-            exhausted += 1
+        exhausted += int(not result.converged)
+        admm_iters += result.n_iters
         sign_flips += result.n_flipped
         mu = result.mu_raw
         trace.append(utility(params, mu, cfg.objective))
@@ -365,6 +359,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
     return WmmseResult(alloc=alloc, trace=np.asarray(trace),
                        violations=np.asarray(violations),
                        converged=converged, n_outer=n_outer,
-                       clamp_events=clamp_events,
+                       admm_iters=admm_iters, clamp_events=clamp_events,
                        subproblem_exhausted=exhausted,
                        sign_flips=sign_flips, final_flips=final_flips)

@@ -144,6 +144,51 @@ def test_shipped_preset_build_stays_below_residue_gate(desk_cfg, caplog):
     assert not any("residue" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_residue_gate_follows_realization_count(desk_cfg, caplog, index):
+    # plain MR on these drops leaves a global residue of 0.015-0.019 at
+    # 200 realizations: Monte-Carlo noise, inside the gate once it scales
+    # with the standard error of the mean
+    from cfpower.network import place_aps
+    from cfpower.pipeline import TEST_NAMESPACE, build_sample
+    aps = place_aps(desk_cfg, desk_cfg.seed)
+    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
+        build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, index,
+                     "mr", 200)
+    assert not any("residue" in r.message for r in caplog.records)
+
+
+def loop_sinr_terms(params, mu):
+    """Signal and interference entry by entry over (k, i, l, m)."""
+    K, L = mu.shape
+    signal = np.zeros(K)
+    interference = np.zeros(K)
+    for k in range(K):
+        for l in range(L):
+            signal[k] += params.a[k, l] * mu[k, l]
+        for i in range(K):
+            for l in range(L):
+                for m in range(L):
+                    interference[k] += (mu[i, l] * params.B[k, i, l, m]
+                                        * mu[i, m])
+    return signal, interference
+
+
+def test_sinr_terms_match_plain_loops(synthetic_params, desk_sample,
+                                      desk_cfg):
+    rng = np.random.default_rng(7)
+    cases = [(synthetic_params(K=3, L=2, seed=8, sigma2=0.3),
+              rng.uniform(0.0, 0.6, size=(3, 2))),
+             (desk_sample("mr").params,
+              rng.uniform(0.0, 0.3, size=(desk_cfg.K, desk_cfg.L)))]
+    for params, mu in cases:
+        signal, interference = se.sinr_terms(params, mu)
+        ref_signal, ref_interference = loop_sinr_terms(params, mu)
+        assert np.allclose(signal, ref_signal, rtol=1e-12, atol=0.0)
+        assert np.allclose(interference, ref_interference, rtol=1e-12,
+                           atol=0.0)
+
+
 def test_jensen_gap_on_real_sample(desk_sample, desk_cfg):
     # B_kk - a_k a_k^T is a covariance, so it must stay PSD
     params = desk_sample("rzf").params

@@ -11,8 +11,10 @@ import csv
 import numpy as np
 import pytest
 
+from cfpower import wmmse
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
-from cfpower.wmmse import (AdmmConfig, ProjGradConfig, SolverConfig,
+from cfpower.wmmse import (E_CLAMP, AdmmConfig, AuxiliaryUpdate,
+                           ProjGradConfig, SolverConfig, SubproblemResult,
                            project_per_ap, solve_subproblem,
                            subproblem_matrices, subproblem_objective,
                            update_auxiliaries, utility, wmmse_solve)
@@ -335,3 +337,155 @@ def test_solver_config_validation():
         SolverConfig(objective="maxmin")
     with pytest.raises(ValueError):
         SolverConfig(init="zeros")
+
+
+def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
+                                            monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = solve_subproblem(*args, **kwargs)
+        calls.append(result.n_iters)
+        return result
+
+    monkeypatch.setattr(wmmse, "solve_subproblem", recording)
+    result = wmmse_solve(desk_sample("rzf").params, desk_cfg.p_max_dl)
+    assert len(calls) == result.n_outer
+    assert result.admm_iters == sum(calls) > result.n_outer
+
+
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+def test_one_eigendecomposition_per_outer_step(desk_sample, desk_cfg,
+                                               monkeypatch, precoder):
+    params = desk_sample(precoder).params
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    result = wmmse_solve(params, desk_cfg.p_max_dl)
+    assert result.n_outer > 1
+    assert len(calls) == result.n_outer
+
+
+# Reference implementation of the outer step as first written: the SINR
+# terms as 3-operand einsums, C decomposed once for its PSD clip and again
+# inside ADMM, whose x-update runs through two einsums per iteration.
+
+def ref_sinr_terms(params, mu):
+    sig = np.einsum("kl,kl->k", params.a, mu)
+    return sig, np.einsum("il,kilm,im->k", mu, params.B, mu)
+
+
+def ref_update_auxiliaries(params, mu, objective):
+    sig, interf = ref_sinr_terms(params, mu)
+    den = interf + params.sigma2
+    e_raw = 1.0 - sig ** 2 / den
+    e = np.clip(e_raw, E_CLAMP, 1.0 - E_CLAMP)
+    omega = 1.0 / e if objective == "sumse" else -1.0 / (e * np.log(e))
+    return AuxiliaryUpdate(v=sig / den, e=e, omega=omega,
+                           clamped=int(np.sum(e != e_raw)))
+
+
+def ref_effective_sinr(params, mu):
+    sig, interf = ref_sinr_terms(params, mu)
+    return sig ** 2 / (interf - sig ** 2 + params.sigma2)
+
+
+def ref_utility(params, mu, objective):
+    with np.errstate(divide="ignore"):
+        rates = np.log2(1.0 + ref_effective_sinr(params, mu))
+        return float(np.sum(rates if objective == "sumse"
+                            else np.log(rates)))
+
+
+def ref_subproblem_matrices(params, omega, v):
+    C = np.einsum("k,kilm->ilm", omega * v ** 2, params.B)
+    C = 0.5 * (C + np.transpose(C, (0, 2, 1)))
+    eigval, eigvec = np.linalg.eigh(C)
+    eigval = np.clip(eigval, 0.0, None)
+    C = np.einsum("iab,ib,icb->iac", eigvec, eigval, eigvec)
+    C = 0.5 * (C + np.transpose(C, (0, 2, 1)))
+    return C, (omega * v)[:, None] * params.a
+
+
+def ref_project_per_ap(X, p_max):
+    norms = np.linalg.norm(X, axis=0)
+    return X * np.minimum(1.0, np.sqrt(p_max) / np.maximum(norms, 1e-300))
+
+
+def ref_admm(C, q, p_max, cfg, x0, state):
+    K, L = q.shape
+    eigval, eigvec = np.linalg.eigh(C)
+    eigval = np.clip(eigval, 0.0, None)
+    eigvec_t = np.ascontiguousarray(np.transpose(eigvec, (0, 2, 1)))
+    if state is None:
+        rho = cfg.rho
+        Z = ref_project_per_ap(x0, p_max)
+        U = np.zeros_like(Z)
+    else:
+        rho, Z, U = state[0], state[1].copy(), state[2].copy()
+    eps = cfg.eps_inner
+    sqrt_n = np.sqrt(K * L)
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        rhs = q + rho * (Z - U)
+        t = np.einsum("kab,kb->ka", eigvec_t, rhs)
+        t /= eigval + rho
+        X = np.einsum("kab,kb->ka", eigvec, t)
+        Xu = X + U
+        Z_new = ref_project_per_ap(Xu, p_max)
+        r_norm = float(np.linalg.norm(X - Z_new))
+        s_norm = rho * float(np.linalg.norm(Z_new - Z))
+        Z = Z_new
+        U = Xu - Z_new
+        eps_pri = sqrt_n * eps + eps * max(float(np.linalg.norm(X)),
+                                           float(np.linalg.norm(Z)))
+        eps_dual = sqrt_n * eps + eps * rho * float(np.linalg.norm(U))
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            converged = True
+            break
+        if it % 10 == 0:
+            if r_norm > 10.0 * s_norm:
+                rho *= 2.0
+                U *= 0.5
+            elif s_norm > 10.0 * r_norm:
+                rho *= 0.5
+                U *= 2.0
+    return Z, it, converged, (rho, Z, U)
+
+
+def ref_solve_subproblem(params, omega, v, p_max, sub_cfg, mu0, warm_state):
+    C, q = ref_subproblem_matrices(params, omega, v)
+    x, n_iters, converged, warm_state["ref"] = ref_admm(
+        C, q, p_max, sub_cfg, mu0, warm_state.get("ref"))
+    return SubproblemResult(mu=np.abs(x), mu_raw=x,
+                            objective=subproblem_objective(C, q, x),
+                            n_iters=n_iters, converged=converged,
+                            n_flipped=int(np.sum(x < 0.0)))
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+def test_outer_loop_matches_reference_step(desk_sample, desk_cfg,
+                                           monkeypatch, precoder, objective):
+    cfg = SolverConfig(objective=objective)
+    for index in (0, 1):
+        sample = desk_sample(precoder, index)
+        fast = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg,
+                           beta=sample.beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(wmmse, "update_auxiliaries", ref_update_auxiliaries)
+            patch.setattr(wmmse, "solve_subproblem", ref_solve_subproblem)
+            patch.setattr(wmmse, "utility", ref_utility)
+            patch.setattr(wmmse, "effective_sinr", ref_effective_sinr)
+            ref = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg,
+                              beta=sample.beta)
+        assert fast.n_outer == ref.n_outer > 1
+        assert fast.sign_flips == ref.sign_flips
+        assert np.allclose(fast.alloc.mu, ref.alloc.mu, rtol=1e-10,
+                           atol=1e-10 * np.abs(ref.alloc.mu).max())
+        assert np.allclose(fast.trace, ref.trace, rtol=1e-10, atol=0.0)
