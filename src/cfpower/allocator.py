@@ -9,6 +9,10 @@ in each model):
   cdnn     per cluster: raw large-scale gains of the cluster's APs,
            one K-block per member AP in cluster order
 
+Each model serves the member APs of one unit of its kind's layout
+(`model_layout`): one AP for the distributed kinds, one geographic cluster
+for cdnn. Features and labels come as one row per unit.
+
 Labels mirror the outputs: per served AP, the K optimal mu entries followed
 by that AP's total transmit power sum_k mu_kl^2 in watts (cdnn emits all mu
 blocks first, then the member totals).
@@ -34,7 +38,8 @@ from .config import NetworkConfig
 from .container import check_fields, json_kind_ok, read_json_header
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
-from .mlp import ACTIVATIONS, DenseLayer, MlpModel, forward
+from .mlp import ACTIVATIONS, MODEL_KINDS, DenseLayer, MlpModel, forward
+from .network import place_aps
 from .scaling import ScalerParams, apply_scaler
 from .se import PowerAllocation
 
@@ -81,16 +86,28 @@ def cdnn_features(beta: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     return np.stack(blocks)
 
 
-def features_for(kind: str, beta: np.ndarray, cfg: NetworkConfig,
-                 clusters=None) -> np.ndarray:
-    if kind == "ddnn":
-        return ddnn_features(beta, cfg)
-    if kind == "ddnn-si":
-        return ddnn_si_features(beta, cfg)
+def model_layout(kind: str, cfg: NetworkConfig, seed, cluster_size: int):
+    """(n_units, members) AP indices served by each model of a kind.
+
+    One unit per AP for the distributed kinds; for cdnn, the geographic
+    clusters of the APs placed under `seed`.
+    """
+    if kind in ("ddnn", "ddnn-si"):
+        return np.arange(cfg.L)[:, None]
     if kind == "cdnn":
-        if clusters is None:
-            raise ValueError("cdnn features need the cluster partition")
-        return cdnn_features(beta, clusters)
+        return cluster_partition(place_aps(cfg, seed), cluster_size)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def features_for(kind: str, beta: np.ndarray, cfg: NetworkConfig,
+                 members: np.ndarray) -> np.ndarray:
+    """One raw feature row per unit of the layout `members`."""
+    if kind == "ddnn":
+        return ddnn_features(beta, cfg)[members[:, 0]]
+    if kind == "ddnn-si":
+        return ddnn_si_features(beta, cfg)[members[:, 0]]
+    if kind == "cdnn":
+        return cdnn_features(beta, members)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -110,13 +127,12 @@ def clustered_labels(mu: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def labels_for(kind: str, mu: np.ndarray, clusters=None) -> np.ndarray:
+def labels_for(kind: str, mu: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """One label row per unit of the layout `members`."""
     if kind in ("ddnn", "ddnn-si"):
-        return distributed_labels(mu)
+        return distributed_labels(mu)[members[:, 0]]
     if kind == "cdnn":
-        if clusters is None:
-            raise ValueError("cdnn labels need the cluster partition")
-        return clustered_labels(mu, clusters)
+        return clustered_labels(mu, members)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -131,19 +147,17 @@ def _column_from_outputs(direction, total, p_max):
 
 def model_features(models, beta: np.ndarray, cfg: NetworkConfig):
     """One raw (unscaled) feature row per model, in model order."""
-    kind = models[0].kind
-    if kind == "cdnn":
-        return [cdnn_features(beta, np.asarray(m.member_aps)[None, :])[0]
-                for m in models]
-    full = features_for(kind, beta, cfg)
-    return [full[m.unit_id] for m in models]
+    members = np.array([m.member_aps for m in models])
+    return features_for(models[0].kind, beta, cfg, members)
 
 
 def predict_from_features(models, rows, K: int, L: int,
                           p_max: float) -> PowerAllocation:
-    """Scale, run and post-process pre-built feature rows (bench hot path)."""
+    """Scale, run and post-process one pre-built feature row per model."""
     kind = models[0].kind
-    mu = np.full((K, L), np.nan)
+    if sorted(l for m in models for l in m.member_aps) != list(range(L)):
+        raise ValueError("models do not cover every AP exactly once")
+    mu = np.empty((K, L))
     zero_columns = 0
     for model, x in zip(models, rows):
         if model.kind != kind:
@@ -158,8 +172,6 @@ def predict_from_features(models, rows, K: int, L: int,
             col, was_zero = _column_from_outputs(direction, total, p_max)
             zero_columns += was_zero
             mu[:, l] = col
-    if np.any(np.isnan(mu)):
-        raise ValueError("models do not cover every AP")
     if zero_columns:
         log.warning("%d AP columns predicted as all-zero", zero_columns)
     return PowerAllocation(mu=mu, p_max=p_max)
@@ -218,6 +230,8 @@ def _parse_model(blob: bytes) -> MlpModel:
             or not all(a in ACTIVATIONS for a in acts)
             or not all(json_kind_ok(i, int) for i in header["member_aps"])):
         raise DataFormatError("inconsistent model header")
+    if header["kind"] not in MODEL_KINDS:
+        raise DataFormatError(f"unknown model kind {header['kind']!r}")
     n_weights = sum(n_in * n_out + n_out
                     for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) - off != 8 * n_weights:

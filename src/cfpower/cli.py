@@ -25,7 +25,7 @@ from . import pipeline
 from .config import NetworkConfig, load_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError)
-from .mlp import TrainConfig
+from .mlp import MODEL_KINDS, TrainConfig
 from .wmmse import SolverConfig
 
 log = logging.getLogger(__name__)
@@ -87,8 +87,7 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="fit models from a dataset")
     t.add_argument("--dataset", required=True)
-    t.add_argument("--kind", choices=("ddnn", "ddnn-si", "cdnn"),
-                   required=True)
+    t.add_argument("--kind", choices=MODEL_KINDS, required=True)
     t.add_argument("--cluster-size", type=int, default=4)
     t.add_argument("--epochs", type=int, default=60)
     t.add_argument("--batch-size", type=int, default=256)

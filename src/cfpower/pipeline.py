@@ -19,16 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (cluster_partition, features_for, labels_for,
-                        load_model, model_features, predict_from_features,
-                        save_model)
+from .allocator import (features_for, labels_for, load_model, model_layout,
+                        predict_allocation, save_model)
 from .scaling import ScalerParams
 from .config import NetworkConfig
 from .dataset import DatasetFile, DatasetHeader, SampleRecord
 from .errors import DataFormatError, SolverDegeneracyError
 from .estimation import mmse_estimate, sample_channels
 from .heuristics import equal_power, heuristic_allocation
-from .mlp import TrainConfig, build_model, train
+from .mlp import MODEL_KINDS, TrainConfig, build_model, train
 from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
 from .precoding import compute_precoders
@@ -41,9 +40,7 @@ log = logging.getLogger(__name__)
 TRAIN_NAMESPACE = 0x7472    # training-sample seed space
 TEST_NAMESPACE = 0x7465     # evaluation-drop seed space
 
-LEARNED_STRATEGIES = ("ddnn", "ddnn-si", "cdnn")
-STRATEGIES = ("wmmse-sumse", "wmmse-pf", "heuristic", "equal") \
-    + LEARNED_STRATEGIES
+STRATEGIES = ("wmmse-sumse", "wmmse-pf", "heuristic", "equal") + MODEL_KINDS
 
 DEFAULT_N_REAL = 1000
 MODEL_SUFFIX = ".cfmlp"
@@ -139,11 +136,15 @@ def _model_path(out_dir, kind, unit):
 
 def load_models(models_dir, kind: str):
     """All models of a kind in a directory, ordered by unit id."""
-    pattern = os.path.join(models_dir, f"{kind}-*{MODEL_SUFFIX}")
+    pattern = os.path.join(models_dir, f"{kind}-[0-9]*{MODEL_SUFFIX}")
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise DataFormatError(f"no {kind} models under {models_dir}")
     models = [load_model(p) for p in paths]
+    for path, model in zip(paths, models):
+        if model.kind != kind:
+            raise DataFormatError(
+                f"{path}: holds a {model.kind} model, not {kind}")
     return sorted(models, key=lambda m: m.unit_id)
 
 
@@ -166,22 +167,10 @@ def cmd_train(dataset_path, kind: str, out_dir,
     mus = np.stack([r.mu for r in records])
     n = betas.shape[0]
 
-    clusters = None
-    if kind == "cdnn":
-        aps = place_aps(cfg, ds.header.master_seed)
-        clusters = cluster_partition(aps, cluster_size)
-        units = list(range(clusters.shape[0]))
-        members = [tuple(int(a) for a in clusters[j]) for j in units]
-    elif kind in ("ddnn", "ddnn-si"):
-        units = list(range(cfg.L))
-        members = [(u,) for u in units]
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
-    feats = np.stack([features_for(kind, betas[i], cfg, clusters)
+    layout = model_layout(kind, cfg, ds.header.master_seed, cluster_size)
+    feats = np.stack([features_for(kind, betas[i], cfg, layout)
                       for i in range(n)])
-    labels = np.stack([labels_for(kind, mus[i], clusters)
-                       for i in range(n)])
+    labels = np.stack([labels_for(kind, mus[i], layout) for i in range(n)])
 
     # one seeded split shared by every unit's model
     rng = np.random.default_rng(train_cfg.seed)
@@ -192,11 +181,10 @@ def cmd_train(dataset_path, kind: str, out_dir,
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for unit in units:
+    for unit, members in enumerate(layout):
         seed = np.random.SeedSequence(
             (train_cfg.seed, 0x6D6C, unit)).generate_state(1)[0]
-        model = build_model(kind, cfg.K, unit_id=unit,
-                            member_aps=members[unit],
+        model = build_model(kind, cfg.K, unit_id=unit, member_aps=members,
                             cluster_size=cluster_size, seed=int(seed))
         X, Y = feats[:, unit, :], labels[:, unit, :]
         model.scaler = fit_scaler(X[train_idx])
@@ -293,11 +281,9 @@ def _allocator_for(strategy, cfg, models):
                                               cfg.p_max_dl)
     if strategy == "equal":
         return lambda s: equal_power(cfg.K, cfg.L, cfg.p_max_dl)
-    if strategy in LEARNED_STRATEGIES:
+    if strategy in MODEL_KINDS:
         group = models[strategy]
-        return lambda s: predict_from_features(
-            group, model_features(group, s.beta, cfg), cfg.K, cfg.L,
-            cfg.p_max_dl)
+        return lambda s: predict_allocation(group, s.beta, cfg)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -310,7 +296,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
     strategies = list(strategies)
     models = {}
     for strat in strategies:
-        if strat in LEARNED_STRATEGIES:
+        if strat in MODEL_KINDS:
             if models_dir is None:
                 raise DataFormatError(
                     f"strategy {strat} needs a models directory")
@@ -376,15 +362,10 @@ def _bench_models(cfg, kind, cluster_size, models_dir, seed):
     """Trained models when available, seeded random-weight stand-ins else."""
     if models_dir is not None:
         return load_models(models_dir, kind)
-    if kind == "cdnn":
-        clusters = cluster_partition(place_aps(cfg, seed), cluster_size)
-        units = [(j, tuple(int(a) for a in clusters[j]))
-                 for j in range(clusters.shape[0])]
-    else:
-        units = [(u, (u,)) for u in range(cfg.L)]
     models = []
-    for unit, member in units:
-        model = build_model(kind, cfg.K, unit_id=unit, member_aps=member,
+    for unit, members in enumerate(
+            model_layout(kind, cfg, seed, cluster_size)):
+        model = build_model(kind, cfg.K, unit_id=unit, member_aps=members,
                             cluster_size=cluster_size, seed=(seed, unit))
         n_f = model.n_inputs
         model.scaler = ScalerParams(median=np.zeros(n_f), iqr=np.ones(n_f))
@@ -399,43 +380,39 @@ def cmd_bench(cfg: NetworkConfig, strategies, n_repeats: int = 5,
     """Wall-clock per allocation on pre-generated inputs.
 
     Returns {strategy: {column: seconds}} with columns
-    sumse-mr / sumse-rzf / pf-mr / pf-rzf; allocation timing for learned
-    strategies covers scaling, forward passes, and post-processing on
-    pre-built feature rows. The noop strategy measures harness overhead.
+    sumse-mr / sumse-rzf / pf-mr / pf-rzf. Every strategy runs the
+    allocator `cmd_evaluate` runs (`wmmse` maps to the column's objective),
+    so learned timing covers building features from beta, scaling, forward
+    passes and post-processing. The noop strategy measures harness overhead.
     """
     master = cfg.seed if seed is None else int(seed)
+    models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)
+              for s in strategies if s in MODEL_KINDS}
+    columns = [("sumse", "mr"), ("sumse", "rzf"), ("pf", "mr"), ("pf", "rzf")]
+
+    def allocator(strat, objective):
+        if strat == "noop":
+            return lambda s: None
+        if strat == "wmmse":
+            return _allocator_for(f"wmmse-{objective}", cfg, models)
+        if strat.startswith("wmmse-"):   # bench names the objective per column
+            raise ValueError(f"unknown bench strategy {strat!r}")
+        return _allocator_for(strat, cfg, models)
+
+    tasks = {(s, o): allocator(s, o)
+             for s in strategies for o in ("sumse", "pf")}
     aps = place_aps(cfg, master)
     samples = {p: build_sample(cfg, aps, master, TEST_NAMESPACE, 0, p, n_real)
                for p in ("mr", "rzf")}
-    columns = [("sumse", "mr"), ("sumse", "rzf"), ("pf", "mr"), ("pf", "rzf")]
     results = {}
     for strat in strategies:
         row = {}
         for objective, precoder in columns:
-            sample = samples[precoder]
-            if strat == "wmmse":
-                solver = SolverConfig(objective=objective)
-                task = lambda s=sample, c=solver: wmmse_solve(
-                    s.params, cfg.p_max_dl, c, beta=s.beta)
-            elif strat in LEARNED_STRATEGIES:
-                group = _bench_models(cfg, strat, cluster_size, models_dir,
-                                      master)
-                rows = model_features(group, sample.beta, cfg)
-                task = lambda g=group, r=rows: predict_from_features(
-                    g, r, cfg.K, cfg.L, cfg.p_max_dl)
-            elif strat == "heuristic":
-                task = lambda s=sample: heuristic_allocation(
-                    s.beta, cfg.v_exponent, cfg.p_max_dl)
-            elif strat == "equal":
-                task = lambda: equal_power(cfg.K, cfg.L, cfg.p_max_dl)
-            elif strat == "noop":
-                task = lambda: None
-            else:
-                raise ValueError(f"unknown bench strategy {strat!r}")
-            task()   # warm-up, outside the timed window
+            task, sample = tasks[strat, objective], samples[precoder]
+            task(sample)   # warm-up, outside the timed window
             t0 = time.perf_counter()
             for _ in range(n_repeats):
-                task()
+                task(sample)
             row[f"{objective}-{precoder}"] = \
                 (time.perf_counter() - t0) / n_repeats
         results[strat] = row

@@ -15,8 +15,9 @@ from cfpower.allocator import (cdnn_features, cluster_partition,
                                clustered_labels, ddnn_features,
                                ddnn_si_features, distributed_labels,
                                features_for, labels_for, load_model,
-                               model_features, predict_allocation,
-                               predict_from_features, save_model, to_db)
+                               model_features, model_layout,
+                               predict_allocation, predict_from_features,
+                               save_model, to_db)
 from cfpower.errors import DataFormatError
 from cfpower.heuristics import fractional_coefficients, side_info_ratios
 from cfpower.mlp import DenseLayer, MlpModel, build_model
@@ -94,12 +95,50 @@ def test_cdnn_features_stack_member_blocks():
 
 def test_features_for_dispatch(desk_cfg):
     beta = random_beta(desk_cfg.K, desk_cfg.L, 4)
-    assert np.array_equal(features_for("ddnn", beta, desk_cfg),
+    per_ap = np.arange(desk_cfg.L)[:, None]
+    assert np.array_equal(features_for("ddnn", beta, desk_cfg, per_ap),
                           ddnn_features(beta, desk_cfg))
-    with pytest.raises(ValueError, match="cluster"):
-        features_for("cdnn", beta, desk_cfg)
     with pytest.raises(ValueError):
-        features_for("mlp", beta, desk_cfg)
+        features_for("mlp", beta, desk_cfg, per_ap)
+
+
+def test_model_layout_gives_one_row_per_unit(desk_cfg):
+    K, L = desk_cfg.K, desk_cfg.L
+    beta = random_beta(K, L, 21)
+    mu = feasible_mu(K, L, 1.0, 22)
+    clusters = cluster_partition(place_aps(desk_cfg, seed=3), 2)
+    assert np.array_equal(model_layout("cdnn", desk_cfg, 3, 2), clusters)
+    for kind in ("ddnn", "ddnn-si"):
+        assert np.array_equal(model_layout(kind, desk_cfg, 3, 2),
+                              np.arange(L)[:, None])
+    layout = model_layout("ddnn-si", desk_cfg, 3, 2)
+    assert np.array_equal(features_for("ddnn-si", beta, desk_cfg, layout),
+                          ddnn_si_features(beta, desk_cfg))
+    assert np.array_equal(features_for("cdnn", beta, desk_cfg, clusters),
+                          cdnn_features(beta, clusters))
+    assert np.array_equal(labels_for("cdnn", mu, clusters),
+                          clustered_labels(mu, clusters))
+    # a reordered layout reorders the rows
+    flipped = layout[::-1]
+    assert np.array_equal(features_for("ddnn", beta, desk_cfg, flipped),
+                          ddnn_features(beta, desk_cfg)[::-1])
+    assert np.array_equal(labels_for("ddnn", mu, flipped),
+                          distributed_labels(mu)[::-1])
+    with pytest.raises(ValueError, match="kind"):
+        model_layout("mlp", desk_cfg, 3, 2)
+
+
+def test_model_features_follow_member_aps(desk_cfg):
+    K, L = desk_cfg.K, desk_cfg.L
+    beta = random_beta(K, L, 23)
+    clusters = cluster_partition(place_aps(desk_cfg, seed=0), 2)
+    cdnn = [build_model("cdnn", K, unit_id=j, member_aps=clusters[j],
+                        cluster_size=2, seed=j) for j in range(len(clusters))]
+    assert np.array_equal(model_features(cdnn, beta, desk_cfg),
+                          cdnn_features(beta, clusters))
+    ddnn = [build_model("ddnn", K, unit_id=l, seed=l) for l in (2, 0, 3, 1)]
+    assert np.array_equal(model_features(ddnn, beta, desk_cfg),
+                          ddnn_features(beta, desk_cfg)[[2, 0, 3, 1]])
 
 
 def test_distributed_labels():
@@ -118,9 +157,8 @@ def test_clustered_labels_follow_cluster_order():
                                [np.sum(mu[:, 1] ** 2),
                                 np.sum(mu[:, 0] ** 2)]])
     assert np.allclose(rows[0], expected, rtol=1e-15)
-    with pytest.raises(ValueError):
-        labels_for("cdnn", mu)
-    assert np.array_equal(labels_for("ddnn", mu), distributed_labels(mu))
+    assert np.array_equal(labels_for("ddnn", mu, np.arange(2)[:, None]),
+                          distributed_labels(mu))
 
 
 def feasible_mu(K, L, p_max, seed, fill=0.7):
@@ -202,6 +240,20 @@ def test_predict_errors(desk_cfg):
         predict_allocation(good[:-1], beta, desk_cfg)
 
 
+def test_predict_rejects_duplicate_member_aps(desk_cfg):
+    K, L = desk_cfg.K, desk_cfg.L
+    labels = distributed_labels(feasible_mu(K, L, 1.0, 24))
+    group = [constant_model("ddnn", K, l, (l,), labels[l]) for l in range(L)]
+    # a second model for AP 1 would silently overwrite the first one's column
+    twice = group + [constant_model("ddnn", K, 1, (1,), 0.5 * labels[1])]
+    with pytest.raises(ValueError, match="cover"):
+        predict_allocation(twice, random_beta(K, L, 25), desk_cfg)
+    # a duplicate in place of a missing AP keeps the count right
+    swapped = group[:-1] + [constant_model("ddnn", K, 1, (1,), labels[1])]
+    with pytest.raises(ValueError, match="cover"):
+        predict_allocation(swapped, random_beta(K, L, 25), desk_cfg)
+
+
 def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
     # untrained nets still produce valid allocations via post-processing
     K, L = desk_cfg.K, desk_cfg.L
@@ -246,6 +298,15 @@ def test_model_container_without_scaler(tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)
     assert load_model(path).scaler is None
+
+
+def test_model_container_rejects_unknown_kind(tmp_path):
+    model = build_model("ddnn", K=3, seed=26)
+    model.kind = "resnet"
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    with pytest.raises(DataFormatError, match="kind"):
+        load_model(path)
 
 
 def test_model_container_corruption(tmp_path):

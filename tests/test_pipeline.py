@@ -12,16 +12,18 @@ import os
 import numpy as np
 import pytest
 
+from cfpower import pipeline
+from cfpower.allocator import load_model, save_model
 from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
 from cfpower.dataset import DatasetFile, DatasetHeader, record_size
 from cfpower.errors import DataFormatError, SolverDegeneracyError
 from cfpower.mlp import TrainConfig
 from cfpower.network import place_aps
-from cfpower.pipeline import (TEST_NAMESPACE, TRAIN_NAMESPACE, build_sample,
-                              cmd_bench, cmd_evaluate, cmd_generate,
-                              cmd_inspect, cmd_train, load_models,
-                              sample_seeds)
+from cfpower.pipeline import (TEST_NAMESPACE, TRAIN_NAMESPACE, _bench_models,
+                              build_sample, cmd_bench, cmd_evaluate,
+                              cmd_generate, cmd_inspect, cmd_train,
+                              load_models, sample_seeds)
 from cfpower.wmmse import SolverConfig
 
 N_REAL = 120     # enough for the estimator guard, cheap for tests
@@ -155,6 +157,50 @@ def test_train_clustered_partition(tmp_path, desk_cfg, small_dataset):
         cmd_train(small_dataset, "resnet", tmp_path / "y", FAST_TRAIN)
 
 
+@pytest.mark.parametrize("kind", ["ddnn", "cdnn"])
+def test_train_and_bench_share_the_layout(tmp_path, desk_cfg, small_dataset,
+                                          kind):
+    cmd_train(small_dataset, kind, tmp_path, FAST_TRAIN, cluster_size=2)
+    trained = load_models(tmp_path, kind)
+    seed = DatasetFile.open(small_dataset).header.master_seed
+    stand_ins = _bench_models(desk_cfg, kind, 2, None, seed)
+    assert [m.unit_id for m in trained] == [m.unit_id for m in stand_ins]
+    assert [m.member_aps for m in trained] == \
+        [m.member_aps for m in stand_ins]
+
+
+def test_load_models_keeps_kinds_apart(tmp_path, desk_cfg, small_dataset):
+    # ddnn-si file names start with "ddnn-" too
+    out = tmp_path / "models"
+    cmd_train(small_dataset, "ddnn", out, FAST_TRAIN)
+    cmd_train(small_dataset, "ddnn-si", out, FAST_TRAIN)
+    for kind in ("ddnn", "ddnn-si"):
+        assert [m.kind for m in load_models(out, kind)] == [kind] * desk_cfg.L
+
+
+def test_load_models_checks_the_header_kind(tmp_path, small_dataset, capsys):
+    paths = cmd_train(small_dataset, "cdnn", tmp_path / "cdnn", FAST_TRAIN,
+                      cluster_size=2)
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    for unit, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            (renamed / f"ddnn-{unit:03d}.cfmlp").write_bytes(fh.read())
+    with pytest.raises(DataFormatError, match="ddnn-000.cfmlp.*cdnn"):
+        load_models(renamed, "ddnn")
+    code = main(["evaluate", "--config", "desk", "--samples", "1",
+                 "--strategies", "ddnn", "--realizations", str(N_REAL),
+                 "--models", str(renamed), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "cdnn" in capsys.readouterr().err
+
+    model = load_model(paths[0])
+    model.kind = "resnet"
+    save_model(model, renamed / "resnet.cfmlp")
+    assert main(["inspect", str(renamed / "resnet.cfmlp")]) == 2
+    assert "resnet" in capsys.readouterr().err
+
+
 def test_train_rejects_empty_dataset(tmp_path, desk_cfg):
     path = tmp_path / "empty.cfds"
     DatasetFile.create(path, DatasetHeader(
@@ -234,6 +280,36 @@ def test_bench_columns_and_noop(tmp_path, desk_cfg):
     assert float(rows[1][1]) == results["wmmse"]["sumse-mr"]
     with pytest.raises(ValueError, match="strategy"):
         cmd_bench(desk_cfg, ["sgd"], n_repeats=1, n_real=N_REAL)
+
+
+def test_bench_runs_trained_models_through_predict_allocation(
+        tmp_path, desk_cfg, small_dataset, monkeypatch):
+    models_dir = tmp_path / "models"
+    cmd_train(small_dataset, "ddnn", models_dir, FAST_TRAIN)
+    trained = load_models(models_dir, "ddnn")
+    groups = []
+    original = pipeline.predict_allocation
+
+    def counting(models, beta, cfg):
+        groups.append(models)
+        return original(models, beta, cfg)
+
+    monkeypatch.setattr(pipeline, "predict_allocation", counting)
+    out = tmp_path / "bench.csv"
+    results = cmd_bench(desk_cfg, ["ddnn", "equal"], n_repeats=2,
+                        out_path=out, n_real=N_REAL, models_dir=models_dir)
+    assert sorted(results["ddnn"]) == ["pf-mr", "pf-rzf", "sumse-mr",
+                                       "sumse-rzf"]
+    # one warm-up and two timed calls per column, all on the trained group
+    assert len(groups) == 4 * 3
+    for group in groups:
+        assert [m.unit_id for m in group] == list(range(desk_cfg.L))
+        for m, t in zip(group, trained):
+            assert all(np.array_equal(a.W, b.W)
+                       for a, b in zip(m.layers, t.layers))
+            assert np.array_equal(m.scaler.median, t.scaler.median)
+    with open(out, newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["strategy", "ddnn", "equal"]
 
 
 def test_inspect_all_containers(tmp_path, desk_cfg, small_dataset,
