@@ -8,10 +8,8 @@ fairness), closed-form fractional heuristics, and small neural networks
 trained to imitate the optimizer from large-scale fading inputs.
 """
 
-from .allocator import (cdnn_features, cluster_partition, ddnn_features,
-                        ddnn_si_features, distributed_labels,
-                        clustered_labels, load_model, predict_allocation,
-                        save_model)
+from .allocator import (cluster_partition, features_for, labels_for,
+                        load_model, predict_allocation, save_model)
 from .config import NetworkConfig, load_config, save_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError,

@@ -1,24 +1,28 @@
 """Learned power allocation around the MLP models.
 
-Feature recipes (all on the dB scale, robust-scaled with the scaler stored
-in each model):
+Every model serves one unit of its kind's layout (`model_layout`): the
+(n_units, members) array of AP indices, one geographic cluster per cdnn
+unit and one AP per ddnn/ddnn-si unit (a distributed unit is a one-member
+unit). One rule maps a unit to its model's inputs and outputs:
 
-  ddnn     per AP l: the K per-AP fractional coefficients for that AP
-  ddnn-si  per AP l: those K coefficients plus the K per-UE ratios (side
-           information available centrally), concatenated
-  cdnn     per cluster: raw large-scale gains of the cluster's APs,
-           one K-block per member AP in cluster order
+  inputs   the member APs' feature blocks, in member order
+  outputs  the member APs' mu columns (K entries each), in member order,
+           then the member APs' total transmit powers sum_k mu_kl^2 in watts
 
-Each model serves the member APs of one unit of its kind's layout
-(`model_layout`): one AP for the distributed kinds, one geographic cluster
-for cdnn. Features and labels come as one row per unit.
+Training labels follow the output rule exactly. The feature block of AP l
+depends on the kind (all on the dB scale, robust-scaled with the scaler
+stored in each model):
 
-Labels mirror the outputs: per served AP, the K optimal mu entries followed
-by that AP's total transmit power sum_k mu_kl^2 in watts (cdnn emits all mu
-blocks first, then the member totals).
+  ddnn     the K per-AP fractional coefficients of AP l
+  ddnn-si  those K coefficients plus the K per-UE ratios (side information
+           available centrally), concatenated
+  cdnn     the K raw large-scale gains of AP l
 
-Post-processing guarantees feasibility: the first K outputs form a
-direction, the total-power output is clamped to the budget, and the column
+so features, labels and outputs are gathers and scatters of per-AP tables
+on the layout.
+
+Post-processing guarantees feasibility: each member's K outputs form a
+direction, its total-power output is clamped to the budget, and the column
 is rescaled so its power equals the clamped total. A zero direction yields
 a zero column and a warning.
 
@@ -38,7 +42,8 @@ from .config import NetworkConfig
 from .container import check_fields, json_kind_ok, read_json_header
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
-from .mlp import ACTIVATIONS, MODEL_KINDS, DenseLayer, MlpModel, forward
+from .mlp import (ACTIVATIONS, MODEL_KINDS, DenseLayer, MlpModel, forward,
+                  layer_plan)
 from .network import place_aps
 from .scaling import ScalerParams, apply_scaler
 from .se import PowerAllocation
@@ -67,25 +72,6 @@ def cluster_partition(ap_positions: np.ndarray, cluster_size: int):
     return order.reshape(L // cluster_size, cluster_size)
 
 
-def ddnn_features(beta: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
-    """(L, K) rows of per-AP heuristic coefficients in dB."""
-    rho1 = fractional_coefficients(beta, cfg.v_exponent, cfg.p_max_dl)
-    return to_db(rho1).T
-
-
-def ddnn_si_features(beta: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
-    """(L, 2K) rows: per-AP coefficients then per-UE ratios, in dB."""
-    rho1 = fractional_coefficients(beta, cfg.v_exponent, cfg.p_max_dl)
-    rho2 = side_info_ratios(beta, cfg.v_exponent, cfg.p_max_dl)
-    return np.concatenate([to_db(rho1).T, to_db(rho2).T], axis=1)
-
-
-def cdnn_features(beta: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    """(n_clusters, cK) rows of raw member-AP gains in dB."""
-    blocks = [to_db(beta[:, aps].T).reshape(-1) for aps in clusters]
-    return np.stack(blocks)
-
-
 def model_layout(kind: str, cfg: NetworkConfig, seed, cluster_size: int):
     """(n_units, members) AP indices served by each model of a kind.
 
@@ -99,56 +85,43 @@ def model_layout(kind: str, cfg: NetworkConfig, seed, cluster_size: int):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _feature_table(kind: str, beta: np.ndarray,
+                   cfg: NetworkConfig) -> np.ndarray:
+    """(L, F) feature blocks in dB, one row per AP."""
+    if kind == "cdnn":
+        return to_db(beta).T
+    rho1 = to_db(fractional_coefficients(beta, cfg.v_exponent,
+                                         cfg.p_max_dl)).T
+    if kind == "ddnn":
+        return rho1
+    if kind == "ddnn-si":
+        rho2 = side_info_ratios(beta, cfg.v_exponent, cfg.p_max_dl)
+        return np.concatenate([rho1, to_db(rho2).T], axis=1)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def features_for(kind: str, beta: np.ndarray, cfg: NetworkConfig,
                  members: np.ndarray) -> np.ndarray:
     """One raw feature row per unit of the layout `members`."""
-    if kind == "ddnn":
-        return ddnn_features(beta, cfg)[members[:, 0]]
-    if kind == "ddnn-si":
-        return ddnn_si_features(beta, cfg)[members[:, 0]]
-    if kind == "cdnn":
-        return cdnn_features(beta, members)
-    raise ValueError(f"unknown model kind {kind!r}")
+    table = _feature_table(kind, beta, cfg)
+    return table[members].reshape(len(members), -1)
 
 
-def distributed_labels(mu: np.ndarray) -> np.ndarray:
-    """(L, K+1) rows: mu column then its total power in watts."""
+def labels_for(mu: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """One label row per unit of the layout `members`: the member mu
+    columns, then the member totals."""
     totals = np.sum(mu ** 2, axis=0)
-    return np.concatenate([mu.T, totals[:, None]], axis=1)
+    columns = mu.T[members].reshape(len(members), -1)
+    return np.concatenate([columns, totals[members]], axis=1)
 
 
-def clustered_labels(mu: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    """(n_clusters, c(K+1)) rows: member mu blocks, then member totals."""
-    rows = []
-    for aps in clusters:
-        cols = [mu[:, l] for l in aps]
-        totals = [np.sum(mu[:, l] ** 2) for l in aps]
-        rows.append(np.concatenate(cols + [np.asarray(totals)]))
-    return np.stack(rows)
-
-
-def labels_for(kind: str, mu: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """One label row per unit of the layout `members`."""
-    if kind in ("ddnn", "ddnn-si"):
-        return distributed_labels(mu)[members[:, 0]]
-    if kind == "cdnn":
-        return clustered_labels(mu, members)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _column_from_outputs(direction, total, p_max):
-    """Feasible mu column from K direction outputs and a power estimate."""
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return np.zeros_like(direction), True
-    power = min(float(total), p_max)
-    return direction * (np.sqrt(power) / norm), False
+def _member_array(models) -> np.ndarray:
+    return np.array([m.member_aps for m in models])
 
 
 def model_features(models, beta: np.ndarray, cfg: NetworkConfig):
     """One raw (unscaled) feature row per model, in model order."""
-    members = np.array([m.member_aps for m in models])
-    return features_for(models[0].kind, beta, cfg, members)
+    return features_for(models[0].kind, beta, cfg, _member_array(models))
 
 
 def predict_from_features(models, rows, K: int, L: int,
@@ -157,23 +130,30 @@ def predict_from_features(models, rows, K: int, L: int,
     kind = models[0].kind
     if sorted(l for m in models for l in m.member_aps) != list(range(L)):
         raise ValueError("models do not cover every AP exactly once")
-    mu = np.empty((K, L))
-    zero_columns = 0
+    outputs = []
     for model, x in zip(models, rows):
         if model.kind != kind:
             raise ValueError("mixed model kinds in one allocation")
         if model.scaler is None:
             raise ValueError("model has no fitted scaler")
-        y = forward(model, apply_scaler(model.scaler, x))
-        aps = model.member_aps
-        for j, l in enumerate(aps):
-            direction = y[j * K:(j + 1) * K]
-            total = y[len(aps) * K + j]
-            col, was_zero = _column_from_outputs(direction, total, p_max)
-            zero_columns += was_zero
-            mu[:, l] = col
-    if zero_columns:
-        log.warning("%d AP columns predicted as all-zero", zero_columns)
+        outputs.append(forward(model, apply_scaler(model.scaler, x)))
+    members = _member_array(models)
+    n_units, c = members.shape
+    y = np.stack(outputs)
+    directions = y[:, :c * K].reshape(n_units * c, K)
+    totals = y[:, c * K:].reshape(-1)
+    # a stack of vector-vector products runs one BLAS dot per column, the
+    # same sum as np.linalg.norm of one vector (a reduction along axis 1
+    # would sum in another order)
+    norms = np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
+    zero = norms == 0.0
+    scale = np.sqrt(np.minimum(totals, p_max)) / np.where(zero, 1.0, norms)
+    columns = directions * scale[:, None]
+    columns[zero] = 0.0
+    mu = np.empty((K, L))
+    mu[:, members.reshape(-1)] = columns.T
+    if np.any(zero):
+        log.warning("%d AP columns predicted as all-zero", np.sum(zero))
     return PowerAllocation(mu=mu, p_max=p_max)
 
 
@@ -230,8 +210,17 @@ def _parse_model(blob: bytes) -> MlpModel:
             or not all(a in ACTIVATIONS for a in acts)
             or not all(json_kind_ok(i, int) for i in header["member_aps"])):
         raise DataFormatError("inconsistent model header")
-    if header["kind"] not in MODEL_KINDS:
-        raise DataFormatError(f"unknown model kind {header['kind']!r}")
+    kind, aps = header["kind"], header["member_aps"]
+    if kind not in MODEL_KINDS:
+        raise DataFormatError(f"unknown model kind {kind!r}")
+    if not aps or (kind != "cdnn" and len(aps) != 1):
+        raise DataFormatError(f"{kind} model with {len(aps)} member APs")
+    # K follows from the output width: K outputs plus a total per member
+    plan, _ = layer_plan(kind, sizes[-1] // len(aps) - 1, len(aps))
+    if (sizes[0], sizes[-1]) != (plan[0], plan[-1]):
+        raise DataFormatError(
+            f"layer sizes {sizes[0]} -> {sizes[-1]} do not fit a {kind} "
+            f"model of {len(aps)} member APs")
     n_weights = sum(n_in * n_out + n_out
                     for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) - off != 8 * n_weights:
@@ -254,8 +243,8 @@ def _parse_model(blob: bytes) -> MlpModel:
             raise DataFormatError("inconsistent model scaler")
         scaler = ScalerParams(median=np.asarray(median, dtype=float),
                               iqr=np.asarray(iqr, dtype=float))
-    return MlpModel(kind=header["kind"], unit_id=header["unit_id"],
-                    member_aps=tuple(header["member_aps"]),
+    return MlpModel(kind=kind, unit_id=header["unit_id"],
+                    member_aps=tuple(aps),
                     layers=layers, scaler=scaler)
 
 

@@ -170,7 +170,7 @@ def cmd_train(dataset_path, kind: str, out_dir,
     layout = model_layout(kind, cfg, ds.header.master_seed, cluster_size)
     feats = np.stack([features_for(kind, betas[i], cfg, layout)
                       for i in range(n)])
-    labels = np.stack([labels_for(kind, mus[i], layout) for i in range(n)])
+    labels = np.stack([labels_for(mus[i], layout) for i in range(n)])
 
     # one seeded split shared by every unit's model
     rng = np.random.default_rng(train_cfg.seed)

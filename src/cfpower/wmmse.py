@@ -28,7 +28,6 @@ C; ADMM reuses it for its x-update operator (C_i + rho I)^-1, which it rebuilds
 only when residual balancing moves rho. SINR terms come from se.sinr_terms.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -300,8 +299,7 @@ def _initial_mu(params, p_max, init, beta):
 
 
 def wmmse_solve(params: SEParameters, p_max: float,
-                cfg: Optional[SolverConfig] = None, beta=None,
-                trace_path=None) -> WmmseResult:
+                cfg: Optional[SolverConfig] = None, beta=None) -> WmmseResult:
     """Run the outer loop to convergence and return the final allocation.
 
     Iterates live on the sign-relaxed problem: each outer step keeps the raw
@@ -312,8 +310,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
 
     `beta` feeds the fractional-heuristic init when available. With the PF
     objective every UE must have a strictly positive SINR at the init.
-    `trace_path` optionally writes a per-iteration CSV
-    (iter, utility, max_violation).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -348,12 +344,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
             break
     if not converged:
         log.warning("outer loop exhausted %d iterations", cfg.max_outer_iters)
-    if trace_path is not None:
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "utility", "max_violation"])
-            for i, (u, viol) in enumerate(zip(trace, violations)):
-                writer.writerow([i, repr(u), repr(viol)])
     final_flips = int(np.sum(mu < 0.0))
     alloc = PowerAllocation(mu=np.abs(mu), p_max=p_max)
     return WmmseResult(alloc=alloc, trace=np.asarray(trace),

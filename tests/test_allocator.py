@@ -3,6 +3,9 @@
 The post-processing identity is checked end to end with constant-output
 models: a model that emits exactly the optimal label row must reproduce the
 optimal column, because the rescale factor collapses to one.
+
+Per-unit loops serve as references for the layout rule that `features_for`
+and `labels_for` apply as gathers.
 """
 
 import json
@@ -11,16 +14,13 @@ import struct
 import numpy as np
 import pytest
 
-from cfpower.allocator import (cdnn_features, cluster_partition,
-                               clustered_labels, ddnn_features,
-                               ddnn_si_features, distributed_labels,
-                               features_for, labels_for, load_model,
-                               model_features, model_layout,
+from cfpower.allocator import (cluster_partition, features_for, labels_for,
+                               load_model, model_features, model_layout,
                                predict_allocation, predict_from_features,
                                save_model, to_db)
 from cfpower.errors import DataFormatError
 from cfpower.heuristics import fractional_coefficients, side_info_ratios
-from cfpower.mlp import DenseLayer, MlpModel, build_model
+from cfpower.mlp import DenseLayer, MlpModel, build_model, forward
 from cfpower.network import place_aps
 from cfpower.scaling import ScalerParams, fit_scaler
 
@@ -28,6 +28,24 @@ from cfpower.scaling import ScalerParams, fit_scaler
 def random_beta(K, L, seed):
     rng = np.random.default_rng(seed)
     return 10.0 ** rng.uniform(-13.0, -7.0, size=(K, L))
+
+
+def per_ap_layout(L):
+    return np.arange(L)[:, None]
+
+
+def stacked_blocks(rows, members):
+    """Reference layout rule: per unit, its member rows concatenated."""
+    return np.stack([np.concatenate([rows[l] for l in aps])
+                     for aps in members])
+
+
+def reference_labels(mu, members):
+    """Reference labels: per unit, the member mu columns, then the member
+    totals, one column at a time."""
+    return np.stack([np.concatenate([mu[:, l] for l in aps]
+                                    + [[np.sum(mu[:, l] ** 2) for l in aps]])
+                     for aps in members])
 
 
 def constant_model(kind, K, unit_id, member_aps, row):
@@ -65,7 +83,7 @@ def test_cluster_partition_rejects_bad_sizes():
 
 def test_ddnn_features_are_db_coefficients(desk_cfg):
     beta = random_beta(desk_cfg.K, desk_cfg.L, 1)
-    rows = ddnn_features(beta, desk_cfg)
+    rows = features_for("ddnn", beta, desk_cfg, per_ap_layout(desk_cfg.L))
     rho1 = fractional_coefficients(beta, desk_cfg.v_exponent,
                                    desk_cfg.p_max_dl)
     assert rows.shape == (desk_cfg.L, desk_cfg.K)
@@ -74,18 +92,20 @@ def test_ddnn_features_are_db_coefficients(desk_cfg):
 
 def test_ddnn_si_features_concatenate_ratios(desk_cfg):
     beta = random_beta(desk_cfg.K, desk_cfg.L, 2)
-    rows = ddnn_si_features(beta, desk_cfg)
+    layout = per_ap_layout(desk_cfg.L)
+    rows = features_for("ddnn-si", beta, desk_cfg, layout)
     K = desk_cfg.K
     assert rows.shape == (desk_cfg.L, 2 * K)
-    assert np.allclose(rows[:, :K], ddnn_features(beta, desk_cfg))
+    assert np.allclose(rows[:, :K], features_for("ddnn", beta, desk_cfg,
+                                                 layout))
     rho2 = side_info_ratios(beta, desk_cfg.v_exponent, desk_cfg.p_max_dl)
     assert np.allclose(rows[:, K:], 10.0 * np.log10(rho2).T, rtol=1e-15)
 
 
-def test_cdnn_features_stack_member_blocks():
+def test_cdnn_features_stack_member_blocks(desk_cfg):
     beta = random_beta(3, 4, 3)
     clusters = np.array([[2, 0], [1, 3]])
-    rows = cdnn_features(beta, clusters)
+    rows = features_for("cdnn", beta, desk_cfg, clusters)
     assert rows.shape == (2, 6)
     assert np.allclose(rows[0], np.concatenate([to_db(beta[:, 2]),
                                                 to_db(beta[:, 0])]))
@@ -95,11 +115,13 @@ def test_cdnn_features_stack_member_blocks():
 
 def test_features_for_dispatch(desk_cfg):
     beta = random_beta(desk_cfg.K, desk_cfg.L, 4)
-    per_ap = np.arange(desk_cfg.L)[:, None]
-    assert np.array_equal(features_for("ddnn", beta, desk_cfg, per_ap),
-                          ddnn_features(beta, desk_cfg))
+    layout = per_ap_layout(desk_cfg.L)
+    rho1 = fractional_coefficients(beta, desk_cfg.v_exponent,
+                                   desk_cfg.p_max_dl)
+    assert np.array_equal(features_for("ddnn", beta, desk_cfg, layout),
+                          to_db(rho1).T)
     with pytest.raises(ValueError):
-        features_for("mlp", beta, desk_cfg, per_ap)
+        features_for("mlp", beta, desk_cfg, layout)
 
 
 def test_model_layout_gives_one_row_per_unit(desk_cfg):
@@ -112,18 +134,22 @@ def test_model_layout_gives_one_row_per_unit(desk_cfg):
         assert np.array_equal(model_layout(kind, desk_cfg, 3, 2),
                               np.arange(L)[:, None])
     layout = model_layout("ddnn-si", desk_cfg, 3, 2)
+    rho1 = fractional_coefficients(beta, desk_cfg.v_exponent,
+                                   desk_cfg.p_max_dl)
+    rho2 = side_info_ratios(beta, desk_cfg.v_exponent, desk_cfg.p_max_dl)
     assert np.array_equal(features_for("ddnn-si", beta, desk_cfg, layout),
-                          ddnn_si_features(beta, desk_cfg))
+                          np.concatenate([to_db(rho1).T, to_db(rho2).T],
+                                         axis=1))
     assert np.array_equal(features_for("cdnn", beta, desk_cfg, clusters),
-                          cdnn_features(beta, clusters))
-    assert np.array_equal(labels_for("cdnn", mu, clusters),
-                          clustered_labels(mu, clusters))
+                          stacked_blocks(to_db(beta).T, clusters))
+    assert np.array_equal(labels_for(mu, clusters),
+                          reference_labels(mu, clusters))
     # a reordered layout reorders the rows
     flipped = layout[::-1]
     assert np.array_equal(features_for("ddnn", beta, desk_cfg, flipped),
-                          ddnn_features(beta, desk_cfg)[::-1])
-    assert np.array_equal(labels_for("ddnn", mu, flipped),
-                          distributed_labels(mu)[::-1])
+                          features_for("ddnn", beta, desk_cfg, layout)[::-1])
+    assert np.array_equal(labels_for(mu, flipped),
+                          labels_for(mu, layout)[::-1])
     with pytest.raises(ValueError, match="kind"):
         model_layout("mlp", desk_cfg, 3, 2)
 
@@ -135,15 +161,17 @@ def test_model_features_follow_member_aps(desk_cfg):
     cdnn = [build_model("cdnn", K, unit_id=j, member_aps=clusters[j],
                         cluster_size=2, seed=j) for j in range(len(clusters))]
     assert np.array_equal(model_features(cdnn, beta, desk_cfg),
-                          cdnn_features(beta, clusters))
+                          stacked_blocks(to_db(beta).T, clusters))
     ddnn = [build_model("ddnn", K, unit_id=l, seed=l) for l in (2, 0, 3, 1)]
+    rho1 = fractional_coefficients(beta, desk_cfg.v_exponent,
+                                   desk_cfg.p_max_dl)
     assert np.array_equal(model_features(ddnn, beta, desk_cfg),
-                          ddnn_features(beta, desk_cfg)[[2, 0, 3, 1]])
+                          to_db(rho1).T[[2, 0, 3, 1]])
 
 
 def test_distributed_labels():
     mu = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    rows = distributed_labels(mu)
+    rows = labels_for(mu, per_ap_layout(3))
     assert rows.shape == (3, 3)
     for l in range(3):
         assert np.allclose(rows[l, :2], mu[:, l])
@@ -152,13 +180,13 @@ def test_distributed_labels():
 
 def test_clustered_labels_follow_cluster_order():
     mu = np.array([[0.1, 0.2], [0.3, 0.4]])
-    rows = clustered_labels(mu, np.array([[1, 0]]))
+    rows = labels_for(mu, np.array([[1, 0]]))
     expected = np.concatenate([mu[:, 1], mu[:, 0],
                                [np.sum(mu[:, 1] ** 2),
                                 np.sum(mu[:, 0] ** 2)]])
     assert np.allclose(rows[0], expected, rtol=1e-15)
-    assert np.array_equal(labels_for("ddnn", mu, np.arange(2)[:, None]),
-                          distributed_labels(mu))
+    assert np.array_equal(labels_for(mu, per_ap_layout(2)),
+                          reference_labels(mu, per_ap_layout(2)))
 
 
 def feasible_mu(K, L, p_max, seed, fill=0.7):
@@ -167,35 +195,45 @@ def feasible_mu(K, L, p_max, seed, fill=0.7):
     return mu * np.sqrt(fill * p_max / np.sum(mu ** 2, axis=0))
 
 
-def test_postprocessing_identity_distributed(desk_cfg, assert_budget):
+@pytest.mark.parametrize("preset", ["desk", "large"])
+@pytest.mark.parametrize("kind, layout_of", [
+    ("ddnn", lambda cfg: per_ap_layout(cfg.L)),
+    ("cdnn", lambda cfg: cluster_partition(place_aps(cfg, seed=0), 2)),
+    ("cdnn", lambda cfg: cluster_partition(place_aps(cfg, seed=0),
+                                           2)[::-1, ::-1]),
+], ids=["per-ap", "cluster", "reversed"])
+def test_postprocessing_identity(request, preset, kind, layout_of,
+                                 assert_budget):
     # constant models emitting the exact label rows reproduce mu
-    K, L, P = desk_cfg.K, desk_cfg.L, desk_cfg.p_max_dl
+    cfg = request.getfixturevalue(f"{preset}_cfg")
+    K, L, P = cfg.K, cfg.L, cfg.p_max_dl
     mu = feasible_mu(K, L, P, seed=5)
-    labels = distributed_labels(mu)
-    models = [constant_model("ddnn", K, l, (l,), labels[l])
-              for l in range(L)]
-    beta = random_beta(K, L, 6)
-    alloc = predict_allocation(models, beta, desk_cfg)
+    layout = layout_of(cfg)
+    labels = labels_for(mu, layout)
+    models = [constant_model(kind, K, i, layout[i], labels[i])
+              for i in range(layout.shape[0])]
+    alloc = predict_allocation(models, random_beta(K, L, 6), cfg)
     assert np.allclose(alloc.mu, mu, rtol=1e-12)
     assert_budget(alloc.mu, P)
 
 
-def test_postprocessing_identity_clustered(desk_cfg):
-    K, L, P = desk_cfg.K, desk_cfg.L, desk_cfg.p_max_dl
-    mu = feasible_mu(K, L, P, seed=7)
-    clusters = cluster_partition(place_aps(desk_cfg, seed=0), 2)
-    labels = clustered_labels(mu, clusters)
-    models = [constant_model("cdnn", K, i, clusters[i], labels[i])
-              for i in range(clusters.shape[0])]
-    alloc = predict_allocation(models, random_beta(K, L, 8), desk_cfg)
-    assert np.allclose(alloc.mu, mu, rtol=1e-12)
+@pytest.mark.parametrize("K", [6, 20])
+def test_label_totals_are_the_per_ap_powers(K):
+    # the same sum as PowerAllocation's per-AP power, to the bit; for
+    # K >= 8 a column-by-column sum adds in another order
+    mu = feasible_mu(K, 16, 1.0, seed=27)
+    clusters = np.arange(16)[::-1].reshape(4, 4)
+    rows = labels_for(mu, clusters)
+    assert np.array_equal(rows[:, 4 * K:], np.sum(mu ** 2, axis=0)[clusters])
+    assert np.array_equal(rows[:, :4 * K],
+                          reference_labels(mu, clusters)[:, :4 * K])
 
 
 def test_postprocessing_clamps_total(desk_cfg):
     # an over-budget total-power estimate saturates the AP at p_max
     K, L, P = desk_cfg.K, desk_cfg.L, desk_cfg.p_max_dl
     mu = feasible_mu(K, L, P, seed=9)
-    labels = distributed_labels(mu)
+    labels = labels_for(mu, per_ap_layout(L))
     labels[:, -1] = 5.0 * P
     models = [constant_model("ddnn", K, l, (l,), labels[l])
               for l in range(L)]
@@ -210,7 +248,7 @@ def test_postprocessing_clamps_total(desk_cfg):
 def test_postprocessing_zero_direction(desk_cfg, caplog):
     K, L, P = desk_cfg.K, desk_cfg.L, desk_cfg.p_max_dl
     mu = feasible_mu(K, L, P, seed=11)
-    labels = distributed_labels(mu)
+    labels = labels_for(mu, per_ap_layout(L))
     labels[2, :] = 0.0
     models = [constant_model("ddnn", K, l, (l,), labels[l])
               for l in range(L)]
@@ -224,7 +262,7 @@ def test_postprocessing_zero_direction(desk_cfg, caplog):
 def test_predict_errors(desk_cfg):
     K, L = desk_cfg.K, desk_cfg.L
     beta = random_beta(K, L, 13)
-    labels = distributed_labels(feasible_mu(K, L, 1.0, 14))
+    labels = labels_for(feasible_mu(K, L, 1.0, 14), per_ap_layout(L))
     good = [constant_model("ddnn", K, l, (l,), labels[l]) for l in range(L)]
     mixed = list(good)
     mixed[1] = constant_model("ddnn-si", K, 1, (1,), labels[1])
@@ -242,7 +280,7 @@ def test_predict_errors(desk_cfg):
 
 def test_predict_rejects_duplicate_member_aps(desk_cfg):
     K, L = desk_cfg.K, desk_cfg.L
-    labels = distributed_labels(feasible_mu(K, L, 1.0, 24))
+    labels = labels_for(feasible_mu(K, L, 1.0, 24), per_ap_layout(L))
     group = [constant_model("ddnn", K, l, (l,), labels[l]) for l in range(L)]
     # a second model for AP 1 would silently overwrite the first one's column
     twice = group + [constant_model("ddnn", K, 1, (1,), 0.5 * labels[1])]
@@ -258,7 +296,7 @@ def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
     # untrained nets still produce valid allocations via post-processing
     K, L = desk_cfg.K, desk_cfg.L
     beta = random_beta(K, L, 15)
-    feats = ddnn_features(beta, desk_cfg)
+    feats = features_for("ddnn", beta, desk_cfg, per_ap_layout(L))
     scaler = fit_scaler(feats)
     models = []
     for l in range(L):
@@ -268,6 +306,30 @@ def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
     alloc = predict_allocation(models, beta, desk_cfg)
     assert_budget(alloc.mu, desk_cfg.p_max_dl)
     assert np.all(alloc.mu >= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
+def test_decode_matches_the_per_column_reference(large_cfg, kind):
+    # the vectorised decode keeps the bits of a column-by-column decode
+    K, L, P = large_cfg.K, large_cfg.L, large_cfg.p_max_dl
+    models = []
+    for unit, members in enumerate(model_layout(kind, large_cfg, 0, 4)):
+        model = build_model(kind, K, unit_id=unit, member_aps=members,
+                            cluster_size=4, seed=40 + unit)
+        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
+                                    iqr=np.ones(model.n_inputs))
+        models.append(model)
+    beta = random_beta(K, L, 41)
+    expected = np.empty((K, L))
+    for model, x in zip(models, model_features(models, beta, large_cfg)):
+        y, c = forward(model, x), len(model.member_aps)
+        for j, l in enumerate(model.member_aps):
+            direction = y[j * K:(j + 1) * K]
+            norm = np.linalg.norm(direction)
+            expected[:, l] = 0.0 if norm == 0.0 else \
+                direction * (np.sqrt(min(y[c * K + j], P)) / norm)
+    alloc = predict_allocation(models, beta, large_cfg)
+    assert np.array_equal(alloc.mu, expected)
 
 
 def test_model_container_roundtrip(tmp_path):
@@ -306,6 +368,35 @@ def test_model_container_rejects_unknown_kind(tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)
     with pytest.raises(DataFormatError, match="kind"):
+        load_model(path)
+
+
+def test_model_container_checks_widths_against_member_aps(tmp_path):
+    path = tmp_path / "m.bin"
+    two_aps = build_model("ddnn", K=3, member_aps=(0, 1), seed=28)
+    save_model(two_aps, path)
+    with pytest.raises(DataFormatError, match="2 member APs"):
+        load_model(path)
+    # a cdnn model of 2 member APs emitting one AP's K+1 outputs
+    cdnn = build_model("cdnn", K=3, member_aps=(2, 0), cluster_size=2,
+                       seed=29)
+    last = cdnn.layers[-1]
+    cdnn.layers[-1] = DenseLayer(W=last.W[:4], b=last.b[:4],
+                                 activation=last.activation)
+    save_model(cdnn, path)
+    with pytest.raises(DataFormatError, match="layer sizes"):
+        load_model(path)
+    # K = 3 from the outputs, but a ddnn-si input takes 2K = 6 features
+    si = build_model("ddnn-si", K=3, seed=30)
+    first = si.layers[0]
+    si.layers[0] = DenseLayer(W=first.W[:, :5], b=first.b,
+                              activation=first.activation)
+    save_model(si, path)
+    with pytest.raises(DataFormatError, match="layer sizes"):
+        load_model(path)
+    empty = build_model("cdnn", K=3, member_aps=(), seed=31)
+    save_model(empty, path)
+    with pytest.raises(DataFormatError, match="0 member APs"):
         load_model(path)
 
 

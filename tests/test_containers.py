@@ -31,13 +31,14 @@ CFG = NetworkConfig(L=2, K=2, N=1, area_m=100.0, tau_p=2,
 
 
 def _model_blob(path):
-    # tiny layers keep the header a large share of the blob
+    # tiny layers keep the header a large share of the blob: a ddnn-si
+    # model at K = 1, with 2K inputs and K + 1 outputs
     rng = np.random.default_rng(0)
     layers = [DenseLayer(W=rng.standard_normal((3, 2)), b=np.zeros(3),
                          activation="tanh"),
               DenseLayer(W=rng.standard_normal((2, 3)), b=np.ones(2),
                          activation="relu")]
-    model = MlpModel(kind="ddnn", unit_id=1, member_aps=(1,), layers=layers,
+    model = MlpModel(kind="ddnn-si", unit_id=1, member_aps=(1,), layers=layers,
                      scaler=ScalerParams(median=np.array([0.5, -1.0]),
                                          iqr=np.array([2.0, 3.0])))
     save_model(model, path)

@@ -201,6 +201,25 @@ def test_load_models_checks_the_header_kind(tmp_path, small_dataset, capsys):
     assert "resnet" in capsys.readouterr().err
 
 
+def test_load_models_checks_output_widths(tmp_path, desk_cfg, small_dataset,
+                                          capsys):
+    # model 0 keeps its 2 member APs but emits one AP's K+1 outputs
+    out = tmp_path / "cdnn"
+    paths = cmd_train(small_dataset, "cdnn", out, FAST_TRAIN, cluster_size=2)
+    model = load_model(paths[0])
+    last, n_out = model.layers[-1], desk_cfg.K + 1
+    model.layers[-1] = dataclasses.replace(last, W=last.W[:n_out],
+                                           b=last.b[:n_out])
+    save_model(model, paths[0])
+    with pytest.raises(DataFormatError, match="cdnn-000.cfmlp.*layer sizes"):
+        load_models(out, "cdnn")
+    code = main(["evaluate", "--config", "desk", "--samples", "1",
+                 "--strategies", "cdnn", "--realizations", str(N_REAL),
+                 "--models", str(out), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "layer sizes" in capsys.readouterr().err
+
+
 def test_train_rejects_empty_dataset(tmp_path, desk_cfg):
     path = tmp_path / "empty.cfds"
     DatasetFile.create(path, DatasetHeader(

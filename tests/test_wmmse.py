@@ -6,8 +6,6 @@ an exhaustive 2-D grid search on the one-AP two-UE case. Normalized
 objective comparisons follow |f - f_ref| <= tol * max(1, |f_ref|).
 """
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -310,18 +308,6 @@ def test_exhausted_outer_budget_is_reported(desk_sample, desk_cfg):
     assert not result.converged
     assert result.n_outer == 1
     assert result.alloc.mu.shape == (desk_cfg.K, desk_cfg.L)
-
-
-def test_trace_csv_roundtrip(tmp_path, desk_sample, desk_cfg):
-    params = desk_sample("rzf").params
-    path = tmp_path / "trace.csv"
-    result = wmmse_solve(params, desk_cfg.p_max_dl, trace_path=path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "utility", "max_violation"]
-    assert len(rows) - 1 == result.trace.size
-    values = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(values, result.trace)
 
 
 def test_solver_is_deterministic(desk_sample, desk_cfg):
