@@ -21,6 +21,15 @@ stored in each model):
 so features, labels and outputs are gathers and scatters of per-AP tables
 on the layout.
 
+Inference runs a kind's models as one `ModelGroup` (from `stack_models`,
+or from `pipeline.load_models`, which fills it while it reads the files).
+Per layer the group holds one (n_units, out, in) weight stack and one
+(n_units, 1, out) bias stack, plus (n_units, 1, F) scaler median and IQR
+stacks; every model's W, b, median and IQR are views into them, so the
+weights exist once. One `apply_scaler` and one `forward` call then serve
+every unit of the kind. A group must hold one kind, one layer plan and a
+scaler per model, and its units must cover every AP exactly once.
+
 Post-processing guarantees feasibility: each member's K outputs form a
 direction, its total-power output is clamped to the budget, and the column
 is rescaled so its power equals the clamped total. A zero direction yields
@@ -35,6 +44,8 @@ raw float64: per layer, W row-major then b.
 import json
 import logging
 import struct
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +126,92 @@ def labels_for(mu: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.concatenate([columns, totals[members]], axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class ModelGroup(Sequence):
+    """One kind's models with their weights stacked; see the module
+    docstring. Indexes and iterates as its `MlpModel`s, and `forward`
+    takes it as one model whose layers are stacks."""
+
+    models: tuple
+    layers: list            # DenseLayer stacks, W (n, out, in), b (n, 1, out)
+    scaler: ScalerParams    # median and IQR stacks, (n, 1, F)
+    members: np.ndarray     # (n, c) member APs, one row per model
+    aps: tuple              # every member AP, sorted
+
+    def __getitem__(self, index):
+        return self.models[index]
+
+    def __len__(self):
+        return len(self.models)
+
+    def __iter__(self):
+        return iter(self.models)
+
+
+def stack_models(models, n_models=None) -> ModelGroup:
+    """The models, in the order given, as one `ModelGroup`.
+
+    A `ModelGroup` comes back as it is. Otherwise each model's arrays are
+    copied into new stacks, and the group holds new `MlpModel`s whose
+    arrays are views into them; the given models are left alone. `models`
+    may be an iterator of `n_models` items, each copied in as it arrives,
+    so no list of whole models is ever held. Raises ValueError for an empty
+    group, mixed kinds, mixed layer plans or a model without a scaler.
+    """
+    if isinstance(models, ModelGroup):
+        return models
+    if n_models is None:
+        models = list(models)
+        n_models = len(models)
+    views = []
+    for i, model in enumerate(models):
+        plan = ([model.n_inputs] + [l.W.shape[0] for l in model.layers],
+                [l.activation for l in model.layers])
+        if not views:
+            kind, (sizes, acts) = model.kind, plan
+            layers = [DenseLayer(W=np.empty((n_models, n_out, n_in)),
+                                 b=np.empty((n_models, 1, n_out)),
+                                 activation=act)
+                      for n_in, n_out, act in zip(sizes[:-1], sizes[1:],
+                                                  acts)]
+            median, iqr = (np.empty((n_models, 1, sizes[0])),
+                           np.empty((n_models, 1, sizes[0])))
+        elif model.kind != kind:
+            raise ValueError("mixed model kinds in one allocation")
+        elif plan != (sizes, acts):
+            raise ValueError(f"layer plan {plan} differs from the group's "
+                             f"{(sizes, acts)}")
+        if model.scaler is None:
+            raise ValueError("model has no fitted scaler")
+        own = []
+        for stack, layer in zip(layers, model.layers):
+            stack.W[i], stack.b[i, 0] = layer.W, layer.b
+            own.append(DenseLayer(W=stack.W[i], b=stack.b[i, 0],
+                                  activation=layer.activation))
+        median[i, 0], iqr[i, 0] = model.scaler.median, model.scaler.iqr
+        views.append(MlpModel(
+            kind=kind, unit_id=model.unit_id,
+            member_aps=tuple(model.member_aps), layers=own,
+            scaler=ScalerParams(median=median[i, 0], iqr=iqr[i, 0])))
+    if not views:
+        raise ValueError("no models in the group")
+    members = np.array([m.member_aps for m in views])
+    return ModelGroup(models=tuple(views), layers=layers,
+                      scaler=ScalerParams(median=median, iqr=iqr),
+                      members=members,
+                      aps=tuple(sorted(members.reshape(-1).tolist())))
+
+
+def check_cover(group: ModelGroup, L: int):
+    """ValueError unless the group's units cover APs 0..L-1 once each."""
+    if group.aps != tuple(range(L)):
+        raise ValueError(f"models do not cover every AP exactly once: "
+                         f"they serve APs {list(group.aps)} of L = {L}")
+
+
 def _member_array(models) -> np.ndarray:
+    if isinstance(models, ModelGroup):
+        return models.members
     return np.array([m.member_aps for m in models])
 
 
@@ -126,20 +222,13 @@ def model_features(models, beta: np.ndarray, cfg: NetworkConfig):
 
 def predict_from_features(models, rows, K: int, L: int,
                           p_max: float) -> PowerAllocation:
-    """Scale, run and post-process one pre-built feature row per model."""
-    kind = models[0].kind
-    if sorted(l for m in models for l in m.member_aps) != list(range(L)):
-        raise ValueError("models do not cover every AP exactly once")
-    outputs = []
-    for model, x in zip(models, rows):
-        if model.kind != kind:
-            raise ValueError("mixed model kinds in one allocation")
-        if model.scaler is None:
-            raise ValueError("model has no fitted scaler")
-        outputs.append(forward(model, apply_scaler(model.scaler, x)))
-    members = _member_array(models)
-    n_units, c = members.shape
-    y = np.stack(outputs)
+    """Scale, run and post-process one pre-built feature row per model:
+    one `apply_scaler` and one `forward` call for the whole group."""
+    group = stack_models(models)
+    check_cover(group, L)
+    x = apply_scaler(group.scaler, np.asarray(rows)[:, None, :])
+    y = forward(group, x)[:, 0, :]
+    n_units, c = group.members.shape
     directions = y[:, :c * K].reshape(n_units * c, K)
     totals = y[:, c * K:].reshape(-1)
     # a stack of vector-vector products runs one BLAS dot per column, the
@@ -151,7 +240,7 @@ def predict_from_features(models, rows, K: int, L: int,
     columns = directions * scale[:, None]
     columns[zero] = 0.0
     mu = np.empty((K, L))
-    mu[:, members.reshape(-1)] = columns.T
+    mu[:, group.members.reshape(-1)] = columns.T
     if np.any(zero):
         log.warning("%d AP columns predicted as all-zero", np.sum(zero))
     return PowerAllocation(mu=mu, p_max=p_max)
@@ -162,11 +251,13 @@ def predict_allocation(models, beta: np.ndarray,
     """Run every model on its features and assemble a feasible allocation.
 
     `models` holds one model per AP (distributed kinds) or per cluster
-    (cdnn); each model knows the APs it serves, so any order works as long
-    as the union covers all APs exactly once.
+    (cdnn), as a `ModelGroup` or as any sequence, which is stacked first;
+    each model knows the APs it serves, so any order works as long as the
+    union covers all APs exactly once.
     """
-    rows = model_features(models, beta, cfg)
-    return predict_from_features(models, rows, cfg.K, cfg.L, cfg.p_max_dl)
+    group = stack_models(models)
+    rows = model_features(group, beta, cfg)
+    return predict_from_features(group, rows, cfg.K, cfg.L, cfg.p_max_dl)
 
 
 def save_model(model: MlpModel, path):

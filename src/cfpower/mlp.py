@@ -113,12 +113,19 @@ def _act_deriv(z, a, name):
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Network output for a single feature vector or a batch of rows."""
+    """Network output for a single feature vector or a batch of rows.
+
+    `model` may also hold (n, out, in) weight stacks and (n, 1, out) bias
+    stacks, as a `ModelGroup` does; x is then (n, rows, in) and slice i
+    runs through network i, one batched matmul per layer. Each slice runs
+    the BLAS call a single network runs, so the bits are the same.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = np.atleast_2d(x)
     for layer in model.layers:
-        a = _act(a @ layer.W.T + layer.b, layer.activation)
+        a = _act(a @ np.swapaxes(layer.W, -1, -2) + layer.b,
+                 layer.activation)
     return a[0] if single else a
 
 

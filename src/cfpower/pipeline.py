@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (features_for, labels_for, load_model, model_layout,
-                        predict_allocation, save_model)
+from .allocator import (check_cover, features_for, labels_for, load_model,
+                        model_layout, predict_allocation, save_model,
+                        stack_models)
 from .scaling import ScalerParams
 from .config import NetworkConfig
 from .dataset import DatasetFile, DatasetHeader, SampleRecord
@@ -135,17 +136,42 @@ def _model_path(out_dir, kind, unit):
 
 
 def load_models(models_dir, kind: str):
-    """All models of a kind in a directory, ordered by unit id."""
+    """All models of a kind in a directory, in file-name order (unit order
+    for the files `cmd_train` writes), as one stacked `ModelGroup`.
+
+    Each file is copied into the stacks as it is read, so the group holds
+    the only copy of the weights. A file of another kind, a model without a
+    scaler or a layer plan other than the first file's raises
+    DataFormatError naming the file.
+    """
     pattern = os.path.join(models_dir, f"{kind}-[0-9]*{MODEL_SUFFIX}")
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise DataFormatError(f"no {kind} models under {models_dir}")
-    models = [load_model(p) for p in paths]
-    for path, model in zip(paths, models):
+    read = []
+
+    def checked(path):
+        read.append(path)
+        model = load_model(path)
         if model.kind != kind:
             raise DataFormatError(
                 f"{path}: holds a {model.kind} model, not {kind}")
-    return sorted(models, key=lambda m: m.unit_id)
+        return model
+
+    try:
+        return stack_models(map(checked, paths), len(paths))
+    except ValueError as exc:
+        raise DataFormatError(f"{read[-1]}: {exc}") from exc
+
+
+def _group_for(models_dir, kind: str, cfg: NetworkConfig):
+    """`load_models`, checked to cover the network's APs exactly once."""
+    group = load_models(models_dir, kind)
+    try:
+        check_cover(group, cfg.L)
+    except ValueError as exc:
+        raise DataFormatError(f"{models_dir}: {kind} {exc}") from exc
+    return group
 
 
 def cmd_train(dataset_path, kind: str, out_dir,
@@ -300,7 +326,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
             if models_dir is None:
                 raise DataFormatError(
                     f"strategy {strat} needs a models directory")
-            models[strat] = load_models(models_dir, strat)
+            models[strat] = _group_for(models_dir, strat, cfg)
     allocators = {s: _allocator_for(s, cfg, models) for s in strategies}
     aps = place_aps(cfg, master)
     se = {s: np.empty((n_drops, cfg.K)) for s in strategies}
@@ -359,9 +385,10 @@ def cmd_inspect(path) -> dict:
 
 
 def _bench_models(cfg, kind, cluster_size, models_dir, seed):
-    """Trained models when available, seeded random-weight stand-ins else."""
+    """The group `cmd_bench` times: trained models when available, seeded
+    random-weight stand-ins else, stacked as `load_models` stacks them."""
     if models_dir is not None:
-        return load_models(models_dir, kind)
+        return _group_for(models_dir, kind, cfg)
     models = []
     for unit, members in enumerate(
             model_layout(kind, cfg, seed, cluster_size)):
@@ -370,7 +397,7 @@ def _bench_models(cfg, kind, cluster_size, models_dir, seed):
         n_f = model.n_inputs
         model.scaler = ScalerParams(median=np.zeros(n_f), iqr=np.ones(n_f))
         models.append(model)
-    return models
+    return stack_models(models)
 
 
 def cmd_bench(cfg: NetworkConfig, strategies, n_repeats: int = 5,

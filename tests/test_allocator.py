@@ -17,12 +17,12 @@ import pytest
 from cfpower.allocator import (cluster_partition, features_for, labels_for,
                                load_model, model_features, model_layout,
                                predict_allocation, predict_from_features,
-                               save_model, to_db)
+                               save_model, stack_models, to_db)
 from cfpower.errors import DataFormatError
 from cfpower.heuristics import fractional_coefficients, side_info_ratios
 from cfpower.mlp import DenseLayer, MlpModel, build_model, forward
 from cfpower.network import place_aps
-from cfpower.scaling import ScalerParams, fit_scaler
+from cfpower.scaling import ScalerParams, apply_scaler, fit_scaler
 
 
 def random_beta(K, L, seed):
@@ -308,28 +308,99 @@ def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
     assert np.all(alloc.mu >= 0.0)
 
 
-@pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
-def test_decode_matches_the_per_column_reference(large_cfg, kind):
-    # the vectorised decode keeps the bits of a column-by-column decode
-    K, L, P = large_cfg.K, large_cfg.L, large_cfg.p_max_dl
-    models = []
-    for unit, members in enumerate(model_layout(kind, large_cfg, 0, 4)):
-        model = build_model(kind, K, unit_id=unit, member_aps=members,
-                            cluster_size=4, seed=40 + unit)
-        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
-                                    iqr=np.ones(model.n_inputs))
-        models.append(model)
-    beta = random_beta(K, L, 41)
-    expected = np.empty((K, L))
-    for model, x in zip(models, model_features(models, beta, large_cfg)):
-        y, c = forward(model, x), len(model.member_aps)
+def per_model_reference(models, beta, cfg):
+    """Reference inference: each model on its own row, one forward pass per
+    model, then a column-by-column decode."""
+    K, P = cfg.K, cfg.p_max_dl
+    expected = np.empty((K, cfg.L))
+    for model in models:
+        x = features_for(model.kind, beta, cfg, np.array([model.member_aps]))
+        y = forward(model, apply_scaler(model.scaler, x[0]))
+        c = len(model.member_aps)
         for j, l in enumerate(model.member_aps):
             direction = y[j * K:(j + 1) * K]
             norm = np.linalg.norm(direction)
             expected[:, l] = 0.0 if norm == 0.0 else \
                 direction * (np.sqrt(min(y[c * K + j], P)) / norm)
+    return expected
+
+
+def standin_group(kind, cfg, seed, cluster_size=4):
+    """Seeded random-weight models, one per unit of the layout."""
+    models = []
+    for unit, members in enumerate(model_layout(kind, cfg, 0, cluster_size)):
+        model = build_model(kind, cfg.K, unit_id=unit, member_aps=members,
+                            cluster_size=cluster_size, seed=seed + unit)
+        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
+                                    iqr=np.ones(model.n_inputs))
+        models.append(model)
+    return models
+
+
+@pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
+def test_decode_matches_the_per_column_reference(large_cfg, kind):
+    # the vectorised decode keeps the bits of a column-by-column decode
+    models = standin_group(kind, large_cfg, 40)
+    beta = random_beta(large_cfg.K, large_cfg.L, 41)
     alloc = predict_allocation(models, beta, large_cfg)
-    assert np.array_equal(alloc.mu, expected)
+    assert np.array_equal(alloc.mu, per_model_reference(models, beta,
+                                                        large_cfg))
+
+
+@pytest.mark.parametrize("order", ["layout", "reversed"])
+@pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
+def test_stacked_inference_matches_the_per_model_loop(large_cfg, kind,
+                                                      order):
+    # one batched forward pass per kind keeps the bits of one pass per
+    # model, with biases and a scaler that are not the identity
+    rng = np.random.default_rng(42)
+    models = standin_group(kind, large_cfg, 43)
+    for model in models:
+        for layer in model.layers:
+            layer.b[:] = rng.uniform(-0.1, 0.3, layer.b.shape)
+        n_f = model.n_inputs
+        model.scaler = ScalerParams(median=rng.normal(-90.0, 5.0, n_f),
+                                    iqr=rng.uniform(5.0, 20.0, n_f))
+    if order == "reversed":
+        models.reverse()
+    group = stack_models(models)
+    assert [m.unit_id for m in group] == [m.unit_id for m in models]
+    for seed in range(44, 54):
+        beta = random_beta(large_cfg.K, large_cfg.L, seed)
+        assert np.array_equal(predict_allocation(group, beta, large_cfg).mu,
+                              per_model_reference(models, beta, large_cfg))
+
+
+def test_stack_models_copies_into_views(desk_cfg):
+    models = standin_group("cdnn", desk_cfg, 55, cluster_size=2)
+    weights = [layer.W for m in models for layer in m.layers]
+    group = stack_models(models)
+    assert stack_models(group) is group
+    assert len(group) == len(models)
+    assert np.array_equal(group.members, [m.member_aps for m in models])
+    for i, (view, model) in enumerate(zip(group, models)):
+        for stack, own, layer in zip(group.layers, view.layers, model.layers):
+            assert stack.W.shape == (len(models),) + layer.W.shape
+            assert stack.b.shape == (len(models), 1, layer.b.size)
+            assert np.shares_memory(own.W, stack.W)
+            assert np.shares_memory(own.b, stack.b)
+            assert np.array_equal(stack.W[i], layer.W)
+            assert not np.shares_memory(layer.W, stack.W)
+        assert np.shares_memory(view.scaler.median, group.scaler.median)
+        assert np.shares_memory(view.scaler.iqr, group.scaler.iqr)
+    # the given models keep their own arrays
+    assert [layer.W for m in models for layer in m.layers] == weights
+
+
+def test_stack_models_rejects_mixed_layer_plans(desk_cfg):
+    models = standin_group("ddnn", desk_cfg, 56)
+    wider = build_model("ddnn", desk_cfg.K + 1, unit_id=3, seed=57)
+    wider.scaler = ScalerParams(median=np.zeros(wider.n_inputs),
+                                iqr=np.ones(wider.n_inputs))
+    with pytest.raises(ValueError, match="layer plan"):
+        stack_models(models[:3] + [wider])
+    with pytest.raises(ValueError, match="no models"):
+        stack_models([])
 
 
 def test_model_container_roundtrip(tmp_path):

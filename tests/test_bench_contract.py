@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfpower import allocator
+from cfpower import allocator, pipeline
 from cfpower.mlp import MODEL_KINDS, build_model
 from cfpower.scaling import ScalerParams
 
@@ -39,21 +39,47 @@ def test_every_target_is_a_callable_attribute(tracing):
             f"{owner.__name__}.{attr} (span {name}) is gone"
 
 
-def test_learned_inference_records_every_kind_span(tracing, desk_cfg):
-    K, L = desk_cfg.K, desk_cfg.L
-    beta = 10.0 ** np.random.default_rng(0).uniform(-13.0, -7.0, (K, L))
+def standins(kind, cfg):
+    models = []
+    for unit, members in enumerate(allocator.model_layout(kind, cfg, 0, 2)):
+        model = build_model(kind, cfg.K, unit_id=unit, member_aps=members,
+                            cluster_size=2, seed=unit)
+        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
+                                    iqr=np.ones(model.n_inputs))
+        models.append(model)
+    return models
+
+
+def traced_inference(tracing, groups, cfg):
+    """One predict_allocation per kind inside the tracer."""
+    beta = 10.0 ** np.random.default_rng(0).uniform(-13.0, -7.0,
+                                                    (cfg.K, cfg.L))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         tracer.begin_unit()
         for kind in MODEL_KINDS:
-            models = []
-            for unit, members in enumerate(
-                    allocator.model_layout(kind, desk_cfg, 0, 2)):
-                model = build_model(kind, K, unit_id=unit, member_aps=members,
-                                    cluster_size=2, seed=unit)
-                model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
-                                            iqr=np.ones(model.n_inputs))
-                models.append(model)
-            allocator.predict_allocation(models, beta, desk_cfg)
+            allocator.predict_allocation(groups[kind], beta, cfg)
     expected = [(name, kind) for kind in MODEL_KINDS for name in KIND_SPANS]
     assert tracing.missing_spans(tracer, expected) == []
+    return tracer
+
+
+def test_learned_inference_records_every_kind_span(tracing, desk_cfg):
+    traced_inference(tracing, {kind: standins(kind, desk_cfg)
+                               for kind in MODEL_KINDS}, desk_cfg)
+
+
+def test_a_loaded_group_runs_one_forward_pass_per_kind(tracing, desk_cfg,
+                                                       tmp_path):
+    # the benchmark's groups come from load_models; a return to one
+    # forward pass per model would show as more mlp.forward calls
+    groups = {}
+    for kind in MODEL_KINDS:
+        for model in standins(kind, desk_cfg):
+            allocator.save_model(model, tmp_path / (
+                f"{kind}-{model.unit_id:03d}{pipeline.MODEL_SUFFIX}"))
+        groups[kind] = pipeline.load_models(tmp_path, kind)
+    totals = traced_inference(tracing, groups, desk_cfg).totals()
+    for kind in MODEL_KINDS:
+        assert totals[("mlp.forward", kind)][0] == 1
+        assert totals[("scaling.apply_scaler", kind)][0] == 1

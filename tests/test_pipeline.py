@@ -18,12 +18,13 @@ from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
 from cfpower.dataset import DatasetFile, DatasetHeader, record_size
 from cfpower.errors import DataFormatError, SolverDegeneracyError
-from cfpower.mlp import TrainConfig
+from cfpower.mlp import TrainConfig, build_model
 from cfpower.network import place_aps
 from cfpower.pipeline import (TEST_NAMESPACE, TRAIN_NAMESPACE, _bench_models,
                               build_sample, cmd_bench, cmd_evaluate,
                               cmd_generate, cmd_inspect, cmd_train,
                               load_models, sample_seeds)
+from cfpower.scaling import ScalerParams
 from cfpower.wmmse import SolverConfig
 
 N_REAL = 120     # enough for the estimator guard, cheap for tests
@@ -218,6 +219,62 @@ def test_load_models_checks_output_widths(tmp_path, desk_cfg, small_dataset,
                  "--models", str(out), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "layer sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["ddnn-si", "cdnn"])
+def test_load_models_holds_one_copy_of_the_weights(tmp_path, small_dataset,
+                                                   kind):
+    paths = cmd_train(small_dataset, kind, tmp_path, FAST_TRAIN,
+                      cluster_size=2)
+    group = load_models(tmp_path, kind)
+    assert len(group) == len(paths)
+    for i, (model, path) in enumerate(zip(group, paths)):
+        for stack, layer in zip(group.layers, model.layers):
+            assert stack.W.flags.c_contiguous
+            assert np.shares_memory(layer.W, stack.W)
+            assert np.shares_memory(layer.b, stack.b)
+            assert not (layer.W.flags.owndata or layer.b.flags.owndata)
+        assert np.shares_memory(model.scaler.median, group.scaler.median)
+        assert np.shares_memory(model.scaler.iqr, group.scaler.iqr)
+        # the views hold the file's weights to the bit
+        save_model(model, tmp_path / "again.cfmlp")
+        with open(path, "rb") as fh:
+            assert (tmp_path / "again.cfmlp").read_bytes() == fh.read()
+
+
+def test_load_models_rejects_groups_that_do_not_stack(tmp_path, desk_cfg,
+                                                      small_dataset):
+    out = tmp_path / "models"
+    paths = cmd_train(small_dataset, "ddnn", out, FAST_TRAIN)
+    model = load_model(paths[1])
+    model.scaler = None
+    save_model(model, paths[1])
+    with pytest.raises(DataFormatError, match="ddnn-001.cfmlp.*scaler"):
+        load_models(out, "ddnn")
+    # a ddnn model trained at another K has other layer sizes
+    cmd_train(small_dataset, "ddnn", out, FAST_TRAIN)
+    wider = build_model("ddnn", desk_cfg.K + 1, unit_id=3, seed=3)
+    wider.scaler = ScalerParams(median=np.zeros(desk_cfg.K + 1),
+                                iqr=np.ones(desk_cfg.K + 1))
+    save_model(wider, paths[3])
+    with pytest.raises(DataFormatError, match="ddnn-003.cfmlp.*layer plan"):
+        load_models(out, "ddnn")
+
+
+def test_incomplete_group_is_a_data_error(tmp_path, desk_cfg, small_dataset,
+                                          capsys):
+    out = tmp_path / "models"
+    paths = cmd_train(small_dataset, "ddnn", out, FAST_TRAIN)
+    os.remove(paths[-1])     # ddnn-000..002 remain of the desk's 4 APs
+    code = main(["evaluate", "--config", "desk", "--samples", "1",
+                 "--strategies", "ddnn", "--realizations", str(N_REAL),
+                 "--models", str(out), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(out) in err and "cover" in err
+    with pytest.raises(DataFormatError, match="cover"):
+        cmd_bench(desk_cfg, ["ddnn"], n_repeats=1, n_real=N_REAL,
+                  models_dir=out)
 
 
 def test_train_rejects_empty_dataset(tmp_path, desk_cfg):
