@@ -276,14 +276,15 @@ def save_model(model: MlpModel, path):
                        else model.scaler.iqr.tolist()),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for layer in model.layers for arr in (layer.W, layer.b))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        fh.write(payload)
+        # one array at a time, straight from its buffer when it is already
+        # contiguous little-endian float64
+        for layer in model.layers:
+            for arr in (layer.W, layer.b):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 _HEADER_FIELDS = {"kind": str, "unit_id": int, "member_aps": list,

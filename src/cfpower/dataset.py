@@ -12,7 +12,8 @@ sample in index order:
 
 Fixed records make generation resumable: the completed count is read off
 the file size, and regeneration with the same master seed reproduces the
-remaining records bit for bit.
+remaining records bit for bit. Readers reject a torn trailing record; only
+generation's resume path cuts one (`read_layout` measures it).
 """
 
 import json
@@ -128,6 +129,22 @@ def _parse_header(blob: bytes):
     return header, start
 
 
+def read_layout(path):
+    """(header, data start, bytes of a torn record past the last whole one).
+
+    A torn record is what an append interrupted mid-write leaves behind.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read(1 << 20)
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    header, start = _parse_header(blob)
+    cfg = header.config
+    return header, start, (size - start) % record_size(cfg.K, cfg.L)
+
+
 class DatasetFile:
     """Reader / appender over the container; records stay in index order."""
 
@@ -147,17 +164,10 @@ class DatasetFile:
 
     @classmethod
     def open(cls, path) -> "DatasetFile":
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read(1 << 20)
-        except OSError as exc:
-            raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
-        header, start = _parse_header(blob)
-        ds = cls(path, header, start)
-        tail = (os.path.getsize(path) - start) % ds._rec_size
-        if tail:
+        header, start, torn = read_layout(path)
+        if torn:
             raise DataFormatError(f"{path}: trailing partial record")
-        return ds
+        return cls(path, header, start)
 
     def __len__(self) -> int:
         return (os.path.getsize(self.path) - self._start) // self._rec_size

@@ -24,7 +24,7 @@ from .allocator import (check_cover, features_for, labels_for, load_model,
                         stack_models)
 from .scaling import ScalerParams
 from .config import NetworkConfig
-from .dataset import DatasetFile, DatasetHeader, SampleRecord
+from .dataset import DatasetFile, DatasetHeader, SampleRecord, read_layout
 from .errors import DataFormatError, SolverDegeneracyError
 from .estimation import mmse_estimate, sample_channels
 from .heuristics import equal_power, heuristic_allocation
@@ -93,11 +93,17 @@ def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                            n_samples=n_samples, n_real=n_real,
                            master_seed=master)
     if os.path.exists(out_path):
-        ds = DatasetFile.open(out_path)
-        if ds.header != header:
+        found, data_start, torn = read_layout(out_path)
+        if found != header:
             raise DataFormatError(
                 f"{out_path}: existing dataset was generated under a "
                 "different configuration")
+        if torn:
+            # an append interrupted mid-write: the record is regenerated
+            log.warning("cutting a %d-byte partial record from %s", torn,
+                        out_path)
+            os.truncate(out_path, os.path.getsize(out_path) - torn)
+        ds = DatasetFile(out_path, found, data_start)
         start = len(ds)
         log.info("resuming %s at sample %d", out_path, start)
     else:

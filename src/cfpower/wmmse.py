@@ -17,11 +17,12 @@ so exact subproblem solutions make the utility nondecreasing. Iteration
 stops when the squared difference of successive utilities drops below
 eps_outer.
 
-Both subproblem solvers work on the per-AP ball constraints only; negative
-entries of a solution are flipped to their positive counterparts afterwards
-(the balls are sign-symmetric, so feasibility is preserved). Normalized
-objective comparisons in the test-suite use
-|f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
+The subproblem is solved by scaled-dual ADMM (Boyd et al., 2011) on the
+per-AP ball constraints only; negative entries of a solution are flipped to
+their positive counterparts afterwards (the balls are sign-symmetric, so
+feasibility is preserved). The test-suite checks ADMM against a long-run
+projected-gradient oracle of its own. Normalized objective comparisons there
+use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
 Each outer step computes the eigenbasis of the C_i once, to check and PSD-clip
 C; ADMM reuses it for its x-update operator (C_i + rho I)^-1, which it rebuilds
@@ -30,8 +31,8 @@ only when residual balancing moves rho. SINR terms come from se.sinr_terms.
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,21 +60,10 @@ class AdmmConfig:
 
 
 @dataclass(frozen=True)
-class ProjGradConfig:
-    """Projected gradient with a fixed step (0 picks 1 / (2 lambda_max))."""
-
-    step: float = 0.0
-    eps_inner: float = 1e-8
-    max_iters: int = 200000
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     objective: str = "sumse"
     eps_outer: float = 1e-4
     max_outer_iters: int = 500
-    subproblem: Union[AdmmConfig, ProjGradConfig] = field(
-        default_factory=AdmmConfig)
     init: str = "equal-power"
 
     def __post_init__(self):
@@ -158,6 +148,7 @@ class SubproblemResult:
     n_iters: int
     converged: bool
     n_flipped: int
+    state: tuple         # ADMM's (Z, U, rho), the next call's warm start
 
 
 def _norm(x):
@@ -201,57 +192,28 @@ def _admm(q, eigval, eigvec, p_max, cfg: AdmmConfig, x0, state):
     return Z, it, converged, (Z, U, rho)
 
 
-def _projected_gradient(C, q, eigval, p_max, cfg: ProjGradConfig, x0):
-    step = cfg.step
-    if step <= 0.0:
-        lam_max = float(eigval[:, -1].max())
-        step = 1.0 / (2.0 * max(lam_max, 1e-300))
-    X = project_per_ap(x0, p_max)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        G = 2.0 * (np.einsum("kab,kb->ka", C, X) - q)
-        X_new = project_per_ap(X - step * G, p_max)
-        delta = float(np.linalg.norm(X_new - X))
-        X = X_new
-        # gradient-map magnitude below eps_inner counts as stationary
-        if delta / step <= cfg.eps_inner * max(1.0, float(np.linalg.norm(X))):
-            converged = True
-            break
-    return X, it, converged, None
-
-
 def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
                      p_max: float, sub_cfg=None, mu0=None,
-                     warm_state=None) -> SubproblemResult:
-    """Solve the convex subproblem for fixed (omega, v).
+                     state=None) -> SubproblemResult:
+    """Solve the convex subproblem for fixed (omega, v) by ADMM.
 
     The returned mu is feasible for every AP budget and elementwise
     nonnegative (negative entries are sign-flipped; the count is reported).
-    Pass a dict as `warm_state` to carry ADMM iterates across calls; the
-    entry is updated in place.
+    Pass a previous result's `state` to warm-start ADMM from its iterates.
     """
     if sub_cfg is None:
         sub_cfg = AdmmConfig()
+    if not isinstance(sub_cfg, AdmmConfig):
+        raise TypeError(f"unknown subproblem config {type(sub_cfg).__name__}")
     C, q, eigval, eigvec = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
-    if isinstance(sub_cfg, AdmmConfig):
-        prev = warm_state.get("admm") if warm_state is not None else None
-        x, n_iters, converged, state = _admm(q, eigval, eigvec, p_max,
-                                             sub_cfg, mu0, prev)
-        if warm_state is not None:
-            warm_state["admm"] = state
-    elif isinstance(sub_cfg, ProjGradConfig):
-        x, n_iters, converged, _ = _projected_gradient(
-            C, q, eigval, p_max, sub_cfg, mu0)
-    else:
-        raise TypeError(f"unknown subproblem config {type(sub_cfg).__name__}")
-    n_flipped = int(np.sum(x < 0.0))
+    x, n_iters, converged, state = _admm(q, eigval, eigvec, p_max, sub_cfg,
+                                         mu0, state)
     return SubproblemResult(mu=np.abs(x), mu_raw=x,
                             objective=subproblem_objective(C, q, x),
                             n_iters=n_iters, converged=converged,
-                            n_flipped=n_flipped)
+                            n_flipped=int(np.sum(x < 0.0)), state=state)
 
 
 def utility(params: SEParameters, mu: np.ndarray, objective: str) -> float:
@@ -326,13 +288,13 @@ def wmmse_solve(params: SEParameters, p_max: float,
     clamp_events = exhausted = admm_iters = sign_flips = 0
     converged = False
     n_outer = 0
-    warm_state = {}
+    state = None
     for n_outer in range(1, cfg.max_outer_iters + 1):
         aux = update_auxiliaries(params, mu, cfg.objective)
         clamp_events += aux.clamped
-        result = solve_subproblem(params, aux.omega, aux.v, p_max,
-                                  cfg.subproblem, mu0=mu,
-                                  warm_state=warm_state)
+        result = solve_subproblem(params, aux.omega, aux.v, p_max, mu0=mu,
+                                  state=state)
+        state = result.state
         exhausted += int(not result.converged)
         admm_iters += result.n_iters
         sign_flips += result.n_flipped

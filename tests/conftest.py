@@ -1,4 +1,5 @@
-"""Shared fixtures: preset configs, cached drops, synthetic SE parameters."""
+"""Shared fixtures: preset configs, cached drops, synthetic SE parameters,
+and the projected-gradient oracle for the WMMSE subproblem."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cfpower.cli import resolve_config
 from cfpower.network import place_aps
 from cfpower.pipeline import TEST_NAMESPACE, build_sample
 from cfpower.se import SEParameters
+from cfpower.wmmse import project_per_ap
 
 # deterministic property-test runs, no wall-clock deadline on a busy box
 settings.register_profile("suite", max_examples=25, deadline=None,
@@ -72,3 +74,29 @@ def _assert_budget(mu, p_max, slack=1e-9):
 @pytest.fixture(scope="session")
 def assert_budget():
     return _assert_budget
+
+
+def _projected_gradient(C, q, p_max, eps_inner, max_iters=200000, x0=None):
+    """Reference solver for min sum_i mu_i^T C_i mu_i - 2 q_i^T mu_i on the
+    per-AP balls, from `subproblem_matrices` output: projected gradient with
+    the fixed step 1 / (2 lambda_max), started from x0 (zeros by default).
+
+    Returns (x, n_iters, converged); a gradient-map magnitude below
+    eps_inner counts as stationary.
+    """
+    lam_max = float(np.linalg.eigvalsh(C)[:, -1].max())
+    step = 1.0 / (2.0 * max(lam_max, 1e-300))
+    X = project_per_ap(np.zeros_like(q) if x0 is None else x0, p_max)
+    for it in range(1, max_iters + 1):
+        G = 2.0 * (np.einsum("kab,kb->ka", C, X) - q)
+        X_new = project_per_ap(X - step * G, p_max)
+        delta = float(np.linalg.norm(X_new - X))
+        X = X_new
+        if delta / step <= eps_inner * max(1.0, float(np.linalg.norm(X))):
+            return X, it, True
+    return X, max_iters, False
+
+
+@pytest.fixture(scope="session")
+def projected_gradient():
+    return _projected_gradient

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfpower import allocator, pipeline
+from cfpower import allocator, pipeline, wmmse
 from cfpower.mlp import MODEL_KINDS, build_model
 from cfpower.scaling import ScalerParams
 
@@ -83,3 +83,19 @@ def test_a_loaded_group_runs_one_forward_pass_per_kind(tracing, desk_cfg,
     for kind in MODEL_KINDS:
         assert totals[("mlp.forward", kind)][0] == 1
         assert totals[("scaling.apply_scaler", kind)][0] == 1
+
+
+def test_wmmse_records_every_traced_span(tracing, desk_sample, desk_cfg):
+    # allocate-large-mr's per-layer WMMSE figures come from these spans and
+    # from the counts the tracer reads off each solve_subproblem result
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.begin_unit()
+        result = wmmse.wmmse_solve(desk_sample("mr").params,
+                                   desk_cfg.p_max_dl)
+    names = ("wmmse.wmmse_solve", "wmmse.update_auxiliaries",
+             "wmmse.solve_subproblem", "wmmse.utility")
+    assert tracing.missing_spans(tracer, [(n, None) for n in names]) == []
+    totals = tracer.totals()
+    assert totals[("wmmse.solve_subproblem", None)][0] == result.n_outer
+    assert tracer.counts["wmmse.admm_iters"] == result.admm_iters > 0

@@ -85,6 +85,24 @@ def test_generate_regrows_truncated_file(tmp_path, desk_cfg):
     assert cut.read_bytes() == blob
 
 
+def test_generate_cuts_a_torn_record_on_resume(tmp_path, desk_cfg, caplog):
+    # a crash inside an append leaves 1 .. size-1 bytes of the last record
+    full = tmp_path / "full.cfds"
+    gen(desk_cfg, full, n=2)
+    blob = full.read_bytes()
+    size = record_size(desk_cfg.K, desk_cfg.L)
+    cut = tmp_path / "cut.cfds"
+    caplog.set_level("WARNING", logger=pipeline.log.name)
+    for torn in range(1, size):
+        cut.write_bytes(blob[:len(blob) - size + torn])
+        with pytest.raises(DataFormatError, match="partial"):
+            DatasetFile.open(cut)
+        gen(desk_cfg, cut, n=2)
+        assert cut.read_bytes() == blob, f"torn record of {torn} bytes"
+    cuts = [r for r in caplog.records if "partial record" in r.getMessage()]
+    assert len(cuts) == size - 1
+
+
 def test_generate_rejects_mismatched_resume(tmp_path, desk_cfg):
     path = tmp_path / "d.cfds"
     gen(desk_cfg, path, n=2)

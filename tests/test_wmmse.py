@@ -1,9 +1,10 @@
 """Optimizer tests: auxiliary identities, subproblem oracles, outer loop.
 
 Subproblem solutions are checked three independent ways: a separable KKT
-closed form (diagonal quadratic), a long-run projected-gradient solve, and
-an exhaustive 2-D grid search on the one-AP two-UE case. Normalized
-objective comparisons follow |f - f_ref| <= tol * max(1, |f_ref|).
+closed form (diagonal quadratic), a long-run solve by the projected-gradient
+oracle in conftest, and an exhaustive 2-D grid search on the one-AP two-UE
+case. Normalized objective comparisons follow
+|f - f_ref| <= tol * max(1, |f_ref|).
 """
 
 import numpy as np
@@ -12,16 +13,24 @@ import pytest
 from cfpower import wmmse
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
 from cfpower.wmmse import (E_CLAMP, AdmmConfig, AuxiliaryUpdate,
-                           ProjGradConfig, SolverConfig, SubproblemResult,
-                           project_per_ap, solve_subproblem,
-                           subproblem_matrices, subproblem_objective,
-                           update_auxiliaries, utility, wmmse_solve)
+                           SolverConfig, SubproblemResult, project_per_ap,
+                           solve_subproblem, subproblem_matrices,
+                           subproblem_objective, update_auxiliaries, utility,
+                           wmmse_solve)
 
 OMEGA_PF_HALF = 2.8853900817779268     # mpmath: -1 / (0.5 ln 0.5)
 
 
 def norm_close(f, f_ref, tol):
     return abs(f - f_ref) <= tol * max(1.0, abs(f_ref))
+
+
+def subproblem_result(C, q, x, n_iters, converged, state=None):
+    """A solve_subproblem result for iterate x of a reference solver."""
+    return SubproblemResult(mu=np.abs(x), mu_raw=x,
+                            objective=subproblem_objective(C, q, x),
+                            n_iters=n_iters, converged=converged,
+                            n_flipped=int(np.sum(x < 0.0)), state=state)
 
 
 def unit_params():
@@ -116,19 +125,24 @@ def diagonal_params(d, a_row):
                         sigma2=1.0, prelog=1.0, n_real=1000)
 
 
+# ADMM, then the projected-gradient oracle (given by its keyword arguments)
 @pytest.mark.parametrize("sub_cfg", [
     AdmmConfig(eps_inner=1e-10, max_iters=50000),
-    ProjGradConfig(eps_inner=1e-11),
+    dict(eps_inner=1e-11),
 ])
-def test_subproblem_separable_kkt(sub_cfg):
+def test_subproblem_separable_kkt(projected_gradient, sub_cfg):
     d = [2.0, 0.5, 1.0]
     a_row = [0.6, 3.0, 1.0]
     params = diagonal_params(d, a_row)
     p_max = 1.0
     omega, v = np.array([1.3]), np.array([0.7])
-    res = solve_subproblem(params, omega, v, p_max, sub_cfg)
-    # per column: argmin c mu^2 - 2 q mu over mu^2 <= P is min(q/c, sqrt(P))
     C, q = subproblem_matrices(params, omega, v)
+    if isinstance(sub_cfg, AdmmConfig):
+        res = solve_subproblem(params, omega, v, p_max, sub_cfg)
+    else:
+        res = subproblem_result(C, q, *projected_gradient(C, q, p_max,
+                                                          **sub_cfg))
+    # per column: argmin c mu^2 - 2 q mu over mu^2 <= P is min(q/c, sqrt(P))
     expected = np.minimum(q[0] / np.diag(C[0]), np.sqrt(p_max))
     assert res.converged
     assert np.allclose(res.mu[0], expected, atol=1e-6)
@@ -150,15 +164,17 @@ def test_subproblem_unconstrained_interior(synthetic_params):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_admm_agrees_with_long_run_gradient(synthetic_params, seed):
+def test_admm_agrees_with_long_run_gradient(synthetic_params,
+                                            projected_gradient, seed):
     params = synthetic_params(K=3, L=2, seed=10 + seed, sigma2=0.3)
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.5, 3.0, size=3)
     v = rng.uniform(0.1, 1.0, size=3)
     admm = solve_subproblem(params, omega, v, 1.0,
                             AdmmConfig(eps_inner=1e-9, max_iters=100000))
-    pg = solve_subproblem(params, omega, v, 1.0,
-                          ProjGradConfig(eps_inner=1e-11))
+    C, q = subproblem_matrices(params, omega, v)
+    pg = subproblem_result(C, q, *projected_gradient(C, q, 1.0,
+                                                     eps_inner=1e-11))
     assert admm.converged and pg.converged
     assert norm_close(admm.objective, pg.objective, 1e-6)
     assert np.allclose(admm.mu_raw, pg.mu_raw, atol=1e-4)
@@ -217,10 +233,10 @@ def test_warm_start_reuses_state(synthetic_params):
     params = synthetic_params(K=3, L=2, seed=40)
     omega, v = np.ones(3), np.full(3, 0.3)
     cfg = AdmmConfig(eps_inner=1e-8, max_iters=20000)
-    state = {}
-    first = solve_subproblem(params, omega, v, 1.0, cfg, warm_state=state)
-    assert "admm" in state
-    second = solve_subproblem(params, omega, v, 1.0, cfg, warm_state=state)
+    first = solve_subproblem(params, omega, v, 1.0, cfg)
+    Z, U, rho = first.state
+    assert np.array_equal(Z, first.mu_raw) and rho > 0.0
+    second = solve_subproblem(params, omega, v, 1.0, cfg, state=first.state)
     assert second.n_iters <= first.n_iters
     assert np.allclose(second.mu, first.mu, atol=1e-6)
 
@@ -273,10 +289,16 @@ def test_pf_lifts_the_weakest_ue(desk_sample, desk_cfg):
     assert se["sumse"].sum() >= se["pf"].sum()
 
 
-def test_outer_loop_with_projected_gradient(desk_sample, desk_cfg):
+def test_outer_loop_with_projected_gradient(desk_sample, desk_cfg,
+                                           projected_gradient, monkeypatch):
+    def gradient_subproblem(params, omega, v, p_max, mu0, state):
+        C, q = subproblem_matrices(params, omega, v)
+        return subproblem_result(C, q, *projected_gradient(
+            C, q, p_max, eps_inner=1e-8, x0=mu0))
+
+    monkeypatch.setattr(wmmse, "solve_subproblem", gradient_subproblem)
     params = desk_sample("rzf").params
-    cfg = SolverConfig(subproblem=ProjGradConfig(eps_inner=1e-8))
-    result = wmmse_solve(params, desk_cfg.p_max_dl, cfg)
+    result = wmmse_solve(params, desk_cfg.p_max_dl)
     assert result.converged
     assert np.diff(result.trace).min() >= -1e-6
 
@@ -338,6 +360,33 @@ def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
     result = wmmse_solve(desk_sample("rzf").params, desk_cfg.p_max_dl)
     assert len(calls) == result.n_outer
     assert result.admm_iters == sum(calls) > result.n_outer
+
+
+# (n_outer, admm_iters) of desk drop 0 with every subproblem warm-started
+# from the previous one; starting ADMM cold gives other counts
+WARM_START_COUNTS = {("mr", "sumse"): (13, 345), ("mr", "pf"): (11, 175),
+                     ("rzf", "sumse"): (5, 153), ("rzf", "pf"): (9, 210)}
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+def test_outer_loop_passes_admm_state_on(desk_sample, desk_cfg, monkeypatch,
+                                         precoder, objective):
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = solve_subproblem(*args, **kwargs)
+        calls.append((kwargs.get("state"), result))
+        return result
+
+    monkeypatch.setattr(wmmse, "solve_subproblem", recording)
+    result = wmmse_solve(desk_sample(precoder).params, desk_cfg.p_max_dl,
+                         SolverConfig(objective=objective))
+    assert calls[0][0] is None
+    for (_, previous), (state, _) in zip(calls, calls[1:]):
+        assert state is previous.state
+    assert (result.n_outer, result.admm_iters) \
+        == WARM_START_COUNTS[precoder, objective]
 
 
 @pytest.mark.parametrize("precoder", ["mr", "rzf"])
@@ -444,14 +493,10 @@ def ref_admm(C, q, p_max, cfg, x0, state):
     return Z, it, converged, (rho, Z, U)
 
 
-def ref_solve_subproblem(params, omega, v, p_max, sub_cfg, mu0, warm_state):
+def ref_solve_subproblem(params, omega, v, p_max, mu0, state):
     C, q = ref_subproblem_matrices(params, omega, v)
-    x, n_iters, converged, warm_state["ref"] = ref_admm(
-        C, q, p_max, sub_cfg, mu0, warm_state.get("ref"))
-    return SubproblemResult(mu=np.abs(x), mu_raw=x,
-                            objective=subproblem_objective(C, q, x),
-                            n_iters=n_iters, converged=converged,
-                            n_flipped=int(np.sum(x < 0.0)))
+    return subproblem_result(C, q, *ref_admm(C, q, p_max, AdmmConfig(), mu0,
+                                             state))
 
 
 @pytest.mark.parametrize("objective", ["sumse", "pf"])
