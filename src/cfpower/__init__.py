@@ -20,7 +20,7 @@ from .heuristics import (equal_power, fractional_coefficients,
 from .mlp import (MlpModel, TrainConfig, TrainResult, build_model, forward,
                   train)
 from .network import (ChannelStatistics, Scenario, build_statistics,
-                      drop_scenario, pathloss_beta, place_aps, wrap_distance)
+                      drop_scenario, pathloss_beta, place_aps)
 from .pilots import PilotAssignment, assign_pilots
 from .pipeline import (EvalReport, cmd_bench, cmd_evaluate, cmd_generate,
                        cmd_inspect, cmd_train)

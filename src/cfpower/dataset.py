@@ -3,12 +3,9 @@
 Layout (little-endian): magic "CFDSET01", uint32 header length, sorted-key
 JSON header (format_version, config snapshot, objective, precoder,
 n_samples target, n_real, master_seed), then one fixed-size record per
-sample in index order:
-
-  uint32 index | uint8 converged | uint8 subproblem_exhausted flag |
-  uint16 n_outer | uint32 clamp_events | uint32 sign_flips |
-  float64 final_utility | beta (K*L f8) | pilot_of (K i4) | mu (K*L f8) |
-  sha256 digest of the SE parameter container (32 bytes)
+sample in index order. `record_dtype` is the record layout: one unaligned
+little-endian numpy structured dtype that packing, unpacking and the record
+size all read.
 
 Fixed records make generation resumable: the completed count is read off
 the file size, and regeneration with the same master seed reproduces the
@@ -20,6 +17,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .errors import ConfigError, DataFormatError
 
 _MAGIC = b"CFDSET01"
 FORMAT_VERSION = 1
-
-_FIXED = struct.Struct("<IBBHIId")
 
 
 @dataclass(frozen=True)
@@ -48,40 +44,38 @@ class SampleRecord:
     final_utility: float
 
 
+@lru_cache(maxsize=16)
+def record_dtype(K: int, L: int) -> np.dtype:
+    """The record layout at K UEs and L APs; fields are SampleRecord's."""
+    return np.dtype([
+        ("index", "<u4"), ("converged", "u1"), ("subproblem_exhausted", "u1"),
+        ("n_outer", "<u2"),                   # saturates at 0xFFFF
+        ("clamp_events", "<u4"), ("sign_flips", "<u4"),
+        ("final_utility", "<f8"), ("beta", "<f8", (K, L)),
+        ("pilot_of", "<i4", (K,)), ("mu", "<f8", (K, L)),
+        # sha256 of the SE parameters; S32 would strip trailing NULs
+        ("digest", "V32")])
+
+
 def record_size(K: int, L: int) -> int:
-    return _FIXED.size + 8 * K * L + 4 * K + 8 * K * L + 32
+    return record_dtype(K, L).itemsize
 
 
 def pack_record(rec: SampleRecord) -> bytes:
-    head = _FIXED.pack(rec.index, int(rec.converged),
-                       int(rec.subproblem_exhausted),
-                       min(rec.n_outer, 0xFFFF), rec.clamp_events,
-                       rec.sign_flips, rec.final_utility)
-    return (head
-            + np.ascontiguousarray(rec.beta, dtype="<f8").tobytes()
-            + np.ascontiguousarray(rec.pilot_of, dtype="<i4").tobytes()
-            + np.ascontiguousarray(rec.mu, dtype="<f8").tobytes()
-            + rec.digest)
+    dtype = record_dtype(*rec.beta.shape)
+    fields = {**rec.__dict__, "n_outer": min(rec.n_outer, 0xFFFF)}
+    return np.array(tuple(fields[name] for name in dtype.names),
+                    dtype=dtype).tobytes()
 
 
 def unpack_record(blob: bytes, K: int, L: int) -> SampleRecord:
-    index, conv, exhausted, n_outer, clamps, flips, util = \
-        _FIXED.unpack_from(blob, 0)
-    off = _FIXED.size
-    beta = np.frombuffer(blob, dtype="<f8", count=K * L, offset=off)
-    off += 8 * K * L
-    pilots = np.frombuffer(blob, dtype="<i4", count=K, offset=off)
-    off += 4 * K
-    mu = np.frombuffer(blob, dtype="<f8", count=K * L, offset=off)
-    off += 8 * K * L
-    digest = blob[off:off + 32]
-    return SampleRecord(index=index, beta=beta.reshape(K, L).copy(),
-                        pilot_of=pilots.astype(int),
-                        mu=mu.reshape(K, L).copy(), digest=digest,
-                        converged=bool(conv),
-                        subproblem_exhausted=bool(exhausted),
-                        n_outer=n_outer, clamp_events=clamps,
-                        sign_flips=flips, final_utility=util)
+    r = np.frombuffer(blob, dtype=record_dtype(K, L), count=1)[0]
+    f = dict(zip(r.dtype.names, r.item()))
+    return SampleRecord(**{
+        **f, "beta": f["beta"].copy(), "mu": f["mu"].copy(),
+        "pilot_of": f["pilot_of"].astype(int),
+        "converged": bool(f["converged"]),
+        "subproblem_exhausted": bool(f["subproblem_exhausted"])})
 
 
 @dataclass(frozen=True)

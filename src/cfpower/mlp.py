@@ -10,7 +10,9 @@ nonnegative:
   cdnn     cK  -> 128 -> 512 -> 256 -> 128 -> c(K+1)  linear,elu,tanh,tanh,relu
 
 Training is floating-point deterministic: seeded uniform fan-in init,
-seeded shuffles, sequential minibatches.
+seeded shuffles, sequential minibatches. `forward` and the gradients of
+`loss_and_grads` run the same layer loop, `_layer_outputs`; the gradients
+call it directly, not through `forward`.
 """
 
 from dataclasses import dataclass
@@ -112,6 +114,17 @@ def _act_deriv(z, a, name):
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _layer_outputs(layers, a):
+    """(activations, pre-activations) per layer; activations[0] is a."""
+    acts, pre = [a], []
+    for layer in layers:
+        z = a @ np.swapaxes(layer.W, -1, -2) + layer.b
+        a = _act(z, layer.activation)
+        pre.append(z)
+        acts.append(a)
+    return acts, pre
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network output for a single feature vector or a batch of rows.
 
@@ -121,24 +134,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     the BLAS call a single network runs, so the bits are the same.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = np.atleast_2d(x)
-    for layer in model.layers:
-        a = _act(a @ np.swapaxes(layer.W, -1, -2) + layer.b,
-                 layer.activation)
-    return a[0] if single else a
-
-
-def _forward_cached(model, X):
-    acts = [X]
-    pre = []
-    a = X
-    for layer in model.layers:
-        z = a @ layer.W.T + layer.b
-        a = _act(z, layer.activation)
-        pre.append(z)
-        acts.append(a)
-    return acts, pre
+    a = _layer_outputs(model.layers, np.atleast_2d(x))[0][-1]
+    return a[0] if x.ndim == 1 else a
 
 
 def mse_loss(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:
@@ -150,7 +147,7 @@ def mse_loss(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:
 def loss_and_grads(model: MlpModel, X: np.ndarray, Y: np.ndarray):
     """MSE and its gradients w.r.t. every weight and bias."""
     n, d_out = Y.shape
-    acts, pre = _forward_cached(model, X)
+    acts, pre = _layer_outputs(model.layers, X)
     pred = acts[-1]
     loss = float(np.mean((pred - Y) ** 2))
     delta = (2.0 / (n * d_out)) * (pred - Y)

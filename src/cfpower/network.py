@@ -5,6 +5,9 @@ simulated patch behaves like the interior of a much larger network. Each
 AP-UE link gets a large-scale gain from an urban-microcell pathloss law and
 a spatial correlation matrix, either white (beta * I) or from a Gaussian
 local-scattering profile for a half-wavelength uniform linear array.
+`wrap_displacements` is the one torus metric: distances take it per (UE, AP)
+pair, arrival angles per (AP, UE) pair. All links' correlation matrices are
+built at once, with one batched eigendecomposition for their PSD clip.
 """
 
 import math
@@ -26,32 +29,21 @@ _WRAP_SHIFTS = np.array(
 ANTENNA_SPACING = 0.5  # in wavelengths, along the x axis
 
 
-def wrap_displacement(p, q, area_m):
-    """Displacement q - p under the wrap-around metric.
+def wrap_displacements(origins, targets, area_m):
+    """Nearest-image displacements target - origin on the torus.
 
-    Returns the (dx, dy) of the image of q closest to p. Ties resolve to the
-    first image in the fixed shift order.
+    Returns (disp, d2): disp (len(origins), len(targets), 2) holds, for
+    every pair, the displacement to the image of the target closest to the
+    origin, and d2 its squared length. Ties resolve to the first image in
+    the fixed shift order.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    cand = q + _WRAP_SHIFTS * area_m - p
-    idx = int(np.argmin(np.einsum("ij,ij->i", cand, cand)))
-    return cand[idx]
-
-
-def wrap_distance(p, q, area_m):
-    """Torus distance between two points, floored at MIN_DISTANCE_M."""
-    dx, dy = wrap_displacement(p, q, area_m)
-    return max(math.hypot(dx, dy), MIN_DISTANCE_M)
-
-
-def wrap_distance_matrix(points_a, points_b, area_m):
-    """Pairwise torus distances, shape (len(a), len(b)), floored at 1 m."""
-    a = np.asarray(points_a, dtype=float)[:, None, None, :]
-    b = np.asarray(points_b, dtype=float)[None, :, None, :]
-    diff = b + _WRAP_SHIFTS[None, None, :, :] * area_m - a
-    d2 = np.min(np.einsum("abij,abij->abi", diff, diff), axis=-1)
-    return np.maximum(np.sqrt(d2), MIN_DISTANCE_M)
+    a = np.asarray(origins, dtype=float)[:, None, None, :]
+    b = np.asarray(targets, dtype=float)[None, :, None, :]
+    cand = b + _WRAP_SHIFTS[None, None, :, :] * area_m - a
+    cand_d2 = np.einsum("abij,abij->abi", cand, cand)
+    idx = np.argmin(cand_d2, axis=-1)
+    i, j = np.indices(idx.shape, sparse=True)
+    return cand[i, j, idx], cand_d2[i, j, idx]
 
 
 def pathloss_beta(distance_m, offset_db=-30.5, exponent_db=36.7):
@@ -105,7 +97,8 @@ def drop_scenario(cfg: NetworkConfig, seed, ap_positions=None) -> Scenario:
     ap = np.asarray(ap_positions, dtype=float)
     if ap.shape != (cfg.L, 2):
         raise ValueError(f"expected ({cfg.L}, 2) AP positions, got {ap.shape}")
-    dist = wrap_distance_matrix(ue, ap, cfg.area_m)
+    d2 = wrap_displacements(ue, ap, cfg.area_m)[1]
+    dist = np.maximum(np.sqrt(d2), MIN_DISTANCE_M)
     return Scenario(ap_positions=ap, ue_positions=ue, distances=dist,
                     area_m=cfg.area_m)
 
@@ -118,19 +111,25 @@ class ChannelStatistics:
     R: np.ndarray      # (K, L, N, N) complex spatial correlation, tr/N = beta
 
 
-def _local_scattering_matrix(beta, phi, spread_rad, n_antennas):
-    """Closed-form Gaussian angular-spread ULA correlation, trace = N*beta."""
+def _local_scattering(beta, phi, spread_rad, n_antennas):
+    """Closed-form Gaussian angular-spread ULA correlations, trace = N*beta.
+
+    beta and phi are arrays of one shape S; the result is (*S, N, N).
+    """
     m = np.arange(n_antennas)
-    delta = m[:, None] - m[None, :]
-    arg = 2.0 * np.pi * ANTENNA_SPACING * delta
+    arg = 2.0 * np.pi * ANTENNA_SPACING * (m[:, None] - m[None, :])
+    beta, phi = beta[..., None, None], phi[..., None, None]
     R = beta * np.exp(1j * arg * np.sin(phi)) \
         * np.exp(-0.5 * (spread_rad * arg * np.cos(phi)) ** 2)
-    # the closed form can be slightly indefinite; clip and restore the trace
+    # the closed form can be slightly indefinite; clip those links and
+    # restore their trace
     eigval, eigvec = np.linalg.eigh(R)
-    if eigval[0] < 0.0:
-        eigval = np.clip(eigval, 0.0, None)
-        R = (eigvec * eigval) @ eigvec.conj().T
-        R *= n_antennas * beta / np.trace(R).real
+    neg = eigval[..., 0] < 0.0
+    if np.any(neg):
+        val, vec = np.clip(eigval[neg], 0.0, None), eigvec[neg]
+        clipped = (vec * val[:, None, :]) @ np.swapaxes(vec, -1, -2).conj()
+        trace = np.trace(clipped, axis1=-2, axis2=-1).real
+        R[neg] = clipped * (n_antennas * beta[neg] / trace[:, None, None])
     return R
 
 
@@ -138,18 +137,13 @@ def build_statistics(cfg: NetworkConfig, scenario: Scenario) -> ChannelStatistic
     """Pathloss plus correlation matrices for every AP-UE pair."""
     beta = pathloss_beta(scenario.distances, cfg.pathloss_offset_db,
                          cfg.pathloss_exponent)
-    K, L, N = cfg.K, cfg.L, cfg.N
-    R = np.zeros((K, L, N, N), dtype=complex)
     if cfg.correlation_model == "uncorrelated":
-        eye = np.eye(N)
-        R[:] = beta[:, :, None, None] * eye
+        R = (beta[:, :, None, None] * np.eye(cfg.N)).astype(complex)
     else:
-        spread = math.radians(cfg.angular_spread_deg)
-        for k in range(K):
-            for l in range(L):
-                disp = wrap_displacement(scenario.ap_positions[l],
-                                         scenario.ue_positions[k],
-                                         cfg.area_m)
-                phi = math.atan2(disp[1], disp[0])
-                R[k, l] = _local_scattering_matrix(beta[k, l], phi, spread, N)
+        # angle of arrival at each AP: displacement AP -> UE, as (K, L)
+        disp = wrap_displacements(scenario.ap_positions,
+                                  scenario.ue_positions, cfg.area_m)[0]
+        phi = np.arctan2(disp[..., 1], disp[..., 0]).T
+        R = _local_scattering(beta, phi, math.radians(cfg.angular_spread_deg),
+                              cfg.N)
     return ChannelStatistics(beta=beta, R=R)

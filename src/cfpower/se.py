@@ -156,6 +156,7 @@ def estimate_se_parameters(batch, w: np.ndarray,
     if w.shape != h.shape:
         raise ValueError("precoders and channels must share a shape")
     s_acc = np.zeros((K, L), dtype=complex)
+    im2_acc = np.zeros((K, L))
     b_acc = np.zeros((K, K, L, L))
     for start in range(0, n_real, _CHUNK):
         # g[r, l, k, i] = h_kl^H w_il: one (K, N) @ (N, K) product per
@@ -163,7 +164,9 @@ def estimate_se_parameters(batch, w: np.ndarray,
         hc = h[start:start + _CHUNK].conj().transpose(0, 2, 1, 3)
         wc = w[start:start + _CHUNK].transpose(0, 2, 3, 1)
         g = np.matmul(hc, wc)
-        s_acc += np.diagonal(g, axis1=2, axis2=3).sum(axis=0).T
+        g_kk = np.diagonal(g, axis1=2, axis2=3)
+        s_acc += g_kk.sum(axis=0).T
+        im2_acc += (g_kk.imag ** 2).sum(axis=0).T
         # the float view interleaves Re and Im along the realization axis,
         # so one real Gram product per (k, i) gives Re(G_ki^H G_ki)
         gv = np.ascontiguousarray(g.transpose(2, 3, 1, 0)).view(float)
@@ -171,18 +174,20 @@ def estimate_se_parameters(batch, w: np.ndarray,
     mean_sig = s_acc / n_real
     a = np.abs(mean_sig)
     B = b_acc / n_real
-    # per-entry ratios are recorded, but the warning keys on the global
-    # (Frobenius) ratio: weak links carry Monte-Carlo noise that swamps
-    # their tiny means, while a genuine rotation error moves the strong
-    # entries and therefore the global ratio. The gate scales with the
-    # standard error of the mean, 1/sqrt(n_real): 0.01 at 1000 realizations
+    # per-entry ratios are recorded. The warning asks whether the imaginary
+    # means are Monte-Carlo noise: without a rotation error, each squared
+    # mean over its squared standard error is about chi-square(1), so their
+    # sum T over the M entries with spread stays near M
     ratio = np.abs(mean_sig.imag) / np.maximum(a, 1e-300)
     worst = float(ratio.max()) if a.size else 0.0
-    total = float(np.linalg.norm(mean_sig))
-    residue = float(np.linalg.norm(mean_sig.imag)) / max(total, 1e-300)
-    if residue > 0.01 * np.sqrt(1000.0 / n_real):
-        log.warning("imaginary residue at %.3g of the signal mean; rotation "
-                    "convention may be off for this precoder", residue)
+    se2 = (im2_acc / n_real - mean_sig.imag ** 2) / (n_real - 1)
+    spread = se2 > 0.0
+    t_stat = float(np.sum(mean_sig.imag[spread] ** 2 / se2[spread]))
+    n_dof = int(spread.sum())
+    if t_stat > n_dof + 6.0 * np.sqrt(2.0 * n_dof):
+        log.warning("imaginary residue of %.3g squared standard errors over "
+                    "%d signal means; rotation convention may be off for "
+                    "this precoder", t_stat, n_dof)
     return SEParameters(a=a, B=B, sigma2=cfg.noise_power, prelog=cfg.prelog,
                         n_real=n_real, imag_residue=worst)
 

@@ -24,9 +24,11 @@ feasibility is preserved). The test-suite checks ADMM against a long-run
 projected-gradient oracle of its own. Normalized objective comparisons there
 use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
-Each outer step computes the eigenbasis of the C_i once, to check and PSD-clip
-C; ADMM reuses it for its x-update operator (C_i + rho I)^-1, which it rebuilds
-only when residual balancing moves rho. SINR terms come from se.sinr_terms.
+Each outer step computes the eigenbasis of the C_i once and checks it for
+corrupt (indefinite) inputs. ADMM builds its x-update operator (C_i + rho I)^-1
+from the clipped eigenvalues and rebuilds it only when residual balancing
+moves rho; C itself is formed again only by `subproblem_matrices`, for tests
+and diagnostics. SINR terms come from se.sinr_terms.
 """
 
 import logging
@@ -104,13 +106,16 @@ def subproblem_matrices(params: SEParameters, omega: np.ndarray,
     """Quadratic forms (C, q) of the subproblem, C symmetrized and PSD.
 
     C_i inherits positive semidefiniteness from the B estimates; eigenvalues
-    below the relative floor indicate corrupt inputs and raise.
+    below the relative floor indicate corrupt inputs and raise. C is rebuilt
+    from its clipped eigenbasis, the operator ADMM works with.
     """
-    return _subproblem(params, omega, v)[:2]
+    q, eigval, eigvec = _subproblem(params, omega, v)
+    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), q
 
 
 def _subproblem(params, omega, v):
-    """(C, q) plus the clipped eigenbasis (eigval, eigvec) of C."""
+    """q plus the clipped eigenbasis (eigval, eigvec) of C."""
     # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
     C = np.tensordot(omega * v ** 2, params.B, axes=1)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
@@ -118,11 +123,8 @@ def _subproblem(params, omega, v):
     scale = max(float(eigval.max()), 1.0)
     if float(eigval.min()) < _EIG_FLOOR * scale:
         raise NumericalError("subproblem matrix is indefinite beyond tolerance")
-    eigval = np.clip(eigval, 0.0, None)
-    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
-    C = 0.5 * (C + np.swapaxes(C, 1, 2))
     q = (omega * v)[:, None] * params.a
-    return C, q, eigval, eigvec
+    return q, np.clip(eigval, 0.0, None), eigvec
 
 
 def subproblem_objective(C: np.ndarray, q: np.ndarray,
@@ -142,9 +144,7 @@ def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubproblemResult:
-    mu: np.ndarray       # feasible, elementwise nonnegative
-    mu_raw: np.ndarray   # solver output before the sign flip
-    objective: float     # f(mu_raw)
+    mu_raw: np.ndarray   # feasible solver output, before any sign flip
     n_iters: int
     converged: bool
     n_flipped: int
@@ -197,22 +197,21 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
                      state=None) -> SubproblemResult:
     """Solve the convex subproblem for fixed (omega, v) by ADMM.
 
-    The returned mu is feasible for every AP budget and elementwise
-    nonnegative (negative entries are sign-flipped; the count is reported).
-    Pass a previous result's `state` to warm-start ADMM from its iterates.
+    The returned mu_raw is feasible for every AP budget; its negative
+    entries are counted in n_flipped (np.abs(mu_raw) is the nonnegative
+    solution). Pass a previous result's `state` to warm-start ADMM from its
+    iterates.
     """
     if sub_cfg is None:
         sub_cfg = AdmmConfig()
     if not isinstance(sub_cfg, AdmmConfig):
         raise TypeError(f"unknown subproblem config {type(sub_cfg).__name__}")
-    C, q, eigval, eigvec = _subproblem(params, omega, v)
+    q, eigval, eigvec = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
     x, n_iters, converged, state = _admm(q, eigval, eigvec, p_max, sub_cfg,
                                          mu0, state)
-    return SubproblemResult(mu=np.abs(x), mu_raw=x,
-                            objective=subproblem_objective(C, q, x),
-                            n_iters=n_iters, converged=converged,
+    return SubproblemResult(mu_raw=x, n_iters=n_iters, converged=converged,
                             n_flipped=int(np.sum(x < 0.0)), state=state)
 
 

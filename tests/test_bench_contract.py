@@ -2,11 +2,14 @@
 
 `perfbench/tracing.py` wraps module attributes that cfpower calls through,
 and a traced benchmark run exits 3 when an expected span records no call.
-These tests catch a rename or an inlined call before a traced run does. They
-read `perfbench/` and change nothing there.
+These tests catch a rename or an inlined call before a traced run does, and
+a changed signature before the benchmark's units fail on it. They read
+`perfbench/` and change nothing there.
 """
 
+import ast
 import importlib
+import inspect
 import pathlib
 import sys
 
@@ -99,3 +102,57 @@ def test_wmmse_records_every_traced_span(tracing, desk_sample, desk_cfg):
     totals = tracer.totals()
     assert totals[("wmmse.solve_subproblem", None)][0] == result.n_outer
     assert tracer.counts["wmmse.admm_iters"] == result.admm_iters > 0
+
+
+def _resolve(expr, scope):
+    """The cfpower object a name or attribute chain refers to, or None."""
+    if isinstance(expr, ast.Name):
+        return scope.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        owner = _resolve(expr.value, scope)
+        return None if owner is None else getattr(owner, expr.attr, None)
+    return None
+
+
+def cfpower_calls(path):
+    """(source text, callee, call node) for every resolvable call into
+    cfpower: attributes of imported cfpower modules and names imported from
+    them, including attributes of those names such as classmethods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scope = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "cfpower":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                scope[alias.asname or alias.name] = getattr(module,
+                                                            alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = _resolve(node.func, scope)
+            if callable(fn):
+                yield ast.unparse(node.func), fn, node
+
+
+def test_perfbench_calls_bind_to_current_signatures():
+    checked = set()
+    broken = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for name, fn, node in cfpower_calls(path):
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                continue
+            try:
+                inspect.signature(fn).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                broken.append(f"{path.name}:{node.lineno} {name}: {exc}")
+            checked.add(name)
+    assert broken == []
+    # the resolver must reach the benchmark's main entry points
+    assert {"pipeline.cmd_generate", "pipeline.cmd_train",
+            "pipeline.build_sample", "wmmse.wmmse_solve",
+            "wmmse.SolverConfig", "allocator.predict_allocation",
+            "heuristics.heuristic_allocation", "DatasetFile.open",
+            "DatasetFile.create", "SampleRecord", "build_statistics",
+            "dataset.record_size"} <= checked

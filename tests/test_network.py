@@ -2,7 +2,9 @@
 
 Frozen literals were produced by independent tools: mpmath at 50 digits for
 the pathloss law, plain enumeration for wrap-around distances, and
-Gauss-Hermite quadrature for the local-scattering correlation entries.
+Gauss-Hermite quadrature for the local-scattering correlation entries. The
+package's vectorised torus metric is checked against a scalar, one-pair
+reference kept here.
 """
 
 import math
@@ -12,12 +14,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfpower.config import NetworkConfig
-from cfpower.network import (MIN_DISTANCE_M, build_statistics, drop_scenario,
-                             pathloss_beta, place_aps, wrap_displacement,
-                             wrap_distance, wrap_distance_matrix)
+from cfpower.network import (_WRAP_SHIFTS, MIN_DISTANCE_M, _local_scattering,
+                             build_statistics, drop_scenario, pathloss_beta,
+                             place_aps, wrap_displacements)
 
 # mpmath (50 digits): 10^((-30.5 - 36.7 log10(353)) / 10)
 PATHLOSS_353M = 3.9780187997294197e-13
+
+
+def wrap_displacement(p, q, area_m):
+    """Scalar reference: displacement q - p to the image of q closest to p.
+
+    Ties resolve to the first image in the fixed shift order.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    cand = q + _WRAP_SHIFTS * area_m - p
+    idx = int(np.argmin(np.einsum("ij,ij->i", cand, cand)))
+    return cand[idx]
+
+
+def wrap_distance(p, q, area_m):
+    """Scalar reference torus distance, floored at MIN_DISTANCE_M."""
+    dx, dy = wrap_displacement(p, q, area_m)
+    return max(math.hypot(dx, dy), MIN_DISTANCE_M)
 
 
 def brute_force_wrap(p, q, area):
@@ -67,16 +87,31 @@ def test_wrap_displacement_tie_is_deterministic():
     assert (dx, dy) == (-500.0, 0.0)
 
 
-def test_wrap_distance_matrix_matches_scalar():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(0.0, 400.0, size=(5, 2))
-    b = rng.uniform(0.0, 400.0, size=(7, 2))
-    D = wrap_distance_matrix(a, b, 400.0)
-    assert D.shape == (5, 7)
-    for i in range(5):
-        for j in range(7):
-            assert D[i, j] == pytest.approx(
-                wrap_distance(a[i], b[j], 400.0), rel=1e-12)
+# coordinates on the quarter-area lattice put exact half-area ties in play
+_coord = st.one_of(st.floats(0.0, 1000.0),
+                   st.sampled_from([0.0, 250.0, 500.0, 750.0, 1000.0]))
+_point = st.tuples(_coord, _coord)
+
+
+@given(st.lists(_point, min_size=1, max_size=5),
+       st.lists(_point, min_size=1, max_size=7))
+def test_wrap_displacements_match_scalar(origins, targets):
+    disp, d2 = wrap_displacements(origins, targets, 1000.0)
+    assert disp.shape == (len(origins), len(targets), 2)
+    for i, p in enumerate(origins):
+        for j, q in enumerate(targets):
+            ref = wrap_displacement(p, q, 1000.0)
+            assert np.array_equal(disp[i, j], ref)
+            assert d2[i, j] == pytest.approx(ref @ ref, rel=1e-15)
+            assert max(math.sqrt(d2[i, j]), MIN_DISTANCE_M) == pytest.approx(
+                wrap_distance(p, q, 1000.0), rel=1e-12)
+
+
+def test_wrap_displacements_tie_picks_first_image():
+    # (500, 500) away on both axes: four images tie, the first is (-1, -1)
+    disp, d2 = wrap_displacements([(0.0, 0.0)], [(500.0, 500.0)], 1000.0)
+    assert tuple(disp[0, 0]) == (-500.0, -500.0)
+    assert d2[0, 0] == 500000.0
 
 
 def test_pathloss_frozen_values():
@@ -197,9 +232,9 @@ def test_local_scattering_matches_quadrature():
     stats = build_statistics(cfg, scen)
     R = stats.R[0, 0]
     beta = stats.beta[0, 0]
-    disp = wrap_displacement(scen.ap_positions[0], scen.ue_positions[0],
-                             cfg.area_m)
-    phi = math.atan2(disp[1], disp[0])
+    dx, dy = wrap_displacement(scen.ap_positions[0], scen.ue_positions[0],
+                               cfg.area_m)
+    phi = math.atan2(dy, dx)
     spread = math.radians(15.0)
     for n in range(4):
         for m in range(4):
@@ -233,6 +268,37 @@ def test_local_scattering_zero_spread_is_rank_one():
         beta = stats.beta[k, 0]
         assert eig[-1] == pytest.approx(4 * beta, rel=1e-6)
         assert abs(eig[-2]) < 1e-6 * beta
+
+
+def closed_form_correlation(beta, phi, spread, n):
+    """The local-scattering closed form before the PSD clip, per link."""
+    m = np.arange(n)
+    arg = 2.0 * np.pi * 0.5 * (m[:, None] - m[None, :])
+    beta, phi = beta[..., None, None], phi[..., None, None]
+    return beta * np.exp(1j * arg * np.sin(phi)) \
+        * np.exp(-0.5 * (spread * arg * np.cos(phi)) ** 2)
+
+
+def test_local_scattering_clips_only_indefinite_links():
+    # at a 1 mrad spread the closed form is nearly rank one, and rounding
+    # leaves some links' smallest eigenvalue below zero, not all of them
+    rng = np.random.default_rng(8)
+    beta = 10.0 ** rng.uniform(-12.0, -8.0, size=(6, 8))
+    phi = rng.uniform(-np.pi, np.pi, size=(6, 8))
+    spread, n = 1e-3, 4
+    R = _local_scattering(beta, phi, spread, n)
+    ref = closed_form_correlation(beta, phi, spread, n)
+    # eigh, as the package decides; eigvalsh can round the sign otherwise
+    indefinite = np.linalg.eigh(ref)[0][..., 0] < 0.0
+    # the batch mixes clipped and untouched links
+    assert 0 < indefinite.sum() < indefinite.size
+    assert np.array_equal(R[~indefinite], ref[~indefinite])
+    clipped = R[indefinite]
+    assert not np.array_equal(clipped, ref[indefinite])
+    assert np.allclose(np.trace(clipped, axis1=1, axis2=2).real,
+                       n * beta[indefinite], rtol=1e-12, atol=0.0)
+    assert np.all(np.linalg.eigvalsh(clipped)[:, 0]
+                  >= -1e-15 * beta[indefinite])
 
 
 def test_scenario_is_frozen(desk_cfg):
