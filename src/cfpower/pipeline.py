@@ -73,8 +73,10 @@ def build_sample(cfg: NetworkConfig, ap_positions, master_seed: int,
     pil = assign_pilots(stats.beta, cfg.tau_p)
     h = sample_channels(stats, n_real, chan_s)
     batch = mmse_estimate(h, stats, pil, cfg, noise_s)
-    w = compute_precoders(batch, precoder, cfg.p_ul, cfg.noise_power)
-    params = estimate_se_parameters(batch, w, cfg)
+    # precoders are made per realization tile inside the reduction
+    params = estimate_se_parameters(
+        batch, lambda tile: compute_precoders(tile, precoder, cfg.p_ul,
+                                              cfg.noise_power), cfg)
     return SampleInputs(beta=stats.beta, pilot_of=pil.pilot_of, params=params)
 
 

@@ -28,7 +28,9 @@ Each outer step computes the eigenbasis of the C_i once and checks it for
 corrupt (indefinite) inputs. ADMM builds its x-update operator (C_i + rho I)^-1
 from the clipped eigenvalues and rebuilds it only when residual balancing
 moves rho; C itself is formed again only by `subproblem_matrices`, for tests
-and diagnostics. SINR terms come from se.sinr_terms.
+and diagnostics. SINR terms come from se.sinr_terms, once per mu: the
+utility that ends an outer step and the auxiliary update that starts the
+next share them.
 """
 
 import logging
@@ -83,15 +85,16 @@ class AuxiliaryUpdate(NamedTuple):
 
 
 def update_auxiliaries(params: SEParameters, mu: np.ndarray,
-                       objective: str) -> AuxiliaryUpdate:
+                       objective: str, terms=None) -> AuxiliaryUpdate:
     """Closed-form v / e / omega updates for fixed mu.
 
     e is clamped to [E_CLAMP, 1 - E_CLAMP] before the weights; the clamp
-    count is reported so the caller can track degenerate UEs.
+    count is reported so the caller can track degenerate UEs. `terms` is
+    sinr_terms(params, mu) when the caller already has it.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    sig, interf = sinr_terms(params, mu)
+    sig, interf = sinr_terms(params, mu) if terms is None else terms
     den = interf + params.sigma2
     v = sig / den
     e_raw = 1.0 - sig ** 2 / den
@@ -215,13 +218,15 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
                             n_flipped=int(np.sum(x < 0.0)), state=state)
 
 
-def utility(params: SEParameters, mu: np.ndarray, objective: str) -> float:
+def utility(params: SEParameters, mu: np.ndarray, objective: str,
+            terms=None) -> float:
     """Network utility of mu: sum of SEs (sumse) or sum of their logs (pf).
 
     Expressed without the prelog factor, which shifts or scales the utility
-    by a constant and does not move the optimizer.
+    by a constant and does not move the optimizer. `terms` is
+    sinr_terms(params, mu) when the caller already has it.
     """
-    sinr = effective_sinr(params, mu)
+    sinr = effective_sinr(params, mu, terms)
     with np.errstate(divide="ignore"):
         rates = np.log2(1.0 + sinr)
         if objective == "sumse":
@@ -275,21 +280,25 @@ def wmmse_solve(params: SEParameters, p_max: float,
     if cfg is None:
         cfg = SolverConfig()
     mu = _initial_mu(params, p_max, cfg.init, beta)
-    if cfg.objective == "pf" and np.any(effective_sinr(params, mu) <= 0.0):
+    # the SINR terms of each mu serve the utility that ends one outer step
+    # and the auxiliary update that starts the next
+    terms = sinr_terms(params, mu)
+    if cfg.objective == "pf" and np.any(
+            effective_sinr(params, mu, terms) <= 0.0):
         raise ValueError("PF requires a strictly positive SINR per UE at init")
 
     def max_violation(m):
         per_ap = np.sum(m ** 2, axis=0)
         return float(max(0.0, (per_ap.max() - p_max) / p_max))
 
-    trace = [utility(params, mu, cfg.objective)]
+    trace = [utility(params, mu, cfg.objective, terms)]
     violations = [max_violation(mu)]
     clamp_events = exhausted = admm_iters = sign_flips = 0
     converged = False
     n_outer = 0
     state = None
     for n_outer in range(1, cfg.max_outer_iters + 1):
-        aux = update_auxiliaries(params, mu, cfg.objective)
+        aux = update_auxiliaries(params, mu, cfg.objective, terms)
         clamp_events += aux.clamped
         result = solve_subproblem(params, aux.omega, aux.v, p_max, mu0=mu,
                                   state=state)
@@ -298,7 +307,8 @@ def wmmse_solve(params: SEParameters, p_max: float,
         admm_iters += result.n_iters
         sign_flips += result.n_flipped
         mu = result.mu_raw
-        trace.append(utility(params, mu, cfg.objective))
+        terms = sinr_terms(params, mu)
+        trace.append(utility(params, mu, cfg.objective, terms))
         violations.append(max_violation(mu))
         if (trace[-1] - trace[-2]) ** 2 < cfg.eps_outer:
             converged = True

@@ -1,13 +1,19 @@
 """Shared fixtures: preset configs, cached drops, synthetic SE parameters,
-and the projected-gradient oracle for the WMMSE subproblem."""
+the projected-gradient oracle for the WMMSE subproblem and the one-shot
+Monte-Carlo front end."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from cfpower.cli import resolve_config
-from cfpower.network import place_aps
-from cfpower.pipeline import TEST_NAMESPACE, build_sample
+from cfpower.estimation import ChannelBatch
+from cfpower.network import build_statistics, drop_scenario, place_aps
+from cfpower.pilots import assign_pilots
+from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
+from cfpower.precoding import compute_precoders
 from cfpower.se import SEParameters
 from cfpower.wmmse import project_per_ap
 
@@ -100,3 +106,82 @@ def _projected_gradient(C, q, p_max, eps_inner, max_iters=200000, x0=None):
 @pytest.fixture(scope="session")
 def projected_gradient():
     return _projected_gradient
+
+
+# The Monte-Carlo front end as one untiled pass, as it ran before the
+# realization tiles: every stage holds its (n_real, K, L, N) output in full,
+# and the reduction walks the 64-realization chunks of the whole batch.
+
+def _oneshot_sample_channels(stats, n_real, seed):
+    K, L, N = stats.R.shape[:3]
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n_real, K, L, N))
+         + 1j * rng.standard_normal((n_real, K, L, N))) / np.sqrt(2.0)
+    eigval, eigvec = np.linalg.eigh(stats.R)
+    eigval = np.clip(eigval, 0.0, None)
+    sqrt_R = (eigvec * np.sqrt(eigval)[..., None, :]) @ np.swapaxes(
+        eigvec.conj(), -1, -2)
+    h = np.empty(z.shape, dtype=complex)
+    np.matmul(z.transpose(1, 2, 0, 3), np.swapaxes(sqrt_R, -1, -2),
+              out=h.transpose(1, 2, 0, 3))
+    return h
+
+
+def _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_seed):
+    n_real, K, L, N = h.shape
+    tau_p, p_ul, sigma2 = cfg.tau_p, cfg.p_ul, cfg.noise_power
+    rng = np.random.default_rng(noise_seed)
+    amp = np.sqrt(tau_p * p_ul)
+    y = (rng.standard_normal((n_real, tau_p, L, N))
+         + 1j * rng.standard_normal((n_real, tau_p, L, N)))
+    y *= np.sqrt(sigma2 / 2.0)
+    psi = np.empty((tau_p, L, N, N), dtype=complex)
+    for t, group in enumerate(pilots.groups):
+        psi[t] = sigma2 * np.eye(N)
+        for i in group:
+            y[:, t] += amp * h[:, i]
+            psi[t] = psi[t] + tau_p * p_ul * stats.R[i]
+    pilot_of = np.asarray(pilots.pilot_of, dtype=int)
+    filters = amp * stats.R @ np.linalg.inv(psi)[pilot_of]
+    h_hat = np.empty(h.shape, dtype=complex)
+    np.matmul(y[:, pilot_of].transpose(1, 2, 0, 3),
+              np.swapaxes(filters, -1, -2), out=h_hat.transpose(1, 2, 0, 3))
+    return h_hat
+
+
+def _oneshot_moments(h, w):
+    """(a, B) from the untiled 64-realization chunk loop."""
+    n_real, K, L, N = h.shape
+    s_acc = np.zeros((K, L), dtype=complex)
+    b_acc = np.zeros((K, K, L, L))
+    for start in range(0, n_real, 64):
+        hc = h[start:start + 64].conj().transpose(0, 2, 1, 3)
+        wc = w[start:start + 64].transpose(0, 2, 3, 1)
+        g = np.matmul(hc, wc)
+        s_acc += np.diagonal(g, axis1=2, axis2=3).sum(axis=0).T
+        gv = np.ascontiguousarray(g.transpose(2, 3, 1, 0)).view(float)
+        b_acc += np.matmul(gv, np.swapaxes(gv, -1, -2))
+    return np.abs(s_acc / n_real), b_acc / n_real
+
+
+def _oneshot_sample(cfg, aps, master_seed, namespace, index, precoder,
+                    n_real):
+    """`build_sample`'s drop through the one-shot front end: (h, h_hat,
+    params), params without the residue diagnostic."""
+    drop_s, chan_s, noise_s = sample_seeds(master_seed, namespace, index)
+    stats = build_statistics(cfg, drop_scenario(cfg, drop_s, aps))
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    h = _oneshot_sample_channels(stats, n_real, chan_s)
+    h_hat = _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_s)
+    w = compute_precoders(ChannelBatch(h=h, h_hat=h_hat), precoder, cfg.p_ul,
+                          cfg.noise_power)
+    a, B = _oneshot_moments(h, w)
+    return h, h_hat, SEParameters(a=a, B=B, sigma2=cfg.noise_power,
+                                  prelog=cfg.prelog, n_real=n_real)
+
+
+@pytest.fixture(scope="session")
+def oneshot():
+    return SimpleNamespace(sample_channels=_oneshot_sample_channels,
+                           mmse_estimate=_oneshot_mmse_estimate,
+                           sample=_oneshot_sample)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfpower import allocator, pipeline, wmmse
+from cfpower import allocator, estimation, pipeline, wmmse
 from cfpower.mlp import MODEL_KINDS, build_model
 from cfpower.scaling import ScalerParams
 
@@ -102,6 +102,42 @@ def test_wmmse_records_every_traced_span(tracing, desk_sample, desk_cfg):
     totals = tracer.totals()
     assert totals[("wmmse.solve_subproblem", None)][0] == result.n_outer
     assert tracer.counts["wmmse.admm_iters"] == result.admm_iters > 0
+
+
+# the spans of build_sample's stages, which generate-large-rzf's per-layer
+# figures and the allocate workloads' set-up time come from
+FRONT_END_SPANS = ("network.drop_scenario", "network.build_statistics",
+                   "pilots.assign_pilots", "estimation.sample_channels",
+                   "estimation.mmse_estimate", "precoding.compute_precoders",
+                   "se.estimate_se_parameters")
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 1], ids=["one-tile", "tiled"])
+def test_build_sample_records_every_front_end_span(tracing, desk_cfg,
+                                                   monkeypatch, tile_bytes):
+    if tile_bytes is not None:
+        monkeypatch.setattr(estimation, "_TILE_BYTES", tile_bytes)
+    n_real = 300
+    K, L, N = desk_cfg.K, desk_cfg.L, desk_cfg.N
+    aps = pipeline.place_aps(desk_cfg, desk_cfg.seed)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.begin_unit()
+        pipeline.build_sample(desk_cfg, aps, desk_cfg.seed,
+                              pipeline.TEST_NAMESPACE, 0, "rzf", n_real)
+    expected = [(n, None) for n in ("pipeline.build_sample",)
+                + FRONT_END_SPANS]
+    assert tracing.missing_spans(tracer, expected) == []
+    totals = tracer.totals()
+    for name in FRONT_END_SPANS:
+        calls = totals[(name, None)][0]
+        if name == "precoding.compute_precoders":
+            # once per realization tile, inside the reduction's span
+            assert calls == len(estimation.realization_tiles(n_real, K, L, N))
+        else:
+            assert calls == 1, name
+    # the reduction's cost figures count the whole batch, as before tiling
+    assert tracer.counts["se.flop"] == 8.0 * n_real * K * K * L * (N + L)
 
 
 def _resolve(expr, scope):

@@ -6,15 +6,18 @@ amp^2 R Psi^-1 R with Psi = sum_group amp^2 R_i + sigma2 I. Sample moments
 at a few 10^4 realizations sit well inside the tolerances used here.
 
 The batched implementation is also checked draw by draw against plain
-per-link loops that share the random draw order.
+per-link loops that share the random draw order, and tile by tile against
+the one-shot front end in `conftest.py`.
 """
 
 import numpy as np
 import pytest
 
+from cfpower import estimation
 from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
-from cfpower.estimation import mmse_estimate, sample_channels
+from cfpower.estimation import (mmse_estimate, realization_tiles,
+                                sample_channels)
 from cfpower.network import (ChannelStatistics, build_statistics,
                              drop_scenario)
 from cfpower.pilots import assign_pilots
@@ -247,3 +250,40 @@ def test_batched_estimation_matches_reference_loops(make):
     batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
     ref = reference_mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
     assert np.allclose(batch.h_hat, ref, rtol=1e-12, atol=0.0)
+
+
+def test_tile_rule():
+    # whole 64-realization chunks within the byte budget, at least one
+    # chunk; a batch within the budget is one tile
+    large, desk = resolve_config("large"), resolve_config("desk")
+    shape = (large.K, large.L, large.N)
+    tiles = realization_tiles(1000, *shape)
+    assert [t.stop - t.start for t in tiles] == [64] * 15 + [40]
+    assert [t.start for t in tiles] == list(range(0, 1000, 64))
+    assert realization_tiles(1000, desk.K, desk.L, desk.N) == [slice(0, 1000)]
+    # allocate's 100-realization drops fit the budget
+    assert realization_tiles(100, *shape) == [slice(0, 100)]
+    assert realization_tiles(200, *shape)[-1] == slice(192, 200)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _desk_stats("uncorrelated"),
+    _mixed_stats,
+], ids=["diagonal", "mixed"])
+@pytest.mark.parametrize("n_real", [100, 300])
+def test_tiled_stages_give_the_oneshot_bytes(monkeypatch, oneshot, make,
+                                             n_real):
+    cfg, stats = make()
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    h_ref = oneshot.sample_channels(stats, n_real, 24)
+    h_hat_ref = oneshot.mmse_estimate(h_ref, stats, pilots, cfg, 25)
+    row_bytes = h_ref[0].nbytes
+    # tiles of 64, 128 and 192 realizations, then one tile
+    for chunks in (1, 2, 3, None):
+        budget = n_real * row_bytes if chunks is None \
+            else chunks * estimation._CHUNK * row_bytes
+        monkeypatch.setattr(estimation, "_TILE_BYTES", budget)
+        h = sample_channels(stats, n_real, 24)
+        assert np.array_equal(h, h_ref)
+        batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=25)
+        assert np.array_equal(batch.h_hat, h_hat_ref)

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def test_train_and_test_populations_differ(desk_cfg):
     test = build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, 0,
                         "rzf", N_REAL)
     assert not np.array_equal(train.beta, test.beta)
+
+
+def test_build_sample_front_end_stays_tiled_in_memory(large_cfg):
+    # a guard that no (n_real, K, L, N) temporary comes back: besides the
+    # channel draw's real half, only h and h_hat exist in full. Untiled, one
+    # such drop peaked at 5.5 x h.nbytes; tiled, at 2.8 x
+    n_real = 1000
+    aps = place_aps(large_cfg, large_cfg.seed)
+    h_bytes = 16 * n_real * large_cfg.K * large_cfg.L * large_cfg.N
+    tracemalloc.start()
+    try:
+        build_sample(large_cfg, aps, large_cfg.seed, TRAIN_NAMESPACE, 0,
+                     "rzf", n_real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * h_bytes, f"peak {peak / h_bytes:.2f} x h.nbytes"
 
 
 def test_generate_is_byte_deterministic(tmp_path, desk_cfg):

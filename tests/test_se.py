@@ -7,7 +7,9 @@ and the second moment collapses to the full channel gain beta. The frozen
 literals below were computed with mpmath at 50 digits for a 200 m link under
 the desk preset's pilot and noise numbers. Second, a naive double-loop
 estimator recomputes (a, B) entry by entry on small batches and must agree
-to machine precision.
+to machine precision. Third, the tiled front end of `build_sample` must
+give the bytes of the one-shot front end in `conftest.py`, whatever the
+tile size.
 """
 
 import logging
@@ -15,11 +17,13 @@ import logging
 import numpy as np
 import pytest
 
-from cfpower import se
+from cfpower import estimation, pipeline, se
+from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
 from cfpower.errors import DataFormatError
 from cfpower.estimation import ChannelBatch, mmse_estimate, sample_channels
-from cfpower.network import ChannelStatistics
+from cfpower.network import ChannelStatistics, place_aps
+from cfpower.pipeline import TEST_NAMESPACE, build_sample
 from cfpower.pilots import assign_pilots
 from cfpower.precoding import compute_precoders
 from cfpower.se import (BUDGET_SLACK, PowerAllocation, SEParameters,
@@ -112,6 +116,74 @@ def test_estimator_input_guards():
         estimate_se_parameters(batch, w[:, :1], cfg)
 
 
+def test_estimator_takes_precoders_per_tile(monkeypatch):
+    h, w = random_batch(300, seed=4)
+    cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
+                        ap_placement="uniform-random")
+    batch = ChannelBatch(h=h, h_hat=w)
+    # 128-realization tiles: 0-128, 128-256 and a partial 256-300
+    monkeypatch.setattr(estimation, "_TILE_BYTES", 2 * se._CHUNK * h[0].nbytes)
+    asked = []
+
+    def precoders(tile):
+        asked.append(tile.n_real)
+        start = sum(asked[:-1])
+        assert np.array_equal(tile.h, h[start:start + tile.n_real])
+        return tile.h_hat
+    tiled = estimate_se_parameters(batch, precoders, cfg)
+    assert asked == [128, 128, 44]
+    assert tiled == estimate_se_parameters(batch, w, cfg)
+    with pytest.raises(ValueError, match="shape"):
+        estimate_se_parameters(batch, lambda tile: tile.h_hat[:, :1], cfg)
+
+
+# (preset, correlation model, precoder, realizations); at 64-realization
+# tiles every count here ends in a partial tile
+FRONT_END_CASES = [
+    ("large", "uncorrelated", "rzf", 1000),
+    ("large", "local-scattering", "mr", 1000),
+    ("large", "local-scattering", "rzf", 300),
+    ("large", "uncorrelated", "mr", 100),
+    ("desk", "uncorrelated", "rzf", 1000),
+    ("desk", "local-scattering", "mr", 1000),
+    ("desk", "local-scattering", "rzf", 300),
+    ("desk", "uncorrelated", "mr", 100),
+]
+
+
+@pytest.mark.parametrize("preset,correlation,precoder,n_real",
+                         FRONT_END_CASES)
+def test_tiled_build_sample_gives_the_oneshot_bytes(
+        monkeypatch, oneshot, preset, correlation, precoder, n_real):
+    cfg = resolve_config(preset).replace(correlation_model=correlation)
+    aps = place_aps(cfg, cfg.seed)
+    index = 2
+    h, h_hat, ref = oneshot.sample(cfg, aps, cfg.seed, TEST_NAMESPACE, index,
+                                   precoder, n_real)
+    seen = []
+    reduce = pipeline.estimate_se_parameters
+
+    def spy(batch, w, net):
+        seen.append(batch)
+        return reduce(batch, w, net)
+    monkeypatch.setattr(pipeline, "estimate_se_parameters", spy)
+    row_bytes = h[0].nbytes
+    sizes = set()
+    # 64-realization tiles, 192-realization tiles, one tile
+    for budget in (1, 3 * se._CHUNK * row_bytes, n_real * row_bytes):
+        monkeypatch.setattr(estimation, "_TILE_BYTES", budget)
+        sizes.add(estimation.realization_tiles(*h.shape)[0].stop)
+        sample = build_sample(cfg, aps, cfg.seed, TEST_NAMESPACE, index,
+                              precoder, n_real)
+        batch = seen.pop()
+        assert np.array_equal(batch.h, h)
+        assert np.array_equal(batch.h_hat, h_hat)
+        assert np.array_equal(sample.params.a, ref.a)
+        assert np.array_equal(sample.params.B, ref.B)
+        assert sample.params.digest() == ref.digest()
+    assert len(sizes) == (2 if n_real <= 192 else 3)
+
+
 def test_rotation_warning_fires_only_when_rotated(caplog):
     cfg, _ = None, None
     h, w = random_batch(512, seed=3)
@@ -135,8 +207,6 @@ def test_rotation_warning_fires_only_when_rotated(caplog):
 
 
 def test_shipped_preset_build_stays_below_residue_gate(desk_cfg, caplog):
-    from cfpower.network import place_aps
-    from cfpower.pipeline import TEST_NAMESPACE, build_sample
     aps = place_aps(desk_cfg, desk_cfg.seed)
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
         build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, 3,
@@ -149,8 +219,6 @@ def test_residue_gate_follows_realization_count(desk_cfg, caplog, index):
     # plain MR on these drops leaves a global residue of 0.015-0.019 at
     # 200 realizations: Monte-Carlo noise, inside the gate once it scales
     # with the standard error of the mean
-    from cfpower.network import place_aps
-    from cfpower.pipeline import TEST_NAMESPACE, build_sample
     aps = place_aps(desk_cfg, desk_cfg.seed)
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
         build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, index,

@@ -10,7 +10,7 @@ case. Normalized objective comparisons follow
 import numpy as np
 import pytest
 
-from cfpower import wmmse
+from cfpower import se, wmmse
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
 from cfpower.wmmse import (E_CLAMP, AdmmConfig, AuxiliaryUpdate,
                            SolverConfig, SubproblemResult, project_per_ap,
@@ -407,7 +407,8 @@ def ref_sinr_terms(params, mu):
     return sig, np.einsum("il,kilm,im->k", mu, params.B, mu)
 
 
-def ref_update_auxiliaries(params, mu, objective):
+def ref_update_auxiliaries(params, mu, objective, terms=None):
+    # recomputes the terms it is handed, as the outer step first did
     sig, interf = ref_sinr_terms(params, mu)
     den = interf + params.sigma2
     e_raw = 1.0 - sig ** 2 / den
@@ -417,12 +418,12 @@ def ref_update_auxiliaries(params, mu, objective):
                            clamped=int(np.sum(e != e_raw)))
 
 
-def ref_effective_sinr(params, mu):
+def ref_effective_sinr(params, mu, terms=None):
     sig, interf = ref_sinr_terms(params, mu)
     return sig ** 2 / (interf - sig ** 2 + params.sigma2)
 
 
-def ref_utility(params, mu, objective):
+def ref_utility(params, mu, objective, terms=None):
     with np.errstate(divide="ignore"):
         rates = np.log2(1.0 + ref_effective_sinr(params, mu))
         return float(np.sum(rates if objective == "sumse"
@@ -512,3 +513,22 @@ def test_outer_loop_matches_reference_step(desk_sample, desk_cfg,
         assert np.allclose(fast.alloc.mu, ref.alloc.mu, rtol=1e-10,
                            atol=1e-10 * np.abs(ref.alloc.mu).max())
         assert np.allclose(fast.trace, ref.trace, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+def test_outer_loop_takes_sinr_terms_once_per_iterate(desk_sample, desk_cfg,
+                                                      monkeypatch, objective):
+    # the utility that ends an outer step and the auxiliary update that
+    # starts the next share one evaluation; at the init, PF's positivity
+    # check shares it too
+    calls = []
+
+    def counting(params, mu):
+        calls.append(mu)
+        return se.sinr_terms(params, mu)
+    monkeypatch.setattr(wmmse, "sinr_terms", counting)
+    sample = desk_sample("mr")
+    result = wmmse_solve(sample.params, desk_cfg.p_max_dl,
+                         SolverConfig(objective=objective), beta=sample.beta)
+    assert result.n_outer > 1
+    assert len(calls) == result.n_outer + 1
