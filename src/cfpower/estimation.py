@@ -17,8 +17,7 @@ untiled draw: the real half is drawn in full, then the imaginary half tile
 by tile, so no output bit depends on the tile size. At `large` with 1000
 realizations the real halves are 10.2 MB (channels) and 5.1 MB (pilot
 noise); besides them only `h`, `h_hat` (20.5 MB each) and tile-sized
-temporaries exist. The untiled front end also held z, the noise, the
-gathered pilot signals and the precoders in full, 20.5 MB each.
+temporaries exist.
 """
 
 from dataclasses import dataclass
@@ -61,23 +60,17 @@ def realization_tiles(n_real, K, L, N):
     return [slice(s, min(s + step, n_real)) for s in range(0, n_real, step)]
 
 
-def _apply_per_link(x, M, out, staged):
+def _apply_per_link(x, M, out):
     """out[:, k, l] = M[k, l] @ x[:, k, l] for x and out (n, K, L, N) and
     M (K, L, N, N).
 
-    The rows of one link lie K·L·N elements apart. `staged` puts the
-    product in a contiguous temporary first and copies it over: tile after
-    tile the temporary stays in cache, and a `large` drop took 16-18 ms
-    per map against 27 ms for the product written in place. For a batch of
-    one tile the temporary is fresh memory, and the product in place is
-    faster (a `desk` drop: 0.18 against 0.36 ms). Both give the same bits.
+    The rows of one link lie K·L·N elements apart, so the product goes to a
+    contiguous temporary and is copied over: tile after tile the temporary
+    stays in cache, and a `large` drop took 16-18 ms per map against 27 ms
+    for the product written in place.
     """
-    xt = x.transpose(1, 2, 0, 3)
-    Mt = np.swapaxes(M, -1, -2)
-    if staged:
-        out[...] = np.matmul(xt, Mt).transpose(2, 0, 1, 3)
-    else:
-        np.matmul(xt, Mt, out=out.transpose(1, 2, 0, 3))
+    out[...] = np.matmul(x.transpose(1, 2, 0, 3),
+                         np.swapaxes(M, -1, -2)).transpose(2, 0, 1, 3)
 
 
 def _sqrtm_psd(R):
@@ -113,11 +106,10 @@ def sample_channels(stats: ChannelStatistics, n_real: int, seed) -> np.ndarray:
     K, L, N = stats.R.shape[:3]
     sqrt_R = _sqrtm_psd(stats.R)
     h = np.empty((n_real, K, L, N), dtype=complex)
-    tiles = realization_tiles(*h.shape)
     for tile, z in _complex_normals(np.random.default_rng(seed), h.shape,
-                                    tiles):
+                                    realization_tiles(*h.shape)):
         z /= np.sqrt(2.0)
-        _apply_per_link(z, sqrt_R, h[tile], staged=len(tiles) > 1)
+        _apply_per_link(z, sqrt_R, h[tile])
     return h
 
 
@@ -140,15 +132,14 @@ def mmse_estimate(h: np.ndarray, stats: ChannelStatistics,
     pilot_of = np.asarray(pilots.pilot_of, dtype=int)
     filters = amp * stats.R @ np.linalg.inv(psi)[pilot_of]
     h_hat = np.empty(h.shape, dtype=complex)
-    tiles = realization_tiles(*h.shape)
     # despread observation per (pilot, AP):
     # y_t = sum_{i in group t} sqrt(tau_p p) h_i + n,  n ~ CN(0, sigma2 I)
     for tile, y in _complex_normals(np.random.default_rng(noise_seed),
-                                    (n_real, tau_p, L, N), tiles):
+                                    (n_real, tau_p, L, N),
+                                    realization_tiles(*h.shape)):
         y *= np.sqrt(sigma2 / 2.0)
         for t, group in enumerate(pilots.groups):
             for i in group:
                 y[:, t] += amp * h[tile, i]
-        _apply_per_link(y[:, pilot_of], filters, h_hat[tile],
-                        staged=len(tiles) > 1)
+        _apply_per_link(y[:, pilot_of], filters, h_hat[tile])
     return ChannelBatch(h=h, h_hat=h_hat)

@@ -26,10 +26,8 @@ The chunks are walked in the front end's realization tiles
 a function instead of an array, the reduction asks it for each tile's
 precoders, so no full precoder array exists; `pipeline.build_sample` works
 that way. The Gram products take one k at a time, so the float copy of g
-is 0.3 MB instead of 6.6 MB. One `large` RZF drop at 1000 realizations
-then peaks at 57.9 MB under tracemalloc (2.8 x `h`), against 111.7 MB
-(5.5 x) when every stage held its output in full; `h` and `h_hat` are
-41 MB of it.
+is 0.3 MB at `large`. One `large` RZF drop at 1000 realizations peaks at
+57.9 MB under tracemalloc (2.8 x `h`); `h` and `h_hat` are 41 MB of it.
 
 Binary container layout (little-endian): magic "CFSEP001", then
 K, L as uint32, n_real as uint64, prelog, sigma2 as float64, then the a
@@ -161,6 +159,8 @@ def estimate_se_parameters(batch, w, cfg: NetworkConfig) -> SEParameters:
     n_real, K, L, N = h.shape
     if n_real < 100:
         raise ValueError("need at least 100 realizations for stable estimates")
+    if not callable(w) and w.shape != h.shape:
+        raise ValueError("precoders and channels must share a shape")
     s_acc = np.zeros((K, L), dtype=complex)
     im2_acc = np.zeros((K, L))
     b_acc = np.zeros((K, K, L, L))

@@ -114,6 +114,11 @@ def test_estimator_input_guards():
     batch = ChannelBatch(h=h, h_hat=w)
     with pytest.raises(ValueError, match="shape"):
         estimate_se_parameters(batch, w[:, :1], cfg)
+    # extra realizations are not sliced away
+    with pytest.raises(ValueError, match="shape"):
+        estimate_se_parameters(batch, np.concatenate([w, w[:5]]), cfg)
+    with pytest.raises(ValueError, match="shape"):
+        estimate_se_parameters(batch, lambda tile: tile.h_hat[:, :1], cfg)
 
 
 def test_estimator_takes_precoders_per_tile(monkeypatch):
