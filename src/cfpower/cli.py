@@ -26,7 +26,6 @@ from .config import NetworkConfig, load_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError)
 from .mlp import MODEL_KINDS, TrainConfig
-from .wmmse import SolverConfig
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +129,9 @@ def build_parser() -> _Parser:
 def _run(args) -> int:
     if args.command == "generate":
         cfg = resolve_config(args.config)
-        solver = SolverConfig(objective=args.objective)
         pipeline.cmd_generate(cfg, args.samples, args.objective,
                               args.precoder, args.out, seed=args.seed,
-                              n_real=args.realizations, solver_cfg=solver,
+                              n_real=args.realizations,
                               max_degenerate_frac=args.max_degenerate_frac)
         print(f"wrote {args.samples} samples to {args.out}")
         return EXIT_OK

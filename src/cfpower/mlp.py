@@ -205,12 +205,23 @@ class _Adam:
             layer.b -= lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
 
 
+def validation_split(n: int, fraction: float, seed: int):
+    """(train_idx, val_idx): a seeded permutation of n rows whose first
+    max(1, round(fraction * n)) rows are held out when fraction > 0 and
+    n >= 2; otherwise val_idx is empty and train_idx holds every row.
+    """
+    perm = np.random.default_rng(seed).permutation(n)
+    n_val = max(1, int(round(fraction * n))) if fraction > 0 and n >= 2 else 0
+    return perm[n_val:], perm[:n_val]
+
+
 def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
           cfg: Optional[TrainConfig] = None, val=None) -> TrainResult:
     """Adam-train the model in place on pre-scaled features.
 
-    When `val` (X_val, Y_val) is omitted, a validation_fraction share of the
-    rows is held out through a seeded permutation. Raises
+    Every row of (X, Y) is a training row. `val` is (X_val, Y_val), split
+    off beforehand (see validation_split); without it the validation curve
+    stays NaN. cfg.seed seeds the minibatch shuffles. Raises
     TrainingDivergedError on non-finite loss.
     """
     if cfg is None:
@@ -220,11 +231,6 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
     if X.shape[0] != Y.shape[0] or X.shape[0] == 0:
         raise ValueError("need matching, nonempty feature and label rows")
     rng = np.random.default_rng(cfg.seed)
-    if val is None and cfg.validation_fraction > 0.0 and X.shape[0] >= 2:
-        n_val = max(1, int(round(cfg.validation_fraction * X.shape[0])))
-        perm = rng.permutation(X.shape[0])
-        val = (X[perm[:n_val]], Y[perm[:n_val]])
-        X, Y = X[perm[n_val:]], Y[perm[n_val:]]
     n = X.shape[0]
     opt = _Adam(model.layers)
     train_curve = np.empty(cfg.epochs)

@@ -28,7 +28,8 @@ from .dataset import DatasetFile, DatasetHeader, SampleRecord, read_layout
 from .errors import DataFormatError, SolverDegeneracyError
 from .estimation import mmse_estimate, sample_channels
 from .heuristics import equal_power, heuristic_allocation
-from .mlp import MODEL_KINDS, TrainConfig, build_model, train
+from .mlp import (MODEL_KINDS, TrainConfig, build_model, train,
+                  validation_split)
 from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
 from .precoding import compute_precoders
@@ -207,11 +208,8 @@ def cmd_train(dataset_path, kind: str, out_dir,
     labels = np.stack([labels_for(mus[i], layout) for i in range(n)])
 
     # one seeded split shared by every unit's model
-    rng = np.random.default_rng(train_cfg.seed)
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(train_cfg.validation_fraction * n))) \
-        if train_cfg.validation_fraction > 0 and n >= 2 else 0
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    train_idx, val_idx = validation_split(n, train_cfg.validation_fraction,
+                                          train_cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -223,7 +221,7 @@ def cmd_train(dataset_path, kind: str, out_dir,
         X, Y = feats[:, unit, :], labels[:, unit, :]
         model.scaler = fit_scaler(X[train_idx])
         Xs = apply_scaler(model.scaler, X)
-        val = (Xs[val_idx], Y[val_idx]) if n_val else None
+        val = (Xs[val_idx], Y[val_idx]) if val_idx.size else None
         result = train(model, Xs[train_idx], Y[train_idx], train_cfg, val=val)
         path = _model_path(out_dir, kind, unit)
         save_model(model, path)

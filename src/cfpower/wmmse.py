@@ -27,10 +27,10 @@ use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 Each outer step computes the eigenbasis of the C_i once and checks it for
 corrupt (indefinite) inputs. ADMM builds its x-update operator (C_i + rho I)^-1
 from the clipped eigenvalues and rebuilds it only when residual balancing
-moves rho; C itself is formed again only by `subproblem_matrices`, for tests
-and diagnostics. SINR terms come from se.sinr_terms, once per mu: the
-utility that ends an outer step and the auxiliary update that starts the
-next share them.
+moves rho; C itself is never formed again, and the test suite's oracles
+rebuild it from the same eigenbasis. SINR terms come from se.sinr_terms,
+once per mu: the utility that ends an outer step and the auxiliary update
+that starts the next share them.
 """
 
 import logging
@@ -104,19 +104,6 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
     return AuxiliaryUpdate(v=v, e=e, omega=omega, clamped=clamped)
 
 
-def subproblem_matrices(params: SEParameters, omega: np.ndarray,
-                        v: np.ndarray):
-    """Quadratic forms (C, q) of the subproblem, C symmetrized and PSD.
-
-    C_i inherits positive semidefiniteness from the B estimates; eigenvalues
-    below the relative floor indicate corrupt inputs and raise. C is rebuilt
-    from its clipped eigenbasis, the operator ADMM works with.
-    """
-    q, eigval, eigvec = _subproblem(params, omega, v)
-    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
-    return 0.5 * (C + np.swapaxes(C, 1, 2)), q
-
-
 def _subproblem(params, omega, v):
     """q plus the clipped eigenbasis (eigval, eigvec) of C."""
     # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
@@ -128,14 +115,6 @@ def _subproblem(params, omega, v):
         raise NumericalError("subproblem matrix is indefinite beyond tolerance")
     q = (omega * v)[:, None] * params.a
     return q, np.clip(eigval, 0.0, None), eigvec
-
-
-def subproblem_objective(C: np.ndarray, q: np.ndarray,
-                         mu: np.ndarray) -> float:
-    """f(mu) = sum_i mu_i^T C_i mu_i - 2 q_i^T mu_i."""
-    quad = np.einsum("il,ilm,im->", mu, C, mu)
-    lin = np.einsum("il,il->", q, mu)
-    return float(quad - 2.0 * lin)
 
 
 def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
@@ -207,8 +186,6 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
     """
     if sub_cfg is None:
         sub_cfg = AdmmConfig()
-    if not isinstance(sub_cfg, AdmmConfig):
-        raise TypeError(f"unknown subproblem config {type(sub_cfg).__name__}")
     q, eigval, eigvec = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)

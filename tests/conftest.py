@@ -1,6 +1,6 @@
 """Shared fixtures: preset configs, cached drops, synthetic SE parameters,
-the projected-gradient oracle for the WMMSE subproblem and the one-shot
-Monte-Carlo front end."""
+the WMMSE subproblem's quadratic forms and objective, its projected-gradient
+oracle and the one-shot Monte-Carlo front end."""
 
 from types import SimpleNamespace
 
@@ -15,7 +15,7 @@ from cfpower.pilots import assign_pilots
 from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
 from cfpower.precoding import compute_precoders
 from cfpower.se import SEParameters
-from cfpower.wmmse import project_per_ap
+from cfpower.wmmse import _subproblem, project_per_ap
 
 # deterministic property-test runs, no wall-clock deadline on a busy box
 settings.register_profile("suite", max_examples=25, deadline=None,
@@ -80,6 +80,34 @@ def _assert_budget(mu, p_max, slack=1e-9):
 @pytest.fixture(scope="session")
 def assert_budget():
     return _assert_budget
+
+
+def _subproblem_matrices(params, omega, v):
+    """Quadratic forms (C, q) of the subproblem, C symmetrized and PSD.
+
+    C is rebuilt from the clipped eigenbasis of `wmmse._subproblem`, the
+    operator ADMM works with; indefinite inputs raise there.
+    """
+    q, eigval, eigvec = _subproblem(params, omega, v)
+    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), q
+
+
+@pytest.fixture(scope="session")
+def subproblem_matrices():
+    return _subproblem_matrices
+
+
+def _subproblem_objective(C, q, mu):
+    """f(mu) = sum_i mu_i^T C_i mu_i - 2 q_i^T mu_i."""
+    quad = np.einsum("il,ilm,im->", mu, C, mu)
+    lin = np.einsum("il,il->", q, mu)
+    return float(quad - 2.0 * lin)
+
+
+@pytest.fixture(scope="session")
+def subproblem_objective():
+    return _subproblem_objective
 
 
 def _projected_gradient(C, q, p_max, eps_inner, max_iters=200000, x0=None):

@@ -19,7 +19,7 @@ from cfpower.estimation import mmse_estimate, sample_channels
 from cfpower.heuristics import (equal_power, fractional_coefficients,
                                 heuristic_allocation, side_info_ratios)
 from cfpower.mlp import (DenseLayer, MlpModel, TrainConfig, build_model,
-                         loss_and_grads, mse_loss, train)
+                         loss_and_grads, mse_loss, train, validation_split)
 from cfpower.network import (build_statistics, drop_scenario, pathloss_beta,
                              place_aps)
 from cfpower.pilots import assign_pilots
@@ -31,7 +31,6 @@ from cfpower.scaling import ScalerParams
 from cfpower.se import (BUDGET_SLACK, PowerAllocation, compute_se,
                         estimate_se_parameters)
 from cfpower.wmmse import (AdmmConfig, SolverConfig, solve_subproblem,
-                           subproblem_matrices, subproblem_objective,
                            wmmse_solve)
 
 pytestmark = pytest.mark.acceptance
@@ -90,7 +89,9 @@ def test_criterion_02_optimizer_monotonicity(desk_cfg):
 
 
 def test_criterion_03_subproblem_oracles(synthetic_params,
-                                         projected_gradient):
+                                         projected_gradient,
+                                         subproblem_matrices,
+                                         subproblem_objective):
     t0 = time.perf_counter()
     worst_pg = 0.0
     for seed in range(50):
@@ -396,8 +397,13 @@ def test_criterion_10_gradient_correctness():
     K = 4
     M = lin_rng.uniform(0.05, 0.3, size=(K + 1, K))
     X_lin = lin_rng.uniform(0.0, 1.0, size=(10_000, K))
+    Y_lin = X_lin @ M.T
     net = build_model("ddnn", K, seed=3)
-    result = train(net, X_lin, X_lin @ M.T, TrainConfig())
+    train_cfg = TrainConfig()
+    rows, held = validation_split(len(X_lin), train_cfg.validation_fraction,
+                                  train_cfg.seed)
+    result = train(net, X_lin[rows], Y_lin[rows], train_cfg,
+                   val=(X_lin[held], Y_lin[held]))
     val_mse = float(result.val_loss[-1])
     ok = worst <= 1e-4 and val_mse < 1e-4
     verdict(10, ok, 120.0, time.perf_counter() - t0,

@@ -10,7 +10,7 @@ import pytest
 from cfpower.errors import TrainingDivergedError
 from cfpower.mlp import (DenseLayer, MlpModel, TrainConfig, build_model,
                          forward, layer_plan, loss_and_grads, mse_loss,
-                         train)
+                         train, validation_split)
 
 # parameter totals at K = 20, cluster size 3, summed layer by layer
 N_PARAMS_DDNN = 5_557
@@ -182,7 +182,9 @@ def test_training_learns_linear_map():
     X = rng.uniform(0.0, 1.0, size=(10_000, K))
     Y = X @ M.T
     model = build_model("ddnn", K, seed=3)
-    res = train(model, X, Y, TrainConfig())
+    cfg = TrainConfig()
+    rows, held = validation_split(len(X), cfg.validation_fraction, cfg.seed)
+    res = train(model, X[rows], Y[rows], cfg, val=(X[held], Y[held]))
     assert res.val_loss[-1] < 1e-4
     assert res.train_loss.shape == (60,)
     # smoothed curve must trend down; small blips are tolerated
@@ -195,16 +197,31 @@ def test_training_is_bitwise_deterministic():
     rng = np.random.default_rng(20)
     X = rng.uniform(0.0, 1.0, size=(600, 3))
     Y = np.abs(rng.normal(size=(600, 4)))
+    cfg = TrainConfig(epochs=8, seed=2)
+    rows, held = validation_split(len(X), cfg.validation_fraction, cfg.seed)
     results = []
     for _ in range(2):
         model = build_model("ddnn", K=3, seed=5)
-        res = train(model, X, Y, TrainConfig(epochs=8, seed=2))
+        res = train(model, X[rows], Y[rows], cfg, val=(X[held], Y[held]))
         results.append((model, res))
     for la, lb in zip(results[0][0].layers, results[1][0].layers):
         assert np.array_equal(la.W, lb.W)
         assert np.array_equal(la.b, lb.b)
     assert np.array_equal(results[0][1].train_loss, results[1][1].train_loss)
     assert np.array_equal(results[0][1].val_loss, results[1][1].val_loss)
+
+
+def test_validation_split_rule():
+    train_idx, val_idx = validation_split(10_000, 0.1, 0)
+    assert val_idx.size == 1000 and train_idx.size == 9000
+    assert sorted(np.r_[train_idx, val_idx]) == list(range(10_000))
+    assert np.array_equal(validation_split(10_000, 0.1, 0)[1], val_idx)
+    assert not np.array_equal(validation_split(10_000, 0.1, 1)[1], val_idx)
+    # at least one row is held out whenever a share is asked for
+    assert validation_split(3, 0.01, 0)[1].size == 1
+    for n, fraction in ((1, 0.5), (12, 0.0)):
+        train_idx, val_idx = validation_split(n, fraction, 0)
+        assert val_idx.size == 0 and sorted(train_idx) == list(range(n))
 
 
 def test_training_divergence_guard():

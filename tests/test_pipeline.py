@@ -19,13 +19,13 @@ from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
 from cfpower.dataset import DatasetFile, DatasetHeader, record_size
 from cfpower.errors import DataFormatError, SolverDegeneracyError
-from cfpower.mlp import TrainConfig, build_model
+from cfpower.mlp import TrainConfig, build_model, train, validation_split
 from cfpower.network import place_aps
 from cfpower.pipeline import (TEST_NAMESPACE, TRAIN_NAMESPACE, _bench_models,
                               build_sample, cmd_bench, cmd_evaluate,
                               cmd_generate, cmd_inspect, cmd_train,
                               load_models, sample_seeds)
-from cfpower.scaling import ScalerParams
+from cfpower.scaling import ScalerParams, fit_scaler
 from cfpower.wmmse import SolverConfig
 
 N_REAL = 120     # enough for the estimator guard, cheap for tests
@@ -178,6 +178,55 @@ def test_train_is_reproducible(tmp_path, small_dataset):
     paths_b = cmd_train(small_dataset, "ddnn", out_b, FAST_TRAIN)
     for pa, pb in zip(paths_a, paths_b):
         assert open(pa, "rb").read() == open(pb, "rb").read()
+
+
+def test_train_holds_out_the_split_rows_only(tmp_path, desk_cfg,
+                                             small_dataset, monkeypatch):
+    seen = []      # per unit: (scaler rows, training rows, labels, val)
+
+    def recording_fit(X):
+        seen.append([np.array(X)])
+        return fit_scaler(X)
+
+    def recording_train(model, X, Y, cfg, val=None):
+        seen[-1] += [np.array(X), np.array(Y), val]
+        return train(model, X, Y, cfg, val=val)
+
+    monkeypatch.setattr(pipeline, "fit_scaler", recording_fit)
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    n = len(DatasetFile.open(small_dataset))
+
+    # --val-fraction 0: every row reaches the scaler and training
+    out = tmp_path / "all"
+    no_val = dataclasses.replace(FAST_TRAIN, validation_fraction=0.0)
+    paths = cmd_train(small_dataset, "ddnn", out, no_val)
+    assert len(paths) == desk_cfg.L and all(os.path.isfile(p) for p in paths)
+    order, none_held = validation_split(n, 0.0, FAST_TRAIN.seed)
+    assert none_held.size == 0 and sorted(order) == list(range(n))
+    assert len(seen) == desk_cfg.L
+    full = []       # per unit: raw features and labels in dataset row order
+    for unit, (X_fit, X, Y, val) in enumerate(seen):
+        assert X_fit.shape[0] == X.shape[0] == n and val is None
+        with open(out / f"loss-ddnn-{unit:03d}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(np.isnan(float(r["val_mse"])) for r in rows)
+        assert all(np.isfinite(float(r["train_mse"])) for r in rows)
+        X_raw, Y_raw = np.empty_like(X_fit), np.empty_like(Y)
+        X_raw[order], Y_raw[order] = X_fit, Y
+        full.append((X_raw, Y_raw))
+
+    # a held-out share: exactly validation_split's rows, never scaled from
+    seen.clear()
+    assert FAST_TRAIN.validation_fraction > 0.0
+    cmd_train(small_dataset, "ddnn", tmp_path / "split", FAST_TRAIN)
+    rows, held = validation_split(n, FAST_TRAIN.validation_fraction,
+                                  FAST_TRAIN.seed)
+    assert held.size >= 1 and sorted(np.r_[rows, held]) == list(range(n))
+    for (X_fit, X, Y, (X_val, Y_val)), (X_raw, Y_raw) in zip(seen, full):
+        assert np.array_equal(X_fit, X_raw[rows])
+        assert np.array_equal(Y, Y_raw[rows])
+        assert np.array_equal(Y_val, Y_raw[held])
+        assert X_val.shape[0] == held.size
 
 
 def test_train_clustered_partition(tmp_path, desk_cfg, small_dataset):

@@ -14,8 +14,7 @@ from cfpower import se, wmmse
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
 from cfpower.wmmse import (E_CLAMP, AdmmConfig, AuxiliaryUpdate,
                            SolverConfig, SubproblemResult, project_per_ap,
-                           solve_subproblem, subproblem_matrices,
-                           subproblem_objective, update_auxiliaries, utility,
+                           solve_subproblem, update_auxiliaries, utility,
                            wmmse_solve)
 
 OMEGA_PF_HALF = 2.8853900817779268     # mpmath: -1 / (0.5 ln 0.5)
@@ -82,7 +81,8 @@ def test_auxiliary_rejects_unknown_objective(synthetic_params):
         update_auxiliaries(params, np.zeros((2, 2)), "maxmin")
 
 
-def test_subproblem_matrices_match_loops(synthetic_params):
+def test_subproblem_matrices_match_loops(synthetic_params,
+                                         subproblem_matrices):
     params = synthetic_params(K=3, L=2, seed=3, sigma2=0.2)
     rng = np.random.default_rng(4)
     omega = rng.uniform(0.5, 2.0, size=3)
@@ -104,7 +104,7 @@ def test_subproblem_matrices_reject_indefinite():
                           B=-np.eye(2).reshape(1, 1, 2, 2),
                           sigma2=1.0, prelog=1.0, n_real=1000)
     with pytest.raises(RuntimeError, match="indefinite"):
-        subproblem_matrices(params, np.ones(1), np.ones(1))
+        solve_subproblem(params, np.ones(1), np.ones(1), 1.0)
 
 
 def test_project_per_ap():
@@ -128,7 +128,8 @@ def diagonal_params(d, a_row):
     AdmmConfig(eps_inner=1e-10, max_iters=50000),
     dict(eps_inner=1e-11),
 ])
-def test_subproblem_separable_kkt(projected_gradient, sub_cfg):
+def test_subproblem_separable_kkt(projected_gradient, subproblem_matrices,
+                                  subproblem_objective, sub_cfg):
     d = [2.0, 0.5, 1.0]
     a_row = [0.6, 3.0, 1.0]
     params = diagonal_params(d, a_row)
@@ -147,7 +148,8 @@ def test_subproblem_separable_kkt(projected_gradient, sub_cfg):
                       subproblem_objective(C, q, expected[None, :]), 1e-8)
 
 
-def test_subproblem_unconstrained_interior(synthetic_params):
+def test_subproblem_unconstrained_interior(synthetic_params,
+                                           subproblem_matrices):
     params = synthetic_params(K=3, L=2, seed=5)
     omega = np.array([1.0, 2.0, 0.5])
     v = np.array([0.3, 0.2, 0.4])
@@ -162,7 +164,9 @@ def test_subproblem_unconstrained_interior(synthetic_params):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_admm_agrees_with_long_run_gradient(synthetic_params,
-                                            projected_gradient, seed):
+                                            projected_gradient,
+                                            subproblem_matrices,
+                                            subproblem_objective, seed):
     params = synthetic_params(K=3, L=2, seed=10 + seed, sigma2=0.3)
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.5, 3.0, size=3)
@@ -177,7 +181,8 @@ def test_admm_agrees_with_long_run_gradient(synthetic_params,
     assert np.allclose(admm.mu_raw, pg.mu_raw, atol=1e-4)
 
 
-def test_admm_matches_grid_search(synthetic_params):
+def test_admm_matches_grid_search(synthetic_params, subproblem_matrices,
+                                  subproblem_objective):
     # one AP, two UEs: exhaustive search over the feasible disk
     params = synthetic_params(K=2, L=1, seed=20, sigma2=0.4)
     omega, v = np.array([1.2, 0.8]), np.array([0.5, 0.6])
@@ -208,7 +213,8 @@ def test_subproblem_sign_flip_accounting():
     assert res.n_flipped == 1
 
 
-def test_admm_solution_is_gradient_fixed_point(synthetic_params):
+def test_admm_solution_is_gradient_fixed_point(synthetic_params,
+                                               subproblem_matrices):
     params = synthetic_params(K=3, L=2, seed=30)
     omega, v = np.ones(3), np.full(3, 0.4)
     C, q = subproblem_matrices(params, omega, v)
@@ -231,12 +237,6 @@ def test_warm_start_reuses_state(synthetic_params):
     second = solve_subproblem(params, omega, v, 1.0, cfg, state=first.state)
     assert second.n_iters <= first.n_iters
     assert np.allclose(second.mu_raw, first.mu_raw, atol=1e-6)
-
-
-def test_unknown_subproblem_config(synthetic_params):
-    params = synthetic_params(K=2, L=2, seed=50)
-    with pytest.raises(TypeError):
-        solve_subproblem(params, np.ones(2), np.ones(2), 1.0, sub_cfg=42)
 
 
 @pytest.mark.parametrize("objective", ["sumse", "pf"])
@@ -282,7 +282,8 @@ def test_pf_lifts_the_weakest_ue(desk_sample, desk_cfg):
 
 
 def test_outer_loop_with_projected_gradient(desk_sample, desk_cfg,
-                                           projected_gradient, monkeypatch):
+                                           projected_gradient,
+                                           subproblem_matrices, monkeypatch):
     def gradient_subproblem(params, omega, v, p_max, mu0, state):
         C, q = subproblem_matrices(params, omega, v)
         return subproblem_result(*projected_gradient(
