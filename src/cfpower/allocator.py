@@ -43,6 +43,7 @@ raw float64: per layer, W row-major then b.
 
 import json
 import logging
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -154,8 +155,9 @@ def stack_models(models, n_models=None) -> ModelGroup:
     A `ModelGroup` comes back as it is. Otherwise each model's arrays are
     copied into new stacks, and the group holds new `MlpModel`s whose
     arrays are views into them; the given models are left alone. `models`
-    may be an iterator of `n_models` items, each copied in as it arrives,
-    so no list of whole models is ever held. Raises ValueError for an empty
+    may be an iterator of `n_models` items, each copied in as it arrives
+    and released before the next one is drawn, so at most one whole model
+    besides the stacks is ever held. Raises ValueError for an empty
     group, mixed kinds, mixed layer plans or a model without a scaler.
     """
     if isinstance(models, ModelGroup):
@@ -164,7 +166,7 @@ def stack_models(models, n_models=None) -> ModelGroup:
         models = list(models)
         n_models = len(models)
     views = []
-    for i, model in enumerate(models):
+    for model in models:
         plan = ([model.n_inputs] + [l.W.shape[0] for l in model.layers],
                 [l.activation for l in model.layers])
         if not views:
@@ -183,16 +185,10 @@ def stack_models(models, n_models=None) -> ModelGroup:
                              f"{(sizes, acts)}")
         if model.scaler is None:
             raise ValueError("model has no fitted scaler")
-        own = []
-        for stack, layer in zip(layers, model.layers):
-            stack.W[i], stack.b[i, 0] = layer.W, layer.b
-            own.append(DenseLayer(W=stack.W[i], b=stack.b[i, 0],
-                                  activation=layer.activation))
-        median[i, 0], iqr[i, 0] = model.scaler.median, model.scaler.iqr
-        views.append(MlpModel(
-            kind=kind, unit_id=model.unit_id,
-            member_aps=tuple(model.member_aps), layers=own,
-            scaler=ScalerParams(median=median[i, 0], iqr=iqr[i, 0])))
+        views.append(_copy_into(model, len(views), layers, median, iqr))
+        # the next model may be parsed from a file only after this one is
+        # gone: the stacks hold its only copy from here on
+        del model
     if not views:
         raise ValueError("no models in the group")
     members = np.array([m.member_aps for m in views])
@@ -200,6 +196,22 @@ def stack_models(models, n_models=None) -> ModelGroup:
                       scaler=ScalerParams(median=median, iqr=iqr),
                       members=members,
                       aps=tuple(sorted(members.reshape(-1).tolist())))
+
+
+def _copy_into(model, i, layers, median, iqr) -> MlpModel:
+    """Copy a model into row i of the stacks; return its model of views.
+
+    A function of its own, so no loop variable outlives the copy.
+    """
+    own = []
+    for stack, layer in zip(layers, model.layers):
+        stack.W[i], stack.b[i, 0] = layer.W, layer.b
+        own.append(DenseLayer(W=stack.W[i], b=stack.b[i, 0],
+                              activation=layer.activation))
+    median[i, 0], iqr[i, 0] = model.scaler.median, model.scaler.iqr
+    return MlpModel(kind=model.kind, unit_id=model.unit_id,
+                    member_aps=tuple(model.member_aps), layers=own,
+                    scaler=ScalerParams(median=median[i, 0], iqr=iqr[i, 0]))
 
 
 def check_cover(group: ModelGroup, L: int):
@@ -317,13 +329,14 @@ def _parse_model(blob: bytes) -> MlpModel:
                     for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) - off != 8 * n_weights:
         raise DataFormatError("weight payload size mismatch")
+    # views into the blob: its buffer is the model's only copy
     weights = np.frombuffer(blob, dtype="<f8", offset=off)
     layers = []
     pos = 0
     for n_in, n_out, act in zip(sizes[:-1], sizes[1:], acts):
-        W = weights[pos:pos + n_in * n_out].reshape(n_out, n_in).copy()
+        W = weights[pos:pos + n_in * n_out].reshape(n_out, n_in)
         pos += n_in * n_out
-        b = weights[pos:pos + n_out].copy()
+        b = weights[pos:pos + n_out]
         pos += n_out
         layers.append(DenseLayer(W=W, b=b, activation=act))
     median, iqr = header["scaler_median"], header["scaler_iqr"]
@@ -341,8 +354,11 @@ def _parse_model(blob: bytes) -> MlpModel:
 
 
 def load_model(path) -> MlpModel:
+    """The model in a file; its weights are writable views of one buffer
+    that holds the file."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     try:
         return _parse_model(blob)
     except DataFormatError as exc:

@@ -148,10 +148,11 @@ def load_models(models_dir, kind: str):
     """All models of a kind in a directory, in file-name order (unit order
     for the files `cmd_train` writes), as one stacked `ModelGroup`.
 
-    Each file is copied into the stacks as it is read, so the group holds
-    the only copy of the weights. A file of another kind, a model without a
-    scaler or a layer plan other than the first file's raises
-    DataFormatError naming the file.
+    Each file is read into one buffer, copied into the stacks and released
+    before the next file is read, so the group holds the only copy of the
+    weights and a load peaks near the group's size plus one file. A file
+    of another kind, a model without a scaler or a layer plan other than
+    the first file's raises DataFormatError naming the file.
     """
     pattern = os.path.join(models_dir, f"{kind}-[0-9]*{MODEL_SUFFIX}")
     paths = sorted(glob.glob(pattern))

@@ -24,13 +24,14 @@ feasibility is preserved). The test-suite checks ADMM against a long-run
 projected-gradient oracle of its own. Normalized objective comparisons there
 use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
-Each outer step computes the eigenbasis of the C_i once and checks it for
-corrupt (indefinite) inputs. ADMM builds its x-update operator (C_i + rho I)^-1
-from the clipped eigenvalues and rebuilds it only when residual balancing
-moves rho; C itself is never formed again, and the test suite's oracles
-rebuild it from the same eigenbasis. SINR terms come from se.sinr_terms,
-once per mu: the utility that ends an outer step and the auxiliary update
-that starts the next share them.
+Each outer step forms the C_i once and checks them for corrupt (indefinite)
+inputs with one batched Cholesky factorization of C_i shifted by a small
+multiple of their largest diagonal entry. ADMM builds its x-update operator
+(C_i + rho I)^-1 as one batched inverse and rebuilds it only when residual
+balancing moves rho; no eigendecomposition is taken, and the test suite's
+oracles work on the same C. SINR terms come from se.sinr_terms, once per
+mu: the utility that ends an outer step and the auxiliary update that
+starts the next share them.
 """
 
 import logging
@@ -50,7 +51,8 @@ INITS = ("equal-power", "fractional-heuristic")
 
 E_CLAMP = 1e-12
 
-# relative eigenvalue floor below which C is considered corrupt
+# relative eigenvalue floor below which C is considered corrupt; the scale
+# is max(1, largest diagonal entry of any C_i)
 _EIG_FLOOR = -1e-8
 
 
@@ -105,16 +107,20 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
 
 
 def _subproblem(params, omega, v):
-    """q plus the clipped eigenbasis (eigval, eigvec) of C."""
+    """q and the symmetrized C, checked to be PSD up to the floor."""
     # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
     C = np.tensordot(omega * v ** 2, params.B, axes=1)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
-    eigval, eigvec = np.linalg.eigh(C)
-    scale = max(float(eigval.max()), 1.0)
-    if float(eigval.min()) < _EIG_FLOOR * scale:
-        raise NumericalError("subproblem matrix is indefinite beyond tolerance")
+    # C + |floor| * scale * I is positive definite iff no eigenvalue of C
+    # lies below floor * scale
+    scale = max(float(np.diagonal(C, axis1=1, axis2=2).max()), 1.0)
+    try:
+        np.linalg.cholesky(C - _EIG_FLOOR * scale * np.eye(C.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "subproblem matrix is indefinite beyond tolerance") from None
     q = (omega * v)[:, None] * params.a
-    return q, np.clip(eigval, 0.0, None), eigvec
+    return q, C
 
 
 def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
@@ -138,7 +144,7 @@ def _norm(x):
     return math.sqrt(np.vdot(x, x))
 
 
-def _admm(q, eigval, eigvec, p_max, cfg: AdmmConfig, x0, state):
+def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
     """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None."""
     if state is None:
         state = (project_per_ap(x0, p_max), np.zeros_like(x0), cfg.rho)
@@ -147,12 +153,12 @@ def _admm(q, eigval, eigvec, p_max, cfg: AdmmConfig, x0, state):
     sqrt_n = np.sqrt(q.size)
     converged = False
     it = 0
+    eye = np.eye(C.shape[-1])
     inv_rho = None
     for it in range(1, cfg.max_iters + 1):
         if rho != inv_rho:
-            # x-update operator (C + rho I)^-1 from the eigenbasis
-            inv = np.matmul(eigvec / (eigval + rho)[:, None, :],
-                            np.swapaxes(eigvec, 1, 2))
+            # x-update operator (C + rho I)^-1, one batched inverse
+            inv = np.linalg.inv(C + rho * eye)
             inv_rho = rho
         X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
         Xu = X + U
@@ -186,11 +192,10 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
     """
     if sub_cfg is None:
         sub_cfg = AdmmConfig()
-    q, eigval, eigvec = _subproblem(params, omega, v)
+    q, C = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
-    x, n_iters, converged, state = _admm(q, eigval, eigvec, p_max, sub_cfg,
-                                         mu0, state)
+    x, n_iters, converged, state = _admm(q, C, p_max, sub_cfg, mu0, state)
     return SubproblemResult(mu_raw=x, n_iters=n_iters, converged=converged,
                             n_flipped=int(np.sum(x < 0.0)), state=state)
 

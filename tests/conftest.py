@@ -83,14 +83,13 @@ def assert_budget():
 
 
 def _subproblem_matrices(params, omega, v):
-    """Quadratic forms (C, q) of the subproblem, C symmetrized and PSD.
+    """Quadratic forms (C, q) of the subproblem, C symmetrized.
 
-    C is rebuilt from the clipped eigenbasis of `wmmse._subproblem`, the
-    operator ADMM works with; indefinite inputs raise there.
+    Both come from `wmmse._subproblem`, the C that ADMM works with;
+    indefinite inputs raise there.
     """
-    q, eigval, eigvec = _subproblem(params, omega, v)
-    C = np.matmul(eigvec * eigval[:, None, :], np.swapaxes(eigvec, 1, 2))
-    return 0.5 * (C + np.swapaxes(C, 1, 2)), q
+    q, C = _subproblem(params, omega, v)
+    return C, q
 
 
 @pytest.fixture(scope="session")

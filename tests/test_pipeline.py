@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cfpower import pipeline
-from cfpower.allocator import load_model, save_model
+from cfpower.allocator import load_model, model_layout, save_model
 from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
 from cfpower.dataset import DatasetFile, DatasetHeader, record_size
@@ -325,6 +325,32 @@ def test_load_models_holds_one_copy_of_the_weights(tmp_path, small_dataset,
         save_model(model, tmp_path / "again.cfmlp")
         with open(path, "rb") as fh:
             assert (tmp_path / "again.cfmlp").read_bytes() == fh.read()
+
+
+def test_load_models_peaks_at_the_group_plus_one_file(tmp_path, large_cfg):
+    # each file is parsed into views of its own bytes and released before
+    # the next one is read: no second copy, no previous model kept alive
+    members = model_layout("cdnn", large_cfg, large_cfg.seed, 4)
+    for unit, aps in enumerate(members):
+        model = build_model("cdnn", large_cfg.K, unit_id=unit,
+                            member_aps=tuple(int(a) for a in aps),
+                            cluster_size=4, seed=unit)
+        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
+                                    iqr=np.ones(model.n_inputs))
+        save_model(model, tmp_path / f"cdnn-{unit:03d}.cfmlp")
+    del model
+    largest = max(p.stat().st_size for p in tmp_path.iterdir())
+    tracemalloc.start()
+    try:
+        group = load_models(tmp_path, "cdnn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(l.W.nbytes + l.b.nbytes for l in group.layers) \
+        + group.scaler.median.nbytes + group.scaler.iqr.nbytes
+    assert len(group) == len(members) > 2
+    assert peak <= held + largest + 2 ** 18, \
+        f"peak {peak / 2 ** 20:.2f} MiB for a {held / 2 ** 20:.2f} MiB group"
 
 
 def test_load_models_rejects_groups_that_do_not_stack(tmp_path, desk_cfg,

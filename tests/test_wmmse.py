@@ -7,6 +7,8 @@ case. Normalized objective comparisons follow
 |f - f_ref| <= tol * max(1, |f_ref|).
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,44 @@ def test_subproblem_matrices_reject_indefinite():
                           sigma2=1.0, prelog=1.0, n_real=1000)
     with pytest.raises(RuntimeError, match="indefinite"):
         solve_subproblem(params, np.ones(1), np.ones(1), 1.0)
+
+
+def single_c_params(C):
+    # K = 1 with omega = v = 1 makes the subproblem matrix B_00 itself
+    L = C.shape[0]
+    return SEParameters(a=np.ones((1, L)), B=C[None, None],
+                        sigma2=1.0, prelog=1.0, n_real=1000)
+
+
+def c_with_min_eigenvalue(relative):
+    """A 3x3 C with eigenvalues (10, 3, relative * scale) in a random basis,
+    scale being max(1, largest diagonal entry), as the guard defines it."""
+    Q, _ = np.linalg.qr(np.random.default_rng(50).standard_normal((3, 3)))
+    C = (Q * [10.0, 3.0, 0.0]) @ Q.T
+    scale = max(1.0, float(np.diag(C).max()))
+    return C + relative * scale * np.outer(Q[:, 2], Q[:, 2])
+
+
+def test_subproblem_guard_passes_psd_up_to_the_floor():
+    params = single_c_params(c_with_min_eigenvalue(-1e-10))
+    res = solve_subproblem(params, np.ones(1), np.ones(1), 1.0)
+    assert res.converged
+    assert np.all(np.isfinite(res.mu_raw))
+
+
+def test_subproblem_guard_raises_beyond_the_floor():
+    params = single_c_params(c_with_min_eigenvalue(-1e-6))
+    with pytest.raises(RuntimeError, match="indefinite"):
+        solve_subproblem(params, np.ones(1), np.ones(1), 1.0)
+
+
+def test_subproblem_guard_passes_rank_deficient_b():
+    # B = a a^T is PSD of rank one: C is singular but not indefinite
+    a = np.array([0.5, 1.0, 2.0])
+    params = single_c_params(np.outer(a, a))
+    res = solve_subproblem(params, np.ones(1), np.ones(1), 1.0)
+    assert res.converged
+    assert np.all(np.isfinite(res.mu_raw))
 
 
 def test_project_per_ap():
@@ -382,21 +422,54 @@ def test_outer_loop_passes_admm_state_on(desk_sample, desk_cfg, monkeypatch,
         == WARM_START_COUNTS[precoder, objective]
 
 
+def rho_changes_in_admm():
+    """(values, tracer): installed with sys.settrace, the tracer appends
+    to `values` each new value that the local `rho` of a `wmmse._admm`
+    frame takes, read line by line."""
+    changes, last = [], {}
+
+    def local(frame, event, arg):
+        rho = frame.f_locals.get("rho")
+        if rho is not None:
+            if last.setdefault(id(frame), rho) != rho:
+                changes.append(rho)
+            last[id(frame)] = rho
+        if event == "return":
+            last.pop(id(frame), None)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is wmmse._admm.__code__ else None
+
+    return changes, tracer
+
+
 @pytest.mark.parametrize("precoder", ["mr", "rzf"])
-def test_one_eigendecomposition_per_outer_step(desk_sample, desk_cfg,
-                                               monkeypatch, precoder):
+def test_one_inverse_per_subproblem_and_rho_change(desk_sample, desk_cfg,
+                                                    monkeypatch, precoder):
     params = desk_sample(precoder).params
-    eigh = np.linalg.eigh
-    calls = []
+    eigh, inv = np.linalg.eigh, np.linalg.inv
+    calls = {"eigh": 0, "inv": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    result = wmmse_solve(params, desk_cfg.p_max_dl)
-    assert result.n_outer > 1
-    assert len(calls) == result.n_outer
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", inv))
+    changes, tracer = rho_changes_in_admm()
+    old_trace = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = wmmse_solve(params, desk_cfg.p_max_dl)
+    finally:
+        sys.settrace(old_trace)
+    assert result.n_outer > 1 and result.subproblem_exhausted == 0
+    assert changes, "residual balancing never moved rho"
+    assert calls["eigh"] == 0
+    assert calls["inv"] == result.n_outer + len(changes)
 
 
 # Reference implementation of the outer step as first written: the SINR
