@@ -12,7 +12,11 @@ nonnegative:
 Training is floating-point deterministic: seeded uniform fan-in init,
 seeded shuffles, sequential minibatches. `forward` and the gradients of
 `loss_and_grads` run the same layer loop, `_layer_outputs`; the gradients
-call it directly, not through `forward`.
+call it directly, not through `forward`. An epoch's training loss is the
+row-weighted mean of its minibatch losses, each taken before that
+minibatch's Adam step (as Keras reports `loss`); no extra pass scores the
+training rows. The validation loss scores the held-out rows after the
+epoch's last step.
 """
 
 from dataclasses import dataclass
@@ -103,8 +107,7 @@ def _act(z, name):
 
 
 def _act_deriv(z, a, name):
-    if name == "linear":
-        return np.ones_like(z)
+    """Activation derivative at z (a = _act(z)); linear layers skip it."""
     if name == "tanh":
         return 1.0 - a ** 2
     if name == "relu":
@@ -118,7 +121,8 @@ def _layer_outputs(layers, a):
     """(activations, pre-activations) per layer; activations[0] is a."""
     acts, pre = [a], []
     for layer in layers:
-        z = a @ np.swapaxes(layer.W, -1, -2) + layer.b
+        z = a @ np.swapaxes(layer.W, -1, -2)
+        z += layer.b
         a = _act(z, layer.activation)
         pre.append(z)
         acts.append(a)
@@ -148,13 +152,18 @@ def loss_and_grads(model: MlpModel, X: np.ndarray, Y: np.ndarray):
     """MSE and its gradients w.r.t. every weight and bias."""
     n, d_out = Y.shape
     acts, pre = _layer_outputs(model.layers, X)
-    pred = acts[-1]
-    loss = float(np.mean((pred - Y) ** 2))
-    delta = (2.0 / (n * d_out)) * (pred - Y)
+    resid = acts[-1] - Y
+    loss = float(np.mean(resid ** 2))
+    delta = (2.0 / (n * d_out)) * resid
     grads = []
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        delta = delta * _act_deriv(pre[idx], acts[idx + 1], layer.activation)
+        # release each layer's outputs once its delta is formed: held to
+        # the end, they set training's memory peak
+        z, a = pre.pop(), acts.pop()
+        if layer.activation != "linear":    # its derivative is all ones
+            delta *= _act_deriv(z, a, layer.activation)
+        del z, a
         gW = delta.T @ acts[idx]
         gb = delta.sum(axis=0)
         grads.append((gW, gb))
@@ -177,32 +186,53 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    train_loss: np.ndarray    # per-epoch MSE on the training rows
-    val_loss: np.ndarray      # per-epoch MSE on the validation rows
+    train_loss: np.ndarray    # per-epoch row-weighted mean minibatch MSE
+    val_loss: np.ndarray      # per-epoch end-of-epoch MSE on validation rows
 
 
 class _Adam:
-    """Standard Adam with bias correction."""
+    """Standard Adam with bias correction, updated in place.
+
+    Per parameter array P with gradient g, in this operation order:
+    m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v) and
+    P -= (lr (m / c1)) / (sqrt(v / c2) + eps). Temporaries live in two flat
+    scratch arrays sized to the largest parameter array, shared by all
+    layers as views. They are made per step: kept across steps, they would
+    sit on top of the gradient pass, which sets training's memory peak.
+    """
 
     def __init__(self, layers, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
         self.v = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+        self._size = max(max(l.W.size, l.b.size) for l in layers)
 
     def step(self, layers, grads, lr):
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for i, (layer, (gW, gb)) in enumerate(zip(layers, grads)):
-            mW, mb = self.m[i]
-            vW, vb = self.v[i]
-            mW += (1.0 - self.beta1) * (gW - mW)
-            mb += (1.0 - self.beta1) * (gb - mb)
-            vW += (1.0 - self.beta2) * (gW ** 2 - vW)
-            vb += (1.0 - self.beta2) * (gb ** 2 - vb)
-            layer.W -= lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
-            layer.b -= lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
+        scratch = np.empty(self._size), np.empty(self._size)
+        for layer, g, m, v in zip(layers, grads, self.m, self.v):
+            self._update(layer.W, g[0], m[0], v[0], c1, c2, lr, scratch)
+            self._update(layer.b, g[1], m[1], v[1], c1, c2, lr, scratch)
+
+    def _update(self, P, g, m, v, c1, c2, lr, scratch):
+        s, d = (buf[:P.size].reshape(P.shape) for buf in scratch)
+        np.subtract(g, m, out=s)
+        s *= 1.0 - self.beta1
+        m += s
+        np.square(g, out=s)
+        s -= v
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        s /= d
+        P -= s
 
 
 def validation_split(n: int, fraction: float, seed: int):
@@ -221,8 +251,9 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
 
     Every row of (X, Y) is a training row. `val` is (X_val, Y_val), split
     off beforehand (see validation_split); without it the validation curve
-    stays NaN. cfg.seed seeds the minibatch shuffles. Raises
-    TrainingDivergedError on non-finite loss.
+    stays NaN. The training curve holds each epoch's minibatch losses
+    weighted by batch rows. cfg.seed seeds the minibatch shuffles. Raises
+    TrainingDivergedError on a non-finite minibatch or validation loss.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -238,16 +269,20 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (cfg.lr_drop_factor if epoch >= cfg.drop_epoch else 1.0)
         order = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             loss, grads = loss_and_grads(model, X[batch], Y[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}")
+            total += loss * len(batch)
             opt.step(model.layers, grads, lr)
-        train_curve[epoch] = mse_loss(model, X, Y)
+        train_curve[epoch] = total / n
         if val is not None:
             val_curve[epoch] = mse_loss(model, val[0], val[1])
-        if not np.isfinite(train_curve[epoch]):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            # the only loss taken after the epoch's last step
+            if not np.isfinite(val_curve[epoch]):
+                raise TrainingDivergedError(
+                    f"non-finite validation loss at epoch {epoch}")
     return TrainResult(train_loss=train_curve, val_loss=val_curve)

@@ -190,7 +190,9 @@ def cmd_train(dataset_path, kind: str, out_dir,
     """Fit one model per AP (or per cluster) from a generated dataset.
 
     Returns the list of written model paths. Loss curves land next to the
-    models as loss-<model>.csv with columns epoch, train_mse, val_mse.
+    models as loss-<model>.csv with columns epoch, train_mse, val_mse:
+    train_mse is the epoch's row-weighted mean minibatch loss (see
+    mlp.train), val_mse the end-of-epoch MSE on the held-out rows.
     """
     if train_cfg is None:
         train_cfg = TrainConfig()

@@ -1,16 +1,18 @@
 """Network tests: layer plans, backprop vs finite differences, training.
 
 The gradient oracle is plain central differencing, applied exhaustively to
-every weight and bias of small hand-built models.
+every weight and bias of small hand-built models. The optimizer oracle is
+`ReferenceAdam`, Adam written with fresh arrays for every temporary.
 """
 
 import numpy as np
 import pytest
 
+from cfpower import mlp
 from cfpower.errors import TrainingDivergedError
-from cfpower.mlp import (DenseLayer, MlpModel, TrainConfig, build_model,
-                         forward, layer_plan, loss_and_grads, mse_loss,
-                         train, validation_split)
+from cfpower.mlp import (DenseLayer, MlpModel, TrainConfig, _Adam,
+                         build_model, forward, layer_plan, loss_and_grads,
+                         mse_loss, train, validation_split)
 
 # parameter totals at K = 20, cluster size 3, summed layer by layer
 N_PARAMS_DDNN = 5_557
@@ -49,6 +51,30 @@ def fd_grads(model, X, Y, h=1e-6):
             gb[j] = (up - dn) / (2.0 * h)
         grads.append((gW, gb))
     return grads
+
+
+class ReferenceAdam:
+    """Adam with bias correction, every temporary a fresh array."""
+
+    def __init__(self, layers, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+        self.v = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+
+    def step(self, layers, grads, lr):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for i, (layer, (gW, gb)) in enumerate(zip(layers, grads)):
+            mW, mb = self.m[i]
+            vW, vb = self.v[i]
+            mW += (1.0 - self.beta1) * (gW - mW)
+            mb += (1.0 - self.beta1) * (gb - mb)
+            vW += (1.0 - self.beta2) * (gW ** 2 - vW)
+            vb += (1.0 - self.beta2) * (gb ** 2 - vb)
+            layer.W -= lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
+            layer.b -= lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
 
 
 def assert_grads_match(analytic, numeric, rtol=1e-4):
@@ -234,6 +260,20 @@ def test_training_divergence_guard():
         train(model, X, Y, TrainConfig(epochs=2, batch_size=16, lr=1e160))
 
 
+def test_divergence_in_the_last_step_is_caught_by_validation():
+    # one minibatch: its loss is finite, and the only step overflows the
+    # loss on every row without overflowing the weights
+    rng = np.random.default_rng(21)
+    X = rng.uniform(1.0, 2.0, size=(32, 1))
+    Y = np.zeros((32, 1))
+    model = tiny_model([1, 1], ["linear"], seed=6)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+        train(model, X[4:], Y[4:], TrainConfig(epochs=1, batch_size=32,
+                                               lr=1e300),
+              val=(X[:4], Y[:4]))
+    assert np.all(np.isfinite(model.layers[0].W))
+
+
 def test_training_input_validation():
     model = build_model("ddnn", K=2, seed=0)
     with pytest.raises(ValueError):
@@ -253,3 +293,70 @@ def test_explicit_validation_set():
     assert np.all(np.isfinite(res.val_loss))
     assert res.val_loss[-1] == pytest.approx(mse_loss(model, X_val, Y_val),
                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
+def test_in_place_adam_matches_reference(kind):
+    K = 5
+    models = [build_model(kind, K, cluster_size=3, seed=30) for _ in range(2)]
+    fast, ref = _Adam(models[0].layers), ReferenceAdam(models[1].layers)
+    rng = np.random.default_rng(31)
+    for step in range(25):
+        # gradients over several decades, the learning rate dropped midway
+        grads = [(rng.normal(size=l.W.shape) * 10.0 ** rng.integers(-6, 2),
+                  rng.normal(size=l.b.shape) * 10.0 ** rng.integers(-6, 2))
+                 for l in models[0].layers]
+        lr = 1e-3 if step < 15 else 1e-4
+        fast.step(models[0].layers, grads, lr)
+        ref.step(models[1].layers, grads, lr)
+    for i, (la, lb) in enumerate(zip(models[0].layers, models[1].layers)):
+        assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+        for state_fast, state_ref in ((fast.m[i], ref.m[i]),
+                                      (fast.v[i], ref.v[i])):
+            assert np.array_equal(state_fast[0], state_ref[0])
+            assert np.array_equal(state_fast[1], state_ref[1])
+
+
+def _training_set(n=600, K=3, seed=32):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, K))
+    return X, np.abs(rng.normal(size=(n, K + 1)))
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+def test_training_scores_only_validation_rows(monkeypatch, with_val):
+    X, Y = _training_set()
+    val = (X[:60], Y[:60]) if with_val else None
+    scored = []
+
+    def counting_mse_loss(model, X_, Y_):
+        scored.append((X_, Y_))
+        return mse_loss(model, X_, Y_)
+
+    monkeypatch.setattr(mlp, "mse_loss", counting_mse_loss)
+    cfg = TrainConfig(epochs=6, batch_size=128)
+    train(build_model("ddnn", K=3, seed=33), X[60:], Y[60:], cfg, val=val)
+    assert len(scored) == (cfg.epochs if with_val else 0)
+    assert all(Xs is val[0] and Ys is val[1] for Xs, Ys in scored)
+
+
+def test_train_loss_is_row_weighted_minibatch_mean(monkeypatch):
+    X, Y = _training_set()
+    batches = []
+
+    def recording_loss_and_grads(model, X_, Y_):
+        loss, grads = loss_and_grads(model, X_, Y_)
+        batches.append((loss, X_.shape[0]))
+        return loss, grads
+
+    monkeypatch.setattr(mlp, "loss_and_grads", recording_loss_and_grads)
+    # 600 rows in batches of 256: two full batches and one of 88 rows
+    cfg = TrainConfig(epochs=4, batch_size=256)
+    res = train(build_model("ddnn", K=3, seed=34), X, Y, cfg)
+    assert len(batches) == 3 * cfg.epochs
+    for epoch in range(cfg.epochs):
+        total = 0.0
+        for loss, rows in batches[3 * epoch:3 * epoch + 3]:
+            total += loss * rows
+        assert res.train_loss[epoch] == total / len(X)
+    assert np.all(np.isnan(res.val_loss))
