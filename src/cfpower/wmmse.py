@@ -106,16 +106,24 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
     return AuxiliaryUpdate(v=v, e=e, omega=omega, clamped=clamped)
 
 
+def _plus_diagonal(C, shift):
+    """C_i + shift * I for every matrix of the stack, without an identity."""
+    out = C.copy()
+    out.reshape(len(C), -1)[:, ::C.shape[-1] + 1] += shift
+    return out
+
+
 def _subproblem(params, omega, v):
     """q and the symmetrized C, checked to be PSD up to the floor."""
     # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
-    C = np.tensordot(omega * v ** 2, params.B, axes=1)
+    K, L = params.a.shape
+    C = ((omega * v ** 2) @ params.B.reshape(K, -1)).reshape(K, L, L)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
     # C + |floor| * scale * I is positive definite iff no eigenvalue of C
     # lies below floor * scale
     scale = max(float(np.diagonal(C, axis1=1, axis2=2).max()), 1.0)
     try:
-        np.linalg.cholesky(C - _EIG_FLOOR * scale * np.eye(C.shape[-1]))
+        np.linalg.cholesky(_plus_diagonal(C, -_EIG_FLOOR * scale))
     except np.linalg.LinAlgError:
         raise NumericalError(
             "subproblem matrix is indefinite beyond tolerance") from None
@@ -145,35 +153,49 @@ def _norm(x):
 
 
 def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
-    """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None."""
+    """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None.
+
+    The stopping norms are taken lazily. While the primal residual r
+    exceeds an upper bound on eps_pri, the primal test fails without
+    them: after projection ||Z|| <= sqrt(L) * radius, and ||X|| <= ||Z|| + r.
+    The dual residual and ||U|| are taken only when the primal test passes
+    or residual balancing needs them.
+    """
     if state is None:
         state = (project_per_ap(x0, p_max), np.zeros_like(x0), cfg.rho)
     Z, U, rho = state
     eps = cfg.eps_inner
     sqrt_n = np.sqrt(q.size)
+    radius = np.sqrt(p_max)
+    # eps_pri <= pri_cap + eps * r, with slack for the projection's rounding
+    pri_cap = sqrt_n * eps + eps * math.sqrt(q.shape[1]) * radius * (1 + 1e-9)
     converged = False
     it = 0
-    eye = np.eye(C.shape[-1])
     inv_rho = None
     for it in range(1, cfg.max_iters + 1):
         if rho != inv_rho:
             # x-update operator (C + rho I)^-1, one batched inverse
-            inv = np.linalg.inv(C + rho * eye)
+            inv = np.linalg.inv(_plus_diagonal(C, rho))
             inv_rho = rho
         X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
         Xu = X + U
-        Z_new = project_per_ap(Xu, p_max)
+        # projection of each AP column onto the ball of radius sqrt(p_max)
+        norms = np.sqrt(np.add.reduce(Xu * Xu, axis=0))
+        Z_new = Xu * np.minimum(1.0, radius / np.maximum(norms, 1e-300))
         r_norm = _norm(X - Z_new)
-        s_norm = rho * _norm(Z_new - Z)
-        Z = Z_new
         U = Xu - Z_new
-        eps_pri = sqrt_n * eps + eps * max(_norm(X), _norm(Z))
-        eps_dual = sqrt_n * eps + eps * rho * _norm(U)
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        balance = it % 10 == 0
+        primal = (r_norm <= pri_cap + eps * r_norm
+                  and r_norm <= sqrt_n * eps + eps * max(_norm(X),
+                                                         _norm(Z_new)))
+        if primal or balance:
+            s_norm = rho * _norm(Z_new - Z)
+        Z = Z_new
+        if primal and s_norm <= sqrt_n * eps + eps * rho * _norm(U):
             converged = True
             break
         # residual balancing keeps the penalty near the problem's scale
-        if it % 10 == 0 and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
+        if balance and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
             factor = 2.0 if r_norm > s_norm else 0.5
             rho *= factor
             U /= factor
