@@ -17,10 +17,22 @@ so exact subproblem solutions make the utility nondecreasing. Iteration
 stops when the squared difference of successive utilities drops below
 eps_outer.
 
-The subproblem is solved by scaled-dual ADMM (Boyd et al., 2011) on the
-per-AP ball constraints only; negative entries of a solution are flipped to
-their positive counterparts afterwards (the balls are sign-symmetric, so
-feasibility is preserved). The test-suite checks ADMM against a long-run
+The subproblem is solved by over-relaxed scaled-dual ADMM on the per-AP
+ball constraints only (Boyd et al., "Distributed Optimization and
+Statistical Learning via the Alternating Direction Method of Multipliers",
+2011, sec. 3.4.3; Eckstein & Bertsekas, Math. Prog. 1992). With alpha =
+_RELAX:
+
+  x-update   X = (C_i + rho I)^-1 (q_i + rho (Z - U)_i)
+  relax      Xh = alpha X + (1 - alpha) Z
+  z-update   Z' = projection of Xh + U onto the per-AP balls
+  u-update   U' = Xh + U - Z'
+
+The primal residual stays X - Z'. Iteration stops when both residuals pass
+the absolute-plus-relative thresholds; the norms behind them are taken only
+when the primal residual has passed a cheap upper bound on its threshold.
+Negative entries of a solution are flipped to their positive counterparts
+afterwards (the balls are sign-symmetric, so feasibility is preserved). The test-suite checks ADMM against a long-run
 projected-gradient oracle of its own. Normalized objective comparisons there
 use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
@@ -54,6 +66,10 @@ E_CLAMP = 1e-12
 # relative eigenvalue floor below which C is considered corrupt; the scale
 # is max(1, largest diagonal entry of any C_i)
 _EIG_FLOOR = -1e-8
+
+# ADMM over-relaxation factor alpha (Boyd et al., 2011, sec. 3.4.3); 1.3-1.6
+# all cut iterations on the package's presets, 1.8 took more than 1.0
+_RELAX = 1.5
 
 
 @dataclass(frozen=True)
@@ -178,7 +194,8 @@ def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
             inv = np.linalg.inv(_plus_diagonal(C, rho))
             inv_rho = rho
         X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
-        Xu = X + U
+        # over-relaxed z- and u-updates run on alpha X + (1 - alpha) Z
+        Xu = _RELAX * X + (1.0 - _RELAX) * Z + U
         # projection of each AP column onto the ball of radius sqrt(p_max)
         norms = np.sqrt(np.add.reduce(Xu * Xu, axis=0))
         Z_new = Xu * np.minimum(1.0, radius / np.maximum(norms, 1e-300))
