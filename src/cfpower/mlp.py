@@ -253,7 +253,9 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
     off beforehand (see validation_split); without it the validation curve
     stays NaN. The training curve holds each epoch's minibatch losses
     weighted by batch rows. cfg.seed seeds the minibatch shuffles. Raises
-    TrainingDivergedError on a non-finite minibatch or validation loss.
+    TrainingDivergedError on a non-finite minibatch or validation loss, or,
+    without `val`, when a parameter array's sum of squares is not finite
+    after the last epoch.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -285,4 +287,12 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
             if not np.isfinite(val_curve[epoch]):
                 raise TrainingDivergedError(
                     f"non-finite validation loss at epoch {epoch}")
+    # without validation rows no loss follows the last step, so the
+    # parameters are checked instead: each array's sum of squares must be
+    # finite, since a weight of -1e300 is finite but squares past the range
+    if val is None and not all(np.isfinite(np.vdot(p, p))
+                               for layer in model.layers
+                               for p in (layer.W, layer.b)):
+        raise TrainingDivergedError(
+            "parameter overflow after the last epoch")
     return TrainResult(train_loss=train_curve, val_loss=val_curve)

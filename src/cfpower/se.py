@@ -92,6 +92,14 @@ class SEParameters:
     n_real: int
     imag_residue: float = field(default=0.0, compare=False)
 
+    def __post_init__(self):
+        # read-only views: a consumer that writes into the estimate raises
+        # at once instead of skewing every later use of it
+        for name in ("a", "B"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     def __eq__(self, other):
         # byte identity over the serialized payload; the residue is a
         # diagnostic and deliberately excluded

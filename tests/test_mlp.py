@@ -274,6 +274,17 @@ def test_divergence_in_the_last_step_is_caught_by_validation():
     assert np.all(np.isfinite(model.layers[0].W))
 
 
+def test_divergence_in_the_last_step_is_caught_without_validation():
+    # the same single overflowing step, with no validation rows to score
+    rng = np.random.default_rng(21)
+    X = rng.uniform(1.0, 2.0, size=(32, 1))
+    Y = np.zeros((32, 1))
+    model = tiny_model([1, 1], ["linear"], seed=6)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+        train(model, X, Y, TrainConfig(epochs=1, batch_size=32, lr=1e300))
+    assert np.all(np.isfinite(model.layers[0].W))
+
+
 def test_training_input_validation():
     model = build_model("ddnn", K=2, seed=0)
     with pytest.raises(ValueError):

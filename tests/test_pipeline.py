@@ -444,6 +444,64 @@ def test_evaluate_strategies_share_drops(desk_cfg):
     assert np.array_equal(a.se["equal"], b.se["equal"])
 
 
+def test_evaluate_digests_are_the_drops_own(desk_cfg):
+    report = cmd_evaluate(desk_cfg, ["wmmse-sumse", "heuristic"], 2, "rzf",
+                          n_real=N_REAL)
+    aps = place_aps(desk_cfg, desk_cfg.seed)
+    assert report.digests == [
+        build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, drop,
+                     "rzf", N_REAL).params.digest() for drop in range(2)]
+
+
+def test_evaluate_strategy_cannot_write_into_the_estimate(desk_cfg,
+                                                         monkeypatch):
+    allocator_for = pipeline._allocator_for
+
+    def writing(strategy, cfg, models):
+        alloc = allocator_for(strategy, cfg, models)
+        if strategy != "equal":
+            return alloc
+
+        def scribble(sample):
+            sample.params.B[0, 0] *= 2.0
+            return alloc(sample)
+        return scribble
+
+    monkeypatch.setattr(pipeline, "_allocator_for", writing)
+    with pytest.raises(ValueError, match="read-only"):
+        cmd_evaluate(desk_cfg, ["heuristic", "equal"], 1, "rzf",
+                     n_real=N_REAL)
+
+
+def test_inspect_summarises_solver_diagnostics(small_dataset):
+    records = list(DatasetFile.open(small_dataset))
+    n_outer = [r.n_outer for r in records]
+    info = cmd_inspect(small_dataset)["solver"]
+    assert info == {
+        "converged_frac": sum(r.converged for r in records) / len(records),
+        "n_outer_p50": float(np.percentile(n_outer, 50)),
+        "n_outer_p90": float(np.percentile(n_outer, 90)),
+        "n_outer_max": max(n_outer),
+        "subproblem_exhausted": sum(r.subproblem_exhausted for r in records),
+        "clamp_events": sum(r.clamp_events for r in records),
+        "sign_flips": sum(r.sign_flips for r in records)}
+    # every desk solve converges; the record holds the solver's own counts
+    assert info["converged_frac"] == 1.0
+    assert info["subproblem_exhausted"] == 0
+    assert 1 <= info["n_outer_p50"] <= info["n_outer_p90"] \
+        <= info["n_outer_max"]
+    assert json.loads(json.dumps(info)) == info
+
+
+def test_inspect_of_an_empty_dataset_has_no_solver_summary(tmp_path,
+                                                           desk_cfg):
+    path = tmp_path / "empty.cfds"
+    DatasetFile.create(path, DatasetHeader(
+        config=desk_cfg, objective="sumse", precoder="rzf", n_samples=4,
+        n_real=N_REAL, master_seed=1))
+    assert cmd_inspect(path)["solver"] is None
+
+
 def test_evaluate_learned_needs_models(desk_cfg):
     with pytest.raises(DataFormatError, match="models"):
         cmd_evaluate(desk_cfg, ["cdnn"], 1, "rzf", n_real=N_REAL)

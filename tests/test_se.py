@@ -365,3 +365,16 @@ def test_serialization_rejects_corruption(synthetic_params):
         SEParameters.from_bytes(blob[:-8])
     with pytest.raises(DataFormatError, match="truncated"):
         SEParameters.from_bytes(blob[:10])
+
+
+def test_se_parameters_are_read_only(desk_sample):
+    params = desk_sample("rzf").params
+    with pytest.raises(ValueError, match="read-only"):
+        params.a[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.B[0, 0] += 1.0
+    # the arrays handed in stay the caller's to write
+    a, B = np.ones((1, 2)), np.ones((1, 1, 2, 2))
+    own = SEParameters(a=a, B=B, sigma2=1.0, prelog=1.0, n_real=10)
+    a[0, 0] = 2.0
+    assert own.a[0, 0] == 2.0 and not own.a.flags.writeable
