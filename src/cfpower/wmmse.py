@@ -32,9 +32,11 @@ The primal residual stays X - Z'. Iteration stops when both residuals pass
 the absolute-plus-relative thresholds; the norms behind them are taken only
 when the primal residual has passed a cheap upper bound on its threshold.
 Negative entries of a solution are flipped to their positive counterparts
-afterwards (the balls are sign-symmetric, so feasibility is preserved). The test-suite checks ADMM against a long-run
-projected-gradient oracle of its own. Normalized objective comparisons there
-use |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
+afterwards (the balls are sign-symmetric, so feasibility is preserved). The
+test-suite checks ADMM against a long-run projected-gradient oracle of its
+own, and the lazy stopping test against an eager loop that takes every norm
+on every iteration. Normalized objective comparisons there use
+|f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
 Each outer step forms the C_i once and checks them for corrupt (indefinite)
 inputs with one batched Cholesky factorization of C_i shifted by a small
