@@ -541,9 +541,8 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
         assert result.converged
     assert len(seen) > 2
     # one off-scale penalty, where residual balancing moves rho
-    params = desk_sample(precoder).params
-    aux = update_auxiliaries(params, result.alloc.mu, objective)
-    q, C = wmmse._subproblem(params, aux.omega, aux.v)
+    aux = update_auxiliaries(sample.params, result.alloc.mu, objective)
+    q, C = wmmse._subproblem(sample.params, aux.omega, aux.v)
     args = (q, C, desk_cfg.p_max_dl, AdmmConfig(rho=1e-3),
             np.zeros_like(q), None)
     lazy = admm(*args)
