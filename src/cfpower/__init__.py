@@ -14,7 +14,8 @@ from .config import NetworkConfig, load_config, save_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError,
                      TrainingDivergedError)
-from .estimation import ChannelBatch, mmse_estimate, sample_channels
+from .estimation import (ChannelBatch, ChannelDraw, MmseEstimator,
+                         mmse_estimate, sample_channels)
 from .heuristics import (equal_power, fractional_coefficients,
                          heuristic_allocation, side_info_ratios)
 from .mlp import (MlpModel, TrainConfig, TrainResult, build_model, forward,
@@ -26,8 +27,8 @@ from .pipeline import (EvalReport, cmd_bench, cmd_evaluate, cmd_generate,
                        cmd_inspect, cmd_train)
 from .precoding import compute_precoders
 from .scaling import ScalerParams, apply_scaler, fit_scaler
-from .se import (PowerAllocation, SEParameters, compute_se, effective_sinr,
-                 estimate_se_parameters)
+from .se import (MomentSums, PowerAllocation, SEParameters, compute_se,
+                 effective_sinr, estimate_se_parameters)
 from .wmmse import (AdmmConfig, SolverConfig, WmmseResult, solve_subproblem,
                     update_auxiliaries, utility, wmmse_solve)
 

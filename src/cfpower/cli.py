@@ -154,8 +154,16 @@ def _run(args) -> int:
                                        n_real=args.realizations,
                                        models_dir=args.models)
         for strat in strategies:
-            print(f"{strat}: mean total SE "
-                  f"{report.mean_total_se(strat):.3f} bit/s/Hz")
+            line = (f"{strat}: mean total SE "
+                    f"{report.mean_total_se(strat):.3f} bit/s/Hz")
+            solver = report.solver.get(strat)
+            if solver is not None:
+                line += (f", {solver['converged']}/{args.samples} converged,"
+                         f" outer steps p50 {solver['n_outer_p50']:g} p90 "
+                         f"{solver['n_outer_p90']:g}, "
+                         f"{solver['subproblem_exhausted']} subproblems "
+                         "exhausted")
+            print(line)
         return EXIT_OK
     if args.command == "bench":
         cfg = resolve_config(args.config)

@@ -1,4 +1,4 @@
-"""Channel realizations and per-AP MMSE channel estimation.
+"""Channel realizations and per-AP MMSE channel estimation, tile by tile.
 
 Channels are drawn as h = R^(1/2) z with z circularly-symmetric complex
 Gaussian. Pilot observations at each AP are despread per pilot sequence,
@@ -12,12 +12,14 @@ The Monte-Carlo front end runs in realization tiles (`realization_tiles`).
 A tile is the largest whole number of the reduction's 64-realization
 chunks whose (K, L, N) complex slice fits in 2 MiB, and a batch that fits
 in 2 MiB is one tile: 64 realizations (1.3 MB) at `large`, a whole
-1000-realization `desk` drop. Both draws keep the stream order of an
-untiled draw: the real half is drawn in full, then the imaginary half tile
-by tile, so no output bit depends on the tile size. At `large` with 1000
-realizations the real halves are 10.2 MB (channels) and 5.1 MB (pilot
-noise); besides them only `h`, `h_hat` (20.5 MB each) and tile-sized
-temporaries exist.
+1000-realization `desk` drop. A drop's `ChannelDraw` and `MmseEstimator`
+hand out one tile at a time, in realization order, into one reused tile
+buffer each (`sample_channels`, `mmse_estimate`), so no drop-sized `h` or
+`h_hat` exists. Both draws keep the stream order of an untiled draw: the
+real half is drawn in full with the first tile, then the imaginary half
+tile by tile, so no output bit depends on the tile size. At `large` with
+1000 realizations the real halves are 10.2 MB (channels) and 5.1 MB (pilot
+noise), and each draw lets go of its buffers with its last tile.
 """
 
 from dataclasses import dataclass
@@ -41,10 +43,14 @@ _TILE_BYTES = 2 ** 21
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """Realizations of true and estimated channels for one drop."""
+    """True and estimated channels of one realization tile.
 
-    h: np.ndarray        # (n_real, K, L, N) complex
-    h_hat: np.ndarray    # (n_real, K, L, N) complex
+    The arrays are the tile buffers of the drop's draws, so the next tile
+    overwrites them.
+    """
+
+    h: np.ndarray        # (n, K, L, N) complex
+    h_hat: np.ndarray    # (n, K, L, N) complex
 
     @property
     def n_real(self):
@@ -81,65 +87,119 @@ def _sqrtm_psd(R):
         eigvec.conj(), -1, -2)
 
 
-def _complex_normals(rng, shape, tiles):
-    """Yield (tile, re + 1j im) per realization tile of a complex normal draw.
+class _ComplexNormals:
+    """A complex normal draw of `shape`, handed out tile by tile.
 
-    The real half of the whole draw comes first, then the imaginary half
-    tile by tile, which is the stream order of one untiled draw. The
-    yielded array is a buffer reused by the next tile.
+    The real half of the whole draw comes with the first tile, then the
+    imaginary half tile by tile, which is the stream order of one untiled
+    draw. The returned array is a buffer reused by the next tile; after the
+    last tile the draw holds neither buffers nor generator.
     """
-    re = rng.standard_normal(shape)
-    im = np.empty((tiles[0].stop,) + shape[1:])
-    z = np.empty(im.shape, dtype=complex)
-    for tile in tiles:
+
+    def __init__(self, seed, shape):
+        self._rng = np.random.default_rng(seed)
+        self._shape = shape
+        self._done = 0          # realizations handed out
+        self._re = self._im = self._z = None
+
+    def take(self, tile):
+        if tile.start != self._done or tile.stop > self._shape[0]:
+            raise ValueError("tiles must come in realization order")
         n = tile.stop - tile.start
-        rng.standard_normal(out=im[:n])
-        np.multiply(1j, im[:n], out=z[:n])
-        z[:n] += re[tile]
-        yield tile, z[:n]
+        if self._done == 0:
+            # the first tile is the largest
+            self._re = self._rng.standard_normal(self._shape)
+            self._im = np.empty((n,) + self._shape[1:])
+            self._z = np.empty(self._im.shape, dtype=complex)
+        im, z = self._im[:n], self._z[:n]
+        self._rng.standard_normal(out=im)
+        np.multiply(1j, im, out=z)
+        z += self._re[tile]
+        self._done = tile.stop
+        if self._done == self._shape[0]:
+            self._rng = self._re = self._im = self._z = None
+        return z
 
 
-def sample_channels(stats: ChannelStatistics, n_real: int, seed) -> np.ndarray:
-    """Draw (n_real, K, L, N) correlated Rayleigh channel realizations."""
-    if n_real < 1:
-        raise ValueError("n_real must be >= 1")
-    K, L, N = stats.R.shape[:3]
-    sqrt_R = _sqrtm_psd(stats.R)
-    h = np.empty((n_real, K, L, N), dtype=complex)
-    for tile, z in _complex_normals(np.random.default_rng(seed), h.shape,
-                                    realization_tiles(*h.shape)):
-        z /= np.sqrt(2.0)
-        _apply_per_link(z, sqrt_R, h[tile])
+class ChannelDraw:
+    """One drop's channel draw, which `sample_channels` hands out tile by
+    tile; `tiles` are its realization tiles in order."""
+
+    def __init__(self, stats: ChannelStatistics, n_real: int, seed):
+        if n_real < 1:
+            raise ValueError("n_real must be >= 1")
+        self.R = stats.R
+        self.tiles = realization_tiles(n_real, *stats.R.shape[:3])
+        self.normals = _ComplexNormals(seed, (n_real,) + stats.R.shape[:3])
+        self.sqrt_R = None      # made with the first tile
+        self.h = None           # tile buffer
+
+
+class MmseEstimator:
+    """One drop's pilot noise and MMSE filters, which `mmse_estimate`
+    applies tile by tile."""
+
+    def __init__(self, stats: ChannelStatistics, pilots: PilotAssignment,
+                 cfg: NetworkConfig, n_real: int, noise_seed):
+        L, N = stats.R.shape[1:3]
+        self.R = stats.R
+        self.pilots = pilots
+        self.pilot_of = np.asarray(pilots.pilot_of, dtype=int)
+        self.cfg = cfg
+        self.n_real = n_real
+        self.noise = _ComplexNormals(noise_seed, (n_real, cfg.tau_p, L, N))
+        self.filters = None     # made with the first tile
+        self.h_hat = None       # tile buffer
+
+
+def sample_channels(draw: ChannelDraw, tile: slice) -> np.ndarray:
+    """The (n, K, L, N) correlated Rayleigh channels of the next tile, in
+    the draw's tile buffer."""
+    z = draw.normals.take(tile)
+    if draw.sqrt_R is None:
+        draw.sqrt_R = _sqrtm_psd(draw.R)
+        draw.h = np.empty(z.shape, dtype=complex)
+    z /= np.sqrt(2.0)
+    h = draw.h[:z.shape[0]]
+    _apply_per_link(z, draw.sqrt_R, h)
+    if tile.stop == draw.tiles[-1].stop:
+        draw.sqrt_R = None      # spent, as the draw's buffers are
     return h
 
 
-def mmse_estimate(h: np.ndarray, stats: ChannelStatistics,
-                  pilots: PilotAssignment, cfg: NetworkConfig,
-                  noise_seed) -> ChannelBatch:
-    """MMSE-estimate every AP-UE channel from contaminated pilot signals."""
-    n_real, K, L, N = h.shape
+def _mmse_filters(R, pilots, pilot_of, cfg):
+    """amp R_kl Psi_tl^-1 per link, t the pilot of UE k."""
     tau_p, p_ul, sigma2 = cfg.tau_p, cfg.p_ul, cfg.noise_power
-    amp = np.sqrt(tau_p * p_ul)
+    L, N = R.shape[1], R.shape[2]
     # psi[t, l] is the covariance of y_t at AP l, shared by the pilot group
     psi = np.empty((tau_p, L, N, N), dtype=complex)
     for t, group in enumerate(pilots.groups):
         psi[t] = sigma2 * np.eye(N)
         for i in group:
-            psi[t] = psi[t] + tau_p * p_ul * stats.R[i]
+            psi[t] = psi[t] + tau_p * p_ul * R[i]
     # cholesky doubles as the positive-definiteness assertion
     np.linalg.cholesky(psi)
+    return np.sqrt(tau_p * p_ul) * R @ np.linalg.inv(psi)[pilot_of]
 
-    pilot_of = np.asarray(pilots.pilot_of, dtype=int)
-    filters = amp * stats.R @ np.linalg.inv(psi)[pilot_of]
-    h_hat = np.empty(h.shape, dtype=complex)
+
+def mmse_estimate(h: np.ndarray, est: MmseEstimator,
+                  tile: slice) -> ChannelBatch:
+    """MMSE-estimate every AP-UE channel of a tile from contaminated pilot
+    signals; h is the tile's channels from `sample_channels`."""
+    cfg, pilots = est.cfg, est.pilots
     # despread observation per (pilot, AP):
     # y_t = sum_{i in group t} sqrt(tau_p p) h_i + n,  n ~ CN(0, sigma2 I)
-    for tile, y in _complex_normals(np.random.default_rng(noise_seed),
-                                    (n_real, tau_p, L, N),
-                                    realization_tiles(*h.shape)):
-        y *= np.sqrt(sigma2 / 2.0)
-        for t, group in enumerate(pilots.groups):
-            for i in group:
-                y[:, t] += amp * h[tile, i]
-        _apply_per_link(y[:, pilot_of], filters, h_hat[tile])
+    y = est.noise.take(tile)
+    if est.filters is None:
+        est.filters = _mmse_filters(est.R, pilots, est.pilot_of, cfg)
+        est.h_hat = np.empty(h.shape, dtype=complex)
+    y *= np.sqrt(cfg.noise_power / 2.0)
+    amp = np.sqrt(cfg.tau_p * cfg.p_ul)
+    for t, group in enumerate(pilots.groups):
+        for i in group:
+            y[:, t] += amp * h[:, i]
+    h_hat = est.h_hat[:h.shape[0]]
+    _apply_per_link(y[:, est.pilot_of], est.filters, h_hat)
+    if tile.stop == est.n_real:
+        est.filters = None      # spent, as the noise draw's buffers are
     return ChannelBatch(h=h, h_hat=h_hat)

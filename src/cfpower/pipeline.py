@@ -26,7 +26,8 @@ from .scaling import ScalerParams
 from .config import NetworkConfig
 from .dataset import DatasetFile, DatasetHeader, SampleRecord, read_layout
 from .errors import DataFormatError, SolverDegeneracyError
-from .estimation import mmse_estimate, sample_channels
+from .estimation import (ChannelDraw, MmseEstimator, mmse_estimate,
+                         sample_channels)
 from .heuristics import equal_power, heuristic_allocation
 from .mlp import (MODEL_KINDS, TrainConfig, build_model, train,
                   validation_split)
@@ -34,8 +35,9 @@ from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
 from .precoding import compute_precoders
 from .scaling import apply_scaler, fit_scaler
-from .se import SEParameters, compute_se, estimate_se_parameters
-from .wmmse import SolverConfig, wmmse_solve
+from .se import (MomentSums, SEParameters, compute_se,
+                 estimate_se_parameters)
+from .wmmse import SolverConfig, WmmseResult, wmmse_solve
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +74,16 @@ def build_sample(cfg: NetworkConfig, ap_positions, master_seed: int,
     scen = drop_scenario(cfg, drop_s, ap_positions)
     stats = build_statistics(cfg, scen)
     pil = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, n_real, chan_s)
-    batch = mmse_estimate(h, stats, pil, cfg, noise_s)
-    # precoders are made per realization tile inside the reduction
-    params = estimate_se_parameters(
-        batch, lambda tile: compute_precoders(tile, precoder, cfg.p_ul,
-                                              cfg.noise_power), cfg)
+    draw = ChannelDraw(stats, n_real, chan_s)
+    estimator = MmseEstimator(stats, pil, cfg, n_real, noise_s)
+    sums = MomentSums(cfg.K, cfg.L, n_real)
+    # each realization tile passes every stage before the next is drawn
+    for tile in draw.tiles:
+        h = sample_channels(draw, tile)
+        batch = mmse_estimate(h, estimator, tile)
+        w = compute_precoders(batch, precoder, cfg.p_ul, cfg.noise_power)
+        estimate_se_parameters(batch, w, sums)
+    params = sums.finish(cfg)
     return SampleInputs(beta=stats.beta, pilot_of=pil.pilot_of, params=params)
 
 
@@ -242,6 +248,11 @@ def cmd_train(dataset_path, kind: str, out_dir,
     return paths
 
 
+# `_solver_summary` entries that `EvalReport.write_csvs` puts in summary.csv
+_SOLVER_COLUMNS = ("converged", "n_outer_p50", "n_outer_p90",
+                   "subproblem_exhausted")
+
+
 @dataclass
 class EvalReport:
     """Per-strategy spectral efficiencies over the evaluation drops."""
@@ -250,6 +261,8 @@ class EvalReport:
     se: dict                  # strategy -> (n_drops, K)
     alloc_seconds: dict       # strategy -> mean seconds per allocation
     digests: list             # per-drop SE parameter digests
+    solver: dict              # wmmse strategy -> `_solver_summary` of its
+                              # solves, one per drop
 
     def mean_total_se(self, strategy) -> float:
         return float(self.se[strategy].sum(axis=1).mean())
@@ -289,28 +302,29 @@ class EvalReport:
         with open(summary, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["strategy", "mean_total_se", "mean_min_se",
-                             "p10_se", "mean_alloc_seconds"])
+                             "p10_se", "mean_alloc_seconds"]
+                            + list(_SOLVER_COLUMNS))
             for strat in self.strategies:
+                # the solver columns stay empty for strategies without one
+                solver = self.solver.get(strat, {})
                 writer.writerow([
                     strat,
                     repr(self.mean_total_se(strat)),
                     repr(self.mean_min_se(strat)),
                     repr(self.percentile_se(strat, 10.0)),
                     repr(float(self.alloc_seconds[strat])),
-                ])
+                ] + [repr(solver[c]) if c in solver else ""
+                     for c in _SOLVER_COLUMNS])
         return [per_ue, cdf_path, summary]
 
 
 def _allocator_for(strategy, cfg, models):
-    """Returns a callable sample -> PowerAllocation for one strategy."""
-    if strategy == "wmmse-sumse":
-        solver = SolverConfig(objective="sumse")
+    """Returns a callable sample -> PowerAllocation for one strategy; a
+    WMMSE strategy's callable returns the whole `WmmseResult`."""
+    if strategy in ("wmmse-sumse", "wmmse-pf"):
+        solver = SolverConfig(objective=strategy[len("wmmse-"):])
         return lambda s: wmmse_solve(s.params, cfg.p_max_dl, solver,
-                                     beta=s.beta).alloc
-    if strategy == "wmmse-pf":
-        solver = SolverConfig(objective="pf")
-        return lambda s: wmmse_solve(s.params, cfg.p_max_dl, solver,
-                                     beta=s.beta).alloc
+                                     beta=s.beta)
     if strategy == "heuristic":
         return lambda s: heuristic_allocation(s.beta, cfg.v_exponent,
                                               cfg.p_max_dl)
@@ -340,6 +354,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
     aps = place_aps(cfg, master)
     se = {s: np.empty((n_drops, cfg.K)) for s in strategies}
     seconds = {s: 0.0 for s in strategies}
+    solves = {s: [] for s in strategies}
     digests = []
     for drop in range(n_drops):
         sample = build_sample(cfg, aps, master, TEST_NAMESPACE, drop,
@@ -351,24 +366,32 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
             t0 = time.perf_counter()
             alloc = allocators[strat](sample)
             seconds[strat] += time.perf_counter() - t0
+            if isinstance(alloc, WmmseResult):
+                solves[strat].append(alloc)
+                alloc = alloc.alloc
             se[strat][drop] = compute_se(sample.params, alloc)
         if (drop + 1) % 50 == 0:
             log.info("evaluated %d / %d drops", drop + 1, n_drops)
     report = EvalReport(strategies=strategies, se=se,
                         alloc_seconds={s: seconds[s] / max(n_drops, 1)
                                        for s in strategies},
-                        digests=digests)
+                        digests=digests,
+                        solver={s: _solver_summary(runs)
+                                for s, runs in solves.items() if runs})
     if out_dir is not None:
         report.write_csvs(out_dir)
     return report
 
 
 def _solver_summary(records):
-    """The stored WMMSE diagnostics of dataset records, summarised."""
+    """WMMSE diagnostics of dataset records or of `WmmseResult`s,
+    summarised. A record flags a drop with any exhausted subproblem, where
+    a result counts the subproblems."""
     if not records:
         return None
     n_outer = np.array([r.n_outer for r in records])
-    return {"converged_frac": float(np.mean([r.converged for r in records])),
+    return {"converged": sum(bool(r.converged) for r in records),
+            "converged_frac": float(np.mean([r.converged for r in records])),
             "n_outer_p50": float(np.percentile(n_outer, 50)),
             "n_outer_p90": float(np.percentile(n_outer, 90)),
             "n_outer_max": int(n_outer.max()),

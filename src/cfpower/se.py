@@ -22,12 +22,14 @@ bits. The chunk bounds memory: its g is 6.6 MB at `large`, where a full
 (n_real, K, K, L) g would be 102 MB.
 
 The chunks are walked in the front end's realization tiles
-(`estimation.realization_tiles`), which the tile size cannot reorder. Given
-a function instead of an array, the reduction asks it for each tile's
-precoders, so no full precoder array exists; `pipeline.build_sample` works
-that way. The Gram products take one k at a time, so the float copy of g
-is 0.3 MB at `large`. One `large` RZF drop at 1000 realizations peaks at
-57.9 MB under tracemalloc (2.8 x `h`); `h` and `h_hat` are 41 MB of it.
+(`estimation.realization_tiles`), which the tile size cannot reorder:
+`pipeline.build_sample` carries each tile through channels, estimates and
+precoders and then adds it to one running `MomentSums`, so neither a full
+channel array nor a full precoder array exists. The Gram products take one
+k at a time, so the float copy of g is 0.3 MB at `large`. One `large` RZF
+drop at 1000 realizations peaks at 31.9 MB under tracemalloc (1.6 x the
+20.5 MB a full `h` would take); the real halves of its two random draws
+are 15.4 MB of it.
 
 Binary container layout (little-endian): magic "CFSEP001", then
 K, L as uint32, n_real as uint64, prelog, sigma2 as float64, then the a
@@ -44,7 +46,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import DataFormatError, NumericalError
-from .estimation import _CHUNK, ChannelBatch, realization_tiles
+from .estimation import _CHUNK, ChannelBatch
 
 log = logging.getLogger(__name__)
 
@@ -153,66 +155,86 @@ class SEParameters:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
-def estimate_se_parameters(batch, w, cfg: NetworkConfig) -> SEParameters:
-    """Estimate (a, B) by sample means over the batch realizations.
+class MomentSums:
+    """Running Monte-Carlo sums of one drop's (a, B), which
+    `estimate_se_parameters` adds realization tiles to in order; `finish`
+    turns them into the estimate once all n_real are in."""
 
-    The per-realization scalar g[k, i, l] = h_kl^H w_il carries everything:
-    a_kl = |mean g[k, k, l]| and B_ki[l, m] = Re mean(g[k,i,l] conj g[k,i,m]).
-    `w` is the (n_real, K, L, N) precoder array or a function from a tile's
-    ChannelBatch to that tile's precoders. The reduction runs in fixed-size
-    chunks in realization order, so results are deterministic for a given
-    batch and do not depend on the tiles (see the module docstring).
+    def __init__(self, K: int, L: int, n_real: int):
+        if n_real < 100:
+            raise ValueError(
+                "need at least 100 realizations for stable estimates")
+        self.n_real = n_real
+        self.n_seen = 0
+        self.signal = np.zeros((K, L), dtype=complex)
+        self.imag_sq = np.zeros((K, L))
+        self.second = np.zeros((K, K, L, L))
+
+    def finish(self, cfg: NetworkConfig) -> SEParameters:
+        """a_kl = |mean g[k, k, l]|, B_ki[l, m] = Re mean(g[k,i,l] conj
+        g[k,i,m]) and the imaginary-residue diagnostic."""
+        n_real = self.n_real
+        if self.n_seen != n_real:
+            raise ValueError(f"sums hold {self.n_seen} of {n_real} "
+                             "realizations")
+        mean_sig = self.signal / n_real
+        a = np.abs(mean_sig)
+        B = self.second / n_real
+        # per-entry ratios are recorded. The warning asks whether the
+        # imaginary means are Monte-Carlo noise: without a rotation error,
+        # each squared mean over its squared standard error is about
+        # chi-square(1), so their sum T over the M entries with spread
+        # stays near M
+        ratio = np.abs(mean_sig.imag) / np.maximum(a, 1e-300)
+        worst = float(ratio.max()) if a.size else 0.0
+        se2 = (self.imag_sq / n_real - mean_sig.imag ** 2) / (n_real - 1)
+        spread = se2 > 0.0
+        t_stat = float(np.sum(mean_sig.imag[spread] ** 2 / se2[spread]))
+        n_dof = int(spread.sum())
+        if t_stat > n_dof + 6.0 * np.sqrt(2.0 * n_dof):
+            log.warning("imaginary residue of %.3g squared standard errors "
+                        "over %d signal means; rotation convention may be "
+                        "off for this precoder", t_stat, n_dof)
+        return SEParameters(a=a, B=B, sigma2=cfg.noise_power,
+                            prelog=cfg.prelog, n_real=n_real,
+                            imag_residue=worst)
+
+
+def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,
+                           sums: MomentSums) -> MomentSums:
+    """Add a tile's realizations to the running (a, B) sums; returns sums.
+
+    The per-realization scalar g[k, i, l] = h_kl^H w_il carries everything
+    (see `MomentSums.finish`); `w` holds the tile's precoders. The tile
+    runs in fixed-size chunks and every tile but the last holds whole
+    chunks, so the sums do not depend on the tiles (see the module
+    docstring).
     """
     h = batch.h
-    n_real, K, L, N = h.shape
-    if n_real < 100:
-        raise ValueError("need at least 100 realizations for stable estimates")
-    if not callable(w) and w.shape != h.shape:
+    n, K, L, N = h.shape
+    if w.shape != h.shape:
         raise ValueError("precoders and channels must share a shape")
-    s_acc = np.zeros((K, L), dtype=complex)
-    im2_acc = np.zeros((K, L))
-    b_acc = np.zeros((K, K, L, L))
-    for tile in realization_tiles(n_real, K, L, N):
-        h_t = h[tile]
-        w_t = w(ChannelBatch(h=h_t, h_hat=batch.h_hat[tile])) \
-            if callable(w) else w[tile]
-        if w_t.shape != h_t.shape:
-            raise ValueError("precoders and channels must share a shape")
-        for start in range(0, h_t.shape[0], _CHUNK):
-            # g[r, l, k, i] = h_kl^H w_il: one (K, N) @ (N, K) product per
-            # (realization, AP)
-            hc = h_t[start:start + _CHUNK].conj().transpose(0, 2, 1, 3)
-            wc = w_t[start:start + _CHUNK].transpose(0, 2, 3, 1)
-            g = np.matmul(hc, wc)
-            g_kk = np.diagonal(g, axis1=2, axis2=3)
-            s_acc += g_kk.sum(axis=0).T
-            im2_acc += (g_kk.imag ** 2).sum(axis=0).T
-            # the float view interleaves Re and Im along the realization
-            # axis, so one real Gram product per (k, i) gives
-            # Re(G_ki^H G_ki); one k at a time, the copy stays in cache
-            for k in range(K):
-                gv = np.ascontiguousarray(
-                    g[:, :, k].transpose(2, 1, 0)).view(float)
-                b_acc[k] += np.matmul(gv, np.swapaxes(gv, -1, -2))
-    mean_sig = s_acc / n_real
-    a = np.abs(mean_sig)
-    B = b_acc / n_real
-    # per-entry ratios are recorded. The warning asks whether the imaginary
-    # means are Monte-Carlo noise: without a rotation error, each squared
-    # mean over its squared standard error is about chi-square(1), so their
-    # sum T over the M entries with spread stays near M
-    ratio = np.abs(mean_sig.imag) / np.maximum(a, 1e-300)
-    worst = float(ratio.max()) if a.size else 0.0
-    se2 = (im2_acc / n_real - mean_sig.imag ** 2) / (n_real - 1)
-    spread = se2 > 0.0
-    t_stat = float(np.sum(mean_sig.imag[spread] ** 2 / se2[spread]))
-    n_dof = int(spread.sum())
-    if t_stat > n_dof + 6.0 * np.sqrt(2.0 * n_dof):
-        log.warning("imaginary residue of %.3g squared standard errors over "
-                    "%d signal means; rotation convention may be off for "
-                    "this precoder", t_stat, n_dof)
-    return SEParameters(a=a, B=B, sigma2=cfg.noise_power, prelog=cfg.prelog,
-                        n_real=n_real, imag_residue=worst)
+    if sums.n_seen % _CHUNK or sums.n_seen + n > sums.n_real:
+        raise ValueError(f"a tile of {n} realizations does not follow "
+                         f"{sums.n_seen} of {sums.n_real} in whole chunks")
+    for start in range(0, n, _CHUNK):
+        # g[r, l, k, i] = h_kl^H w_il: one (K, N) @ (N, K) product per
+        # (realization, AP)
+        hc = h[start:start + _CHUNK].conj().transpose(0, 2, 1, 3)
+        wc = w[start:start + _CHUNK].transpose(0, 2, 3, 1)
+        g = np.matmul(hc, wc)
+        g_kk = np.diagonal(g, axis1=2, axis2=3)
+        sums.signal += g_kk.sum(axis=0).T
+        sums.imag_sq += (g_kk.imag ** 2).sum(axis=0).T
+        # the float view interleaves Re and Im along the realization axis,
+        # so one real Gram product per (k, i) gives Re(G_ki^H G_ki); one k
+        # at a time, the copy stays in cache
+        for k in range(K):
+            gv = np.ascontiguousarray(
+                g[:, :, k].transpose(2, 1, 0)).view(float)
+            sums.second[k] += np.matmul(gv, np.swapaxes(gv, -1, -2))
+    sums.n_seen += n
+    return sums
 
 
 def sinr_terms(params: SEParameters, mu: np.ndarray) -> tuple:

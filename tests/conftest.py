@@ -1,6 +1,7 @@
 """Shared fixtures: preset configs, cached drops, synthetic SE parameters,
 the WMMSE subproblem's quadratic forms and objective, its projected-gradient
-oracle and the one-shot Monte-Carlo front end."""
+oracle, the package's tile-by-tile front end gathered into whole arrays, and
+the one-shot Monte-Carlo front end."""
 
 from types import SimpleNamespace
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import settings
 
 from cfpower.cli import resolve_config
-from cfpower.estimation import ChannelBatch
+from cfpower.estimation import (ChannelBatch, ChannelDraw, MmseEstimator,
+                                mmse_estimate, sample_channels)
 from cfpower.network import build_statistics, drop_scenario, place_aps
 from cfpower.pilots import assign_pilots
 from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
 from cfpower.precoding import compute_precoders
-from cfpower.se import SEParameters
+from cfpower.se import MomentSums, SEParameters, estimate_se_parameters
 from cfpower.wmmse import _subproblem, project_per_ap
 
 # deterministic property-test runs, no wall-clock deadline on a busy box
@@ -135,6 +137,41 @@ def projected_gradient():
     return _projected_gradient
 
 
+# The package's front end stage by stage, as `build_sample` runs it, with
+# each tile copied out of the reused tile buffers into whole arrays.
+
+def _tiled_channels(stats, n_real, seed):
+    draw = ChannelDraw(stats, n_real, seed)
+    return np.concatenate([sample_channels(draw, tile).copy()
+                           for tile in draw.tiles])
+
+
+def _tiled_front_end(stats, pilots, cfg, n_real, chan_seed, noise_seed):
+    """The whole (h, h_hat) of a drop as one ChannelBatch."""
+    draw = ChannelDraw(stats, n_real, chan_seed)
+    est = MmseEstimator(stats, pilots, cfg, n_real, noise_seed)
+    h, h_hat = [], []
+    for tile in draw.tiles:
+        batch = mmse_estimate(sample_channels(draw, tile), est, tile)
+        h.append(batch.h.copy())
+        h_hat.append(batch.h_hat.copy())
+    return ChannelBatch(h=np.concatenate(h), h_hat=np.concatenate(h_hat))
+
+
+def _se_parameters(batch, w, cfg):
+    """(a, B) of a whole batch, added to the sums as one tile."""
+    n_real, K, L = batch.h.shape[:3]
+    return estimate_se_parameters(batch, w,
+                                  MomentSums(K, L, n_real)).finish(cfg)
+
+
+@pytest.fixture(scope="session")
+def tiled():
+    return SimpleNamespace(channels=_tiled_channels,
+                           front_end=_tiled_front_end,
+                           se_parameters=_se_parameters)
+
+
 # The Monte-Carlo front end as one untiled pass, as it ran before the
 # realization tiles: every stage holds its (n_real, K, L, N) output in full,
 # and the reduction walks the 64-realization chunks of the whole batch.
@@ -211,4 +248,5 @@ def _oneshot_sample(cfg, aps, master_seed, namespace, index, precoder,
 def oneshot():
     return SimpleNamespace(sample_channels=_oneshot_sample_channels,
                            mmse_estimate=_oneshot_mmse_estimate,
+                           moments=_oneshot_moments,
                            sample=_oneshot_sample)

@@ -15,7 +15,6 @@ import pytest
 
 from cfpower.allocator import predict_allocation
 from cfpower.config import NetworkConfig
-from cfpower.estimation import mmse_estimate, sample_channels
 from cfpower.heuristics import (equal_power, fractional_coefficients,
                                 heuristic_allocation, side_info_ratios)
 from cfpower.mlp import (DenseLayer, MlpModel, TrainConfig, build_model,
@@ -28,8 +27,7 @@ from cfpower.pipeline import (TEST_NAMESPACE, _bench_models, build_sample,
                               cmd_train)
 from cfpower.precoding import compute_precoders
 from cfpower.scaling import ScalerParams
-from cfpower.se import (BUDGET_SLACK, PowerAllocation, compute_se,
-                        estimate_se_parameters)
+from cfpower.se import BUDGET_SLACK, PowerAllocation, compute_se
 from cfpower.wmmse import (AdmmConfig, SolverConfig, solve_subproblem,
                            wmmse_solve)
 
@@ -212,7 +210,7 @@ def scratch_bound_estimator(cfg, R, mu, n_mc, seed):
     return se
 
 
-def test_criterion_04_bound_consistency():
+def test_criterion_04_bound_consistency(tiled):
     t0 = time.perf_counter()
     cfg = tiny_contaminated_config()
     aps = place_aps(cfg, cfg.seed)
@@ -220,10 +218,9 @@ def test_criterion_04_bound_consistency():
     stats = build_statistics(cfg, scen)
     pil = assign_pilots(stats.beta, cfg.tau_p)
     n_real = 100_000
-    h = sample_channels(stats, n_real, 502)
-    batch = mmse_estimate(h, stats, pil, cfg, 503)
+    batch = tiled.front_end(stats, pil, cfg, n_real, 502, 503)
     w = compute_precoders(batch, "mr", cfg.p_ul, cfg.noise_power)
-    params = estimate_se_parameters(batch, w, cfg)
+    params = tiled.se_parameters(batch, w, cfg)
     alloc = equal_power(cfg.K, cfg.L, cfg.p_max_dl)
     se_pkg = compute_se(params, alloc)
     se_ref = scratch_bound_estimator(cfg, stats.R, alloc.mu, n_real,
@@ -236,7 +233,7 @@ def test_criterion_04_bound_consistency():
             "(<= 0.03)")
 
 
-def test_criterion_05_estimator_statistics():
+def test_criterion_05_estimator_statistics(tiled):
     t0 = time.perf_counter()
     cfg = tiny_contaminated_config()
     aps = place_aps(cfg, cfg.seed)
@@ -244,8 +241,7 @@ def test_criterion_05_estimator_statistics():
     stats = build_statistics(cfg, scen)
     pil = assign_pilots(stats.beta, cfg.tau_p)
     n_real = 100_000
-    h = sample_channels(stats, n_real, 602)
-    batch = mmse_estimate(h, stats, pil, cfg, 603)
+    batch = tiled.front_end(stats, pil, cfg, n_real, 602, 603)
     amp2 = cfg.tau_p * cfg.p_ul
     worst = 0.0
     for k in range(cfg.K):

@@ -129,14 +129,16 @@ def test_build_sample_records_every_front_end_span(tracing, desk_cfg,
                 + FRONT_END_SPANS]
     assert tracing.missing_spans(tracer, expected) == []
     totals = tracer.totals()
+    n_tiles = len(estimation.realization_tiles(n_real, K, L, N))
+    assert n_tiles == (1 if tile_bytes is None else 5)
     for name in FRONT_END_SPANS:
         calls = totals[(name, None)][0]
-        if name == "precoding.compute_precoders":
-            # once per realization tile, inside the reduction's span
-            assert calls == len(estimation.realization_tiles(n_real, K, L, N))
+        if name.split(".")[0] in ("estimation", "precoding", "se"):
+            # once per realization tile, each span a sibling of the others
+            assert calls == n_tiles, name
         else:
             assert calls == 1, name
-    # the reduction's cost figures count the whole batch, as before tiling
+    # the reduction's cost figures add up to the whole batch
     assert tracer.counts["se.flop"] == 8.0 * n_real * K * K * L * (N + L)
 
 

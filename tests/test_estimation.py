@@ -5,8 +5,10 @@ estimate from a despread pilot y = sum_group amp h_i + n has covariance
 amp^2 R Psi^-1 R with Psi = sum_group amp^2 R_i + sigma2 I. Sample moments
 at a few 10^4 realizations sit well inside the tolerances used here.
 
-The batched implementation is also checked draw by draw against plain
-per-link loops that share the random draw order, and tile by tile against
+The package hands a drop out one realization tile at a time; the tests
+here gather the tiles into whole arrays (`tiled` in `conftest.py`). The
+batched implementation is also checked draw by draw against plain per-link
+loops that share the random draw order, and at several tile sizes against
 the one-shot front end in `conftest.py`.
 """
 
@@ -16,8 +18,8 @@ import pytest
 from cfpower import estimation
 from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
-from cfpower.estimation import (mmse_estimate, realization_tiles,
-                                sample_channels)
+from cfpower.estimation import (ChannelDraw, MmseEstimator, mmse_estimate,
+                                realization_tiles, sample_channels)
 from cfpower.network import (ChannelStatistics, build_statistics,
                              drop_scenario)
 from cfpower.pilots import assign_pilots
@@ -38,9 +40,9 @@ def sample_cov(x):
 HANDY_R = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.0]])
 
 
-def test_channel_sample_covariance():
+def test_channel_sample_covariance(tiled):
     stats = stats_from_R([[HANDY_R]])
-    h = sample_channels(stats, n_real=200000, seed=3)[:, 0, 0, :]
+    h = tiled.channels(stats, n_real=200000, seed=3)[:, 0, 0, :]
     cov = sample_cov(h)
     err = np.linalg.norm(cov - HANDY_R) / np.linalg.norm(HANDY_R)
     assert err < 0.02
@@ -49,15 +51,15 @@ def test_channel_sample_covariance():
     assert np.linalg.norm(h.T @ h / h.shape[0]) < 0.02 * np.linalg.norm(HANDY_R)
 
 
-def test_channel_samples_are_seeded():
+def test_channel_samples_are_seeded(tiled):
     stats = stats_from_R([[HANDY_R]])
-    a = sample_channels(stats, 64, seed=5)
-    b = sample_channels(stats, 64, seed=5)
-    c = sample_channels(stats, 64, seed=6)
+    a = tiled.channels(stats, 64, seed=5)
+    b = tiled.channels(stats, 64, seed=5)
+    c = tiled.channels(stats, 64, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        sample_channels(stats, 0, seed=1)
+        ChannelDraw(stats, 0, seed=1)
 
 
 def _one_link_cfg(N=2, tau_p=2):
@@ -65,7 +67,7 @@ def _one_link_cfg(N=2, tau_p=2):
                          correlation_model="uncorrelated")
 
 
-def test_psi_matches_model():
+def test_psi_matches_model(tiled):
     # the estimate is linear in the pilot observation, so two channel draws
     # under one noise seed differ by the filter applied to the change of
     # the group's channels alone: the noise cancels and Psi is pinned;
@@ -76,10 +78,9 @@ def test_psi_matches_model():
     stats = stats_from_R([[R0], [R1]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     assert pilots.groups == ((0, 1),)
-    h = sample_channels(stats, 128, seed=1)
-    h2 = sample_channels(stats, 128, seed=3)
-    b1 = mmse_estimate(h, stats, pilots, cfg, noise_seed=2)
-    b2 = mmse_estimate(h2, stats, pilots, cfg, noise_seed=2)
+    b1 = tiled.front_end(stats, pilots, cfg, 128, 1, 2)
+    b2 = tiled.front_end(stats, pilots, cfg, 128, 3, 2)
+    h, h2 = b1.h, b2.h
     q = cfg.tau_p * cfg.p_ul
     psi = q * (R0 + R1) + cfg.noise_power * np.eye(2)
     dh = (h2 - h)[:, 0, 0, :] + (h2 - h)[:, 1, 0, :]
@@ -89,15 +90,14 @@ def test_psi_matches_model():
         assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
-def test_estimate_covariance_orthogonal_pilots():
+def test_estimate_covariance_orthogonal_pilots(tiled):
     cfg = _one_link_cfg(tau_p=2)
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     # gains of order one dwarf the -124 dB noise, so scale sigma2 up to
     # make the estimation error visible
     cfg = cfg.replace(noise_power=0.3)
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 40000, seed=8)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=9)
+    batch = tiled.front_end(stats, pilots, cfg, 40000, 8, 9)
     q = cfg.tau_p * cfg.p_ul
     for k, R in ((0, HANDY_R), (1, 0.7 * np.eye(2))):
         psi = q * R + cfg.noise_power * np.eye(2)
@@ -107,13 +107,12 @@ def test_estimate_covariance_orthogonal_pilots():
         assert err < 0.05
 
 
-def test_estimate_covariance_with_contamination():
+def test_estimate_covariance_with_contamination(tiled):
     cfg = _one_link_cfg(tau_p=1).replace(noise_power=0.3)
     R0, R1 = HANDY_R, 0.6 * np.eye(2, dtype=complex)
     stats = stats_from_R([[R0], [R1]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 40000, seed=10)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=11)
+    batch = tiled.front_end(stats, pilots, cfg, 40000, 10, 11)
     q = cfg.tau_p * cfg.p_ul
     psi = q * (R0 + R1) + cfg.noise_power * np.eye(2)
     expected = q * R0 @ np.linalg.inv(psi) @ R0
@@ -122,28 +121,26 @@ def test_estimate_covariance_with_contamination():
     assert err < 0.05
 
 
-def test_estimate_error_orthogonality():
+def test_estimate_error_orthogonality(tiled):
     # E{h_hat (h - h_hat)^H} = 0 is the defining property of MMSE
     cfg = _one_link_cfg(tau_p=2).replace(noise_power=0.3)
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 40000, seed=12)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=13)
+    batch = tiled.front_end(stats, pilots, cfg, 40000, 12, 13)
     est = batch.h_hat[:, 0, 0, :]
     err = batch.h[:, 0, 0, :] - est
     cross = est.conj().T @ err / est.shape[0]
     assert np.linalg.norm(cross) < 0.05 * np.linalg.norm(HANDY_R)
 
 
-def test_scalar_channel_closed_form():
+def test_scalar_channel_closed_form(tiled):
     # N=1: estimate variance is q beta^2 / (q beta + sigma2)
     cfg = NetworkConfig(L=1, K=1, N=1, area_m=300.0, tau_p=3,
                         noise_power=0.5)
     beta = 1.7
     stats = stats_from_R([[beta * np.eye(1)]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 60000, seed=14)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=15)
+    batch = tiled.front_end(stats, pilots, cfg, 60000, 14, 15)
     q = cfg.tau_p * cfg.p_ul
     c = q * beta ** 2 / (q * beta + cfg.noise_power)
     var = float(np.mean(np.abs(batch.h_hat[:, 0, 0, 0]) ** 2))
@@ -153,26 +150,24 @@ def test_scalar_channel_closed_form():
     assert resid == pytest.approx(beta - c, rel=0.05)
 
 
-def test_sharers_with_proportional_R_get_collinear_estimates():
+def test_sharers_with_proportional_R_get_collinear_estimates(tiled):
     # R1 = 2 R0 on a shared pilot makes h_hat_1 exactly 2 h_hat_0
     cfg = _one_link_cfg(tau_p=1)
     R0 = HANDY_R
     stats = stats_from_R([[R0], [2.0 * R0]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 256, seed=16)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=17)
+    batch = tiled.front_end(stats, pilots, cfg, 256, 16, 17)
     assert np.allclose(batch.h_hat[:, 1, 0, :],
                        2.0 * batch.h_hat[:, 0, 0, :], rtol=1e-10)
 
 
-def test_noise_seed_changes_estimates_only():
+def test_noise_seed_changes_estimates_only(tiled):
     cfg = _one_link_cfg(tau_p=2)
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 128, seed=18)
-    b1 = mmse_estimate(h, stats, pilots, cfg, noise_seed=19)
-    b2 = mmse_estimate(h, stats, pilots, cfg, noise_seed=20)
-    b3 = mmse_estimate(h, stats, pilots, cfg, noise_seed=19)
+    b1 = tiled.front_end(stats, pilots, cfg, 128, 18, 19)
+    b2 = tiled.front_end(stats, pilots, cfg, 128, 18, 20)
+    b3 = tiled.front_end(stats, pilots, cfg, 128, 18, 19)
     assert np.array_equal(b1.h, b2.h)
     assert not np.array_equal(b1.h_hat, b2.h_hat)
     assert np.array_equal(b1.h_hat, b3.h_hat)
@@ -242,13 +237,13 @@ def _mixed_stats():
     lambda: _desk_stats("local-scattering"),
     _mixed_stats,
 ], ids=["diagonal", "local-scattering", "mixed"])
-def test_batched_estimation_matches_reference_loops(make):
+def test_batched_estimation_matches_reference_loops(tiled, make):
     cfg, stats = make()
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, 150, seed=22)
-    assert np.array_equal(h, reference_sample_channels(stats, 150, seed=22))
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
-    ref = reference_mmse_estimate(h, stats, pilots, cfg, noise_seed=23)
+    batch = tiled.front_end(stats, pilots, cfg, 150, 22, 23)
+    assert np.array_equal(batch.h,
+                          reference_sample_channels(stats, 150, seed=22))
+    ref = reference_mmse_estimate(batch.h, stats, pilots, cfg, noise_seed=23)
     assert np.allclose(batch.h_hat, ref, rtol=1e-12, atol=0.0)
 
 
@@ -283,7 +278,52 @@ def test_tiled_stages_give_the_oneshot_bytes(monkeypatch, oneshot, make,
         budget = n_real * row_bytes if chunks is None \
             else chunks * estimation._CHUNK * row_bytes
         monkeypatch.setattr(estimation, "_TILE_BYTES", budget)
-        h = sample_channels(stats, n_real, 24)
-        assert np.array_equal(h, h_ref)
-        batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=25)
-        assert np.array_equal(batch.h_hat, h_hat_ref)
+        draw = ChannelDraw(stats, n_real, 24)
+        est = MmseEstimator(stats, pilots, cfg, n_real, 25)
+        assert draw.tiles == realization_tiles(n_real, *h_ref.shape[1:])
+        step = n_real if chunks is None else chunks * estimation._CHUNK
+        assert draw.tiles[0] == slice(0, min(step, n_real))
+        for tile in draw.tiles:
+            h = sample_channels(draw, tile)
+            assert np.array_equal(h, h_ref[tile])
+            batch = mmse_estimate(h, est, tile)
+            assert batch.h is h
+            assert np.array_equal(batch.h_hat, h_hat_ref[tile])
+
+
+def test_tiles_reuse_two_buffers_and_leave_none_behind(monkeypatch):
+    cfg, stats = _desk_stats("uncorrelated")
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    monkeypatch.setattr(estimation, "_TILE_BYTES", 1)
+    draw = ChannelDraw(stats, 300, 26)
+    est = MmseEstimator(stats, pilots, cfg, 300, 27)
+    assert [t.stop - t.start for t in draw.tiles] == [64] * 4 + [44]
+    first = None
+    for tile in draw.tiles:
+        batch = mmse_estimate(sample_channels(draw, tile), est, tile)
+        if first is None:
+            first = batch
+        # every tile lands in the first tile's buffers
+        assert np.shares_memory(batch.h, first.h)
+        assert np.shares_memory(batch.h_hat, first.h_hat)
+    # after the last tile the draws hold neither their real halves nor
+    # their per-link maps
+    for normals in (draw.normals, est.noise):
+        assert normals._re is None and normals._rng is None
+    assert draw.sqrt_R is None and est.filters is None
+
+
+def test_tiles_must_come_in_order(monkeypatch):
+    cfg, stats = _desk_stats("uncorrelated")
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    monkeypatch.setattr(estimation, "_TILE_BYTES", 1)
+    draw = ChannelDraw(stats, 200, 28)
+    est = MmseEstimator(stats, pilots, cfg, 200, 29)
+    first, second = draw.tiles[:2]
+    with pytest.raises(ValueError, match="order"):
+        sample_channels(draw, second)
+    h = sample_channels(draw, first)
+    with pytest.raises(ValueError, match="order"):
+        mmse_estimate(h, est, second)
+    with pytest.raises(ValueError, match="order"):
+        sample_channels(draw, first)

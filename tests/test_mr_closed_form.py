@@ -20,6 +20,13 @@ entry of the package's estimate is compared through z = (estimate - exact)
 / s, with s an upper bound on its standard error from the exact second
 (and, on the diagonal of B, fourth) moments, so every z has a standard
 deviation of at most about one.
+
+The SE of an allocation is compared the same way. With S_k = a_k^T mu_k
+and I_k = sum_i mu_i^T B_ki mu_i, 1 + SINR_k = (I_k + sigma2) / (I_k - S_k^2
++ sigma2), and the estimates of S_k and I_k are means over realizations of
+sum_l mu_kl Re g_kkl and sum_i |sum_l mu_il g_kil|^2. Their sample
+variances and covariance give the CLT standard error of the estimated SE
+by the delta method.
 """
 
 import math
@@ -28,8 +35,15 @@ import numpy as np
 import pytest
 
 from cfpower import pipeline
-from cfpower.network import place_aps
-from cfpower.pipeline import TEST_NAMESPACE, build_sample
+from cfpower.estimation import (ChannelDraw, MmseEstimator, mmse_estimate,
+                                sample_channels)
+from cfpower.heuristics import equal_power
+from cfpower.network import build_statistics, drop_scenario, place_aps
+from cfpower.pilots import assign_pilots
+from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
+from cfpower.precoding import compute_precoders
+from cfpower.se import SEParameters, compute_se
+from cfpower.wmmse import wmmse_solve
 
 
 def closed_form(beta, pilot_of, cfg, pilot_sharing=True):
@@ -154,3 +168,100 @@ def test_rotated_precoders_fail(desk_cfg, monkeypatch):
     K, L = za.shape
     assert within_bounds(za, K * L)
     assert not within_bounds(zB, K * L)
+
+
+def per_realization_terms(cfg, index, n_real, mus):
+    """Per allocation, realization and UE: sum_l mu_kl Re g_kkl and
+    sum_i |sum_l mu_il g_kil|^2, with g_kil = h_kl^H w_il taken from the
+    package's MR front end of test drop `index`, one tile at a time."""
+    aps = place_aps(cfg, cfg.seed)
+    drop_s, chan_s, noise_s = sample_seeds(cfg.seed, TEST_NAMESPACE, index)
+    stats = build_statistics(cfg, drop_scenario(cfg, drop_s, aps))
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    draw = ChannelDraw(stats, n_real, chan_s)
+    est = MmseEstimator(stats, pilots, cfg, n_real, noise_s)
+    signal = np.empty((len(mus), n_real, cfg.K))
+    interference = np.empty_like(signal)
+    for tile in draw.tiles:
+        batch = mmse_estimate(sample_channels(draw, tile), est, tile)
+        w = compute_precoders(batch, "mr", cfg.p_ul, cfg.noise_power)
+        g = np.einsum("rkln,riln->rkil", batch.h.conj(), w)
+        for j, mu in enumerate(mus):
+            signal[j, tile] = np.einsum("rkkl,kl->rk", g, mu).real
+            interference[j, tile] = np.sum(
+                np.abs(np.einsum("rkil,il->rki", g, mu)) ** 2, axis=2)
+    return signal, interference
+
+
+def se_z_scores(sample, cfg, alloc, signal, interference,
+                pilot_sharing=True):
+    """Per-UE z of the SE under the Monte-Carlo (a, B) against the SE under
+    the exact (a, B), with the delta-method standard error at the exact
+    S_k and I_k."""
+    a, B, _ = closed_form(sample.beta, sample.pilot_of, cfg, pilot_sharing)
+    exact = SEParameters(a=a, B=B, sigma2=cfg.noise_power,
+                         prelog=cfg.prelog, n_real=sample.params.n_real)
+    mu = alloc.mu
+    S = np.einsum("kl,kl->k", a, mu)
+    I = np.einsum("il,kilm,im->k", mu, B, mu)
+    D = I - S ** 2 + cfg.noise_power
+    c = cfg.prelog / math.log(2.0)
+    grad_s = c * 2.0 * S / D
+    grad_i = c * (1.0 / (I + cfg.noise_power) - 1.0 / D)
+    n = signal.shape[0]
+    cov = np.stack([np.cov(signal[:, k], interference[:, k])
+                    for k in range(cfg.K)])
+    var = (grad_s ** 2 * cov[:, 0, 0] + grad_i ** 2 * cov[:, 1, 1]
+           + 2.0 * grad_s * grad_i * cov[:, 0, 1]) / n
+    return (compute_se(sample.params, alloc) - compute_se(exact, alloc)) \
+        / np.sqrt(var)
+
+
+def se_within_bounds(z):
+    """The mean of the K z's has a standard deviation of at most one,
+    however they correlate; the largest of K stays under sqrt(2 ln 2K)."""
+    max_bound = math.sqrt(2.0 * math.log(2.0 * z.size)) + 1.0
+    return abs(float(z.mean())) <= 3.0 \
+        and float(np.abs(z).max()) <= max_bound
+
+
+def se_cases(desk_sample, desk_cfg, large_drop, large_cfg):
+    """(sample, cfg, test drop index) of the three desk drops and the large
+    drop."""
+    return [(sample, desk_cfg, index)
+            for index, sample in enumerate(desk_drops(desk_sample))] \
+        + [(large_drop, large_cfg, 0)]
+
+
+def test_se_matches_the_closed_form(desk_sample, desk_cfg, large_drop,
+                                    large_cfg):
+    for sample, cfg, index in se_cases(desk_sample, desk_cfg, large_drop,
+                                       large_cfg):
+        # equal power, and the sum-SE WMMSE solution on the drop's
+        # Monte-Carlo estimate
+        allocs = [equal_power(cfg.K, cfg.L, cfg.p_max_dl),
+                  wmmse_solve(sample.params, cfg.p_max_dl,
+                              beta=sample.beta).alloc]
+        signal, interference = per_realization_terms(
+            cfg, index, sample.params.n_real, [a.mu for a in allocs])
+        for j, alloc in enumerate(allocs):
+            # the terms come from the realizations the estimate came from
+            assert np.allclose(signal[j].mean(axis=0),
+                               (sample.params.a * alloc.mu).sum(axis=1),
+                               rtol=1e-3)
+            z = se_z_scores(sample, cfg, alloc, signal[j], interference[j])
+            assert se_within_bounds(z), (cfg.K, index, j, z)
+
+
+def test_se_without_pilot_sharing_fails(desk_sample, desk_cfg, large_drop,
+                                        large_cfg):
+    # dropping the coherent interference between UEs on one pilot lifts
+    # the exact SE of equal power far beyond the Monte-Carlo noise
+    for sample, cfg, index in se_cases(desk_sample, desk_cfg, large_drop,
+                                       large_cfg):
+        alloc = equal_power(cfg.K, cfg.L, cfg.p_max_dl)
+        signal, interference = per_realization_terms(
+            cfg, index, sample.params.n_real, [alloc.mu])
+        z = se_z_scores(sample, cfg, alloc, signal[0], interference[0],
+                        pilot_sharing=False)
+        assert not se_within_bounds(z)

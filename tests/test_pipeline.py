@@ -26,7 +26,8 @@ from cfpower.pipeline import (TEST_NAMESPACE, TRAIN_NAMESPACE, _bench_models,
                               cmd_generate, cmd_inspect, cmd_train,
                               load_models, sample_seeds)
 from cfpower.scaling import ScalerParams, fit_scaler
-from cfpower.wmmse import SolverConfig
+from cfpower.se import compute_se
+from cfpower.wmmse import SolverConfig, wmmse_solve
 
 N_REAL = 120     # enough for the estimator guard, cheap for tests
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=8, seed=0)
@@ -54,21 +55,35 @@ def test_train_and_test_populations_differ(desk_cfg):
     assert not np.array_equal(train.beta, test.beta)
 
 
-def test_build_sample_front_end_stays_tiled_in_memory(large_cfg):
-    # a guard that no (n_real, K, L, N) temporary comes back: besides the
-    # channel draw's real half, only h and h_hat exist in full. Untiled, one
-    # such drop peaked at 5.5 x h.nbytes; tiled, at 2.8 x
-    n_real = 1000
-    aps = place_aps(large_cfg, large_cfg.seed)
-    h_bytes = 16 * n_real * large_cfg.K * large_cfg.L * large_cfg.N
+def peak_of_build_sample(cfg, precoder, n_real):
+    """tracemalloc peak of one build_sample, over its h.nbytes."""
+    aps = place_aps(cfg, cfg.seed)
+    h_bytes = 16 * n_real * cfg.K * cfg.L * cfg.N
     tracemalloc.start()
     try:
-        build_sample(large_cfg, aps, large_cfg.seed, TRAIN_NAMESPACE, 0,
-                     "rzf", n_real)
+        build_sample(cfg, aps, cfg.seed, TRAIN_NAMESPACE, 0, precoder,
+                     n_real)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * h_bytes, f"peak {peak / h_bytes:.2f} x h.nbytes"
+    return peak / h_bytes
+
+
+def test_build_sample_front_end_stays_tiled_in_memory(large_cfg):
+    # a guard that no (n_real, K, L, N) array comes back: besides the real
+    # halves of the two random draws (0.75 x h.nbytes), only tile-sized
+    # buffers exist. Untiled, one such drop peaked at 5.5 x h.nbytes; with
+    # h and h_hat in full, at 2.8 x; streamed, at 1.56 x
+    ratio = peak_of_build_sample(large_cfg, "rzf", 1000)
+    assert ratio <= 2.0, f"peak {ratio:.2f} x h.nbytes"
+
+
+def test_single_tile_drop_peaks_no_higher_than_untiled(large_cfg):
+    # allocate's 100-realization MR drop is one tile. It peaks at 8.97 x
+    # h.nbytes (18.37 MB), as it did before the front end streamed tiles; a
+    # draw that kept its buffers into the reduction took it to 12.05 x
+    ratio = peak_of_build_sample(large_cfg, "mr", 100)
+    assert ratio <= 9.0, f"peak {ratio:.2f} x h.nbytes"
 
 
 def test_generate_is_byte_deterministic(tmp_path, desk_cfg):
@@ -436,6 +451,39 @@ def test_evaluate_report(tmp_path, desk_cfg, small_dataset):
     assert float(rows[1][1]) == report.mean_total_se(strategies[0])
 
 
+def test_evaluate_reports_solver_convergence(tmp_path, desk_cfg):
+    strategies = ["wmmse-sumse", "heuristic", "wmmse-pf"]
+    n_drops = 3
+    report = cmd_evaluate(desk_cfg, strategies, n_drops, "rzf",
+                          out_dir=tmp_path, n_real=N_REAL)
+    assert set(report.solver) == {"wmmse-sumse", "wmmse-pf"}
+    aps = place_aps(desk_cfg, desk_cfg.seed)
+    samples = [build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE,
+                            drop, "rzf", N_REAL) for drop in range(n_drops)]
+    for strat, objective in (("wmmse-sumse", "sumse"), ("wmmse-pf", "pf")):
+        runs = [wmmse_solve(s.params, desk_cfg.p_max_dl,
+                            SolverConfig(objective=objective), beta=s.beta)
+                for s in samples]
+        n_outer = [r.n_outer for r in runs]
+        info = report.solver[strat]
+        # the solves that scored the drops are the ones summarised
+        assert info["converged"] == sum(r.converged for r in runs) == n_drops
+        assert info["n_outer_p50"] == float(np.percentile(n_outer, 50))
+        assert info["n_outer_p90"] == float(np.percentile(n_outer, 90))
+        assert info["subproblem_exhausted"] == \
+            sum(r.subproblem_exhausted for r in runs)
+        assert np.array_equal(report.se[strat], np.stack(
+            [compute_se(s.params, r.alloc) for s, r in zip(samples, runs)]))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = {r["strategy"]: r for r in csv.DictReader(fh)}
+    for strat in strategies:
+        info = report.solver.get(strat, {})
+        for column in ("converged", "n_outer_p50", "n_outer_p90",
+                       "subproblem_exhausted"):
+            cell = rows[strat][column]
+            assert cell == (repr(info[column]) if info else "")
+
+
 def test_evaluate_strategies_share_drops(desk_cfg):
     a = cmd_evaluate(desk_cfg, ["equal"], 2, "rzf", n_real=N_REAL)
     b = cmd_evaluate(desk_cfg, ["equal", "heuristic"], 2, "rzf",
@@ -478,6 +526,7 @@ def test_inspect_summarises_solver_diagnostics(small_dataset):
     n_outer = [r.n_outer for r in records]
     info = cmd_inspect(small_dataset)["solver"]
     assert info == {
+        "converged": sum(r.converged for r in records),
         "converged_frac": sum(r.converged for r in records) / len(records),
         "n_outer_p50": float(np.percentile(n_outer, 50)),
         "n_outer_p90": float(np.percentile(n_outer, 90)),
@@ -676,12 +725,15 @@ def test_cli_full_walkthrough(tmp_path, capsys):
 
     report = tmp_path / "report"
     code = main(["evaluate", "--config", "desk", "--samples", "2",
-                 "--strategies", "ddnn,heuristic,equal",
+                 "--strategies", "ddnn,heuristic,equal,wmmse-sumse",
                  "--realizations", str(N_REAL), "--models", str(models),
                  "--out", str(report)])
     assert code == 0
     out = capsys.readouterr().out
     assert "heuristic: mean total SE" in out
+    # the solver's line carries its convergence summary, the others none
+    assert "2/2 converged, outer steps p50" in out
+    assert out.count("converged") == 1
     assert os.path.exists(report / "summary.csv")
 
     code = main(["inspect", str(ds)])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cfpower.config import NetworkConfig
-from cfpower.estimation import ChannelBatch, mmse_estimate, sample_channels
+from cfpower.estimation import (ChannelBatch, ChannelDraw, MmseEstimator,
+                                mmse_estimate, sample_channels)
 from cfpower.network import ChannelStatistics
 from cfpower.pilots import assign_pilots
 from cfpower.precoding import compute_precoders
@@ -23,8 +24,11 @@ def small_batch(K=3, L=2, N=2, n_real=50, seed=0, noise_power=0.3):
     beta = np.trace(R, axis1=-2, axis2=-1).real / N
     stats = ChannelStatistics(beta=beta, R=R)
     pilots = assign_pilots(beta, cfg.tau_p)
-    h = sample_channels(stats, n_real, seed + 1)
-    return cfg, mmse_estimate(h, stats, pilots, cfg, noise_seed=seed + 2)
+    # one tile at these sizes
+    draw = ChannelDraw(stats, n_real, seed + 1)
+    est = MmseEstimator(stats, pilots, cfg, n_real, seed + 2)
+    (tile,) = draw.tiles
+    return cfg, mmse_estimate(sample_channels(draw, tile), est, tile)
 
 
 def test_all_precoders_are_unit_norm():

@@ -7,9 +7,9 @@ and the second moment collapses to the full channel gain beta. The frozen
 literals below were computed with mpmath at 50 digits for a 200 m link under
 the desk preset's pilot and noise numbers. Second, a naive double-loop
 estimator recomputes (a, B) entry by entry on small batches and must agree
-to machine precision. Third, the tiled front end of `build_sample` must
-give the bytes of the one-shot front end in `conftest.py`, whatever the
-tile size.
+to machine precision. Third, the running sums that `build_sample` adds its
+tiles to must give the bytes of the one-shot front end in `conftest.py`,
+whatever the tile size.
 """
 
 import logging
@@ -21,32 +21,28 @@ from cfpower import estimation, pipeline, se
 from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
 from cfpower.errors import DataFormatError
-from cfpower.estimation import ChannelBatch, mmse_estimate, sample_channels
+from cfpower.estimation import ChannelBatch
 from cfpower.network import ChannelStatistics, place_aps
 from cfpower.pipeline import TEST_NAMESPACE, build_sample
 from cfpower.pilots import assign_pilots
 from cfpower.precoding import compute_precoders
-from cfpower.se import (BUDGET_SLACK, PowerAllocation, SEParameters,
-                        compute_se, effective_sinr, estimate_se_parameters)
+from cfpower.se import (BUDGET_SLACK, MomentSums, PowerAllocation,
+                        SEParameters, compute_se, effective_sinr,
+                        estimate_se_parameters)
 
 BETA_200M = 3.2005153607261727e-12
 C_200M = 2.2624427929150797e-12          # tau_p p beta^2 / (tau_p p beta + s2)
 A_RAYLEIGH = 1.3330110330928612e-6       # sqrt(pi c / 4)
 
 
-def scalar_mr_params(n_real=100000):
+def test_rayleigh_mean_oracle(tiled):
     cfg = NetworkConfig(L=1, K=1, N=1, area_m=500.0, tau_p=3)
     stats = ChannelStatistics(beta=np.array([[BETA_200M]]),
                               R=BETA_200M * np.ones((1, 1, 1, 1), complex))
     pilots = assign_pilots(stats.beta, cfg.tau_p)
-    h = sample_channels(stats, n_real, seed=100)
-    batch = mmse_estimate(h, stats, pilots, cfg, noise_seed=101)
+    batch = tiled.front_end(stats, pilots, cfg, 100000, 100, 101)
     w = compute_precoders(batch, "mr", cfg.p_ul, cfg.noise_power)
-    return cfg, estimate_se_parameters(batch, w, cfg)
-
-
-def test_rayleigh_mean_oracle():
-    cfg, params = scalar_mr_params()
+    params = tiled.se_parameters(batch, w, cfg)
     assert params.a[0, 0] == pytest.approx(A_RAYLEIGH, rel=0.01)
     # E|h^H w|^2 equals beta: the estimate contributes c, the error beta - c
     assert params.B[0, 0, 0, 0] == pytest.approx(BETA_200M, rel=0.01)
@@ -88,15 +84,14 @@ def random_batch(n_real, K=2, L=2, N=2, seed=0):
 
 
 @pytest.mark.parametrize("n_real", [128, 300])
-def test_estimator_matches_naive_loops(n_real):
+def test_estimator_matches_naive_loops(tiled, n_real):
     # 128 is an exact multiple of the realization chunk; 300 ends in a
     # partial chunk
     assert 128 % se._CHUNK == 0 and 300 % se._CHUNK != 0
     h, w = random_batch(n_real)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w)
-    params = estimate_se_parameters(batch, w, cfg)
+    params = tiled.se_parameters(ChannelBatch(h=h, h_hat=w), w, cfg)
     a_ref, b_ref = naive_estimates(h, w)
     assert np.allclose(params.a, a_ref, rtol=1e-12, atol=1e-15)
     assert np.allclose(params.B, b_ref, rtol=1e-12, atol=1e-15)
@@ -104,42 +99,48 @@ def test_estimator_matches_naive_loops(n_real):
 
 
 def test_estimator_input_guards():
-    h, w = random_batch(99)
+    with pytest.raises(ValueError, match="100"):
+        MomentSums(2, 2, 99)
+    h, w = random_batch(128)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
     batch = ChannelBatch(h=h, h_hat=w)
-    with pytest.raises(ValueError, match="100"):
-        estimate_se_parameters(batch, w, cfg)
-    h, w = random_batch(128)
-    batch = ChannelBatch(h=h, h_hat=w)
     with pytest.raises(ValueError, match="shape"):
-        estimate_se_parameters(batch, w[:, :1], cfg)
+        estimate_se_parameters(batch, w[:, :1], MomentSums(2, 2, 128))
     # extra realizations are not sliced away
     with pytest.raises(ValueError, match="shape"):
-        estimate_se_parameters(batch, np.concatenate([w, w[:5]]), cfg)
-    with pytest.raises(ValueError, match="shape"):
-        estimate_se_parameters(batch, lambda tile: tile.h_hat[:, :1], cfg)
+        estimate_se_parameters(batch, np.concatenate([w, w[:5]]),
+                               MomentSums(2, 2, 128))
+    # more realizations than the sums expect, or a tile after a partial
+    # chunk, would change the chunking
+    with pytest.raises(ValueError, match="chunks"):
+        estimate_se_parameters(batch, w, MomentSums(2, 2, 127))
+    sums = estimate_se_parameters(ChannelBatch(h=h[:100], h_hat=w[:100]),
+                                  w[:100], MomentSums(2, 2, 128))
+    with pytest.raises(ValueError, match="chunks"):
+        estimate_se_parameters(ChannelBatch(h=h[100:], h_hat=w[100:]),
+                               w[100:], sums)
+    # the estimate needs every realization
+    with pytest.raises(ValueError, match="100 of 128"):
+        sums.finish(cfg)
 
 
-def test_estimator_takes_precoders_per_tile(monkeypatch):
-    h, w = random_batch(300, seed=4)
+def test_estimator_takes_precoders_per_tile(oneshot):
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w)
-    # 128-realization tiles: 0-128, 128-256 and a partial 256-300
-    monkeypatch.setattr(estimation, "_TILE_BYTES", 2 * se._CHUNK * h[0].nbytes)
-    asked = []
-
-    def precoders(tile):
-        asked.append(tile.n_real)
-        start = sum(asked[:-1])
-        assert np.array_equal(tile.h, h[start:start + tile.n_real])
-        return tile.h_hat
-    tiled = estimate_se_parameters(batch, precoders, cfg)
-    assert asked == [128, 128, 44]
-    assert tiled == estimate_se_parameters(batch, w, cfg)
-    with pytest.raises(ValueError, match="shape"):
-        estimate_se_parameters(batch, lambda tile: tile.h_hat[:, :1], cfg)
+    for n_real in (100, 300):
+        h, w = random_batch(n_real, seed=4)
+        a_ref, b_ref = oneshot.moments(h, w)
+        # tiles of 64 and 192 realizations, then one tile
+        for step in (se._CHUNK, 3 * se._CHUNK, n_real):
+            sums = MomentSums(2, 2, n_real)
+            for start in range(0, n_real, step):
+                tile = slice(start, start + step)
+                estimate_se_parameters(
+                    ChannelBatch(h=h[tile], h_hat=w[tile]), w[tile], sums)
+            params = sums.finish(cfg)
+            assert np.array_equal(params.a, a_ref)
+            assert np.array_equal(params.B, b_ref)
 
 
 # (preset, correlation model, precoder, realizations); at 64-realization
@@ -166,30 +167,34 @@ def test_tiled_build_sample_gives_the_oneshot_bytes(
     h, h_hat, ref = oneshot.sample(cfg, aps, cfg.seed, TEST_NAMESPACE, index,
                                    precoder, n_real)
     seen = []
-    reduce = pipeline.estimate_se_parameters
+    reduce_tile = pipeline.estimate_se_parameters
 
-    def spy(batch, w, net):
-        seen.append(batch)
-        return reduce(batch, w, net)
+    def spy(batch, w, sums):
+        # the tile buffers are reused, so the spy keeps copies
+        seen.append((batch.h.copy(), batch.h_hat.copy()))
+        return reduce_tile(batch, w, sums)
     monkeypatch.setattr(pipeline, "estimate_se_parameters", spy)
     row_bytes = h[0].nbytes
     sizes = set()
     # 64-realization tiles, 192-realization tiles, one tile
     for budget in (1, 3 * se._CHUNK * row_bytes, n_real * row_bytes):
         monkeypatch.setattr(estimation, "_TILE_BYTES", budget)
-        sizes.add(estimation.realization_tiles(*h.shape)[0].stop)
+        tiles = estimation.realization_tiles(*h.shape)
+        sizes.add(tiles[0].stop)
         sample = build_sample(cfg, aps, cfg.seed, TEST_NAMESPACE, index,
                               precoder, n_real)
-        batch = seen.pop()
-        assert np.array_equal(batch.h, h)
-        assert np.array_equal(batch.h_hat, h_hat)
+        assert [t.shape[0] for t, _ in seen] == \
+            [t.stop - t.start for t in tiles]
+        assert np.array_equal(np.concatenate([t for t, _ in seen]), h)
+        assert np.array_equal(np.concatenate([t for _, t in seen]), h_hat)
+        seen.clear()
         assert np.array_equal(sample.params.a, ref.a)
         assert np.array_equal(sample.params.B, ref.B)
         assert sample.params.digest() == ref.digest()
     assert len(sizes) == (2 if n_real <= 192 else 3)
 
 
-def test_rotation_warning_fires_only_when_rotated(caplog):
+def test_rotation_warning_fires_only_when_rotated(tiled, caplog):
     cfg, _ = None, None
     h, w = random_batch(512, seed=3)
     # force means away from zero so the clean case has no residue issue
@@ -199,11 +204,11 @@ def test_rotation_warning_fires_only_when_rotated(caplog):
                         ap_placement="uniform-random")
     batch = ChannelBatch(h=h, h_hat=w)
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        clean = estimate_se_parameters(batch, w, net)
+        clean = tiled.se_parameters(batch, w, net)
     assert not any("residue" in r.message for r in caplog.records)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        rotated = estimate_se_parameters(batch, np.exp(0.3j) * w, net)
+        rotated = tiled.se_parameters(batch, np.exp(0.3j) * w, net)
     assert any("residue" in r.message for r in caplog.records)
     # a global phase moves neither the modulus nor the second moments
     assert np.allclose(rotated.a, clean.a, rtol=1e-12)
