@@ -13,13 +13,16 @@ A tile is the largest whole number of the reduction's 64-realization
 chunks whose (K, L, N) complex slice fits in 2 MiB, and a batch that fits
 in 2 MiB is one tile: 64 realizations (1.3 MB) at `large`, a whole
 1000-realization `desk` drop. A drop's `ChannelDraw` and `MmseEstimator`
-hand out one tile at a time, in realization order, into one reused tile
-buffer each (`sample_channels`, `mmse_estimate`), so no drop-sized `h` or
-`h_hat` exists. Both draws keep the stream order of an untiled draw: the
-real half is drawn in full with the first tile, then the imaginary half
-tile by tile, so no output bit depends on the tile size. At `large` with
-1000 realizations the real halves are 10.2 MB (channels) and 5.1 MB (pilot
-noise), and each draw lets go of its buffers with its last tile.
+hand out one tile at a time, in realization order (`sample_channels`,
+`mmse_estimate`), so no drop-sized `h` or `h_hat` exists. Each owns one
+draw, which holds its generator, its real half, one reused tile buffer and
+its per-link map; the channels are mapped in place in that buffer, the
+estimates in the tile's gather of the pilot signals. Both draws keep the
+stream order of an untiled draw: the real half is drawn in full with the
+first tile, then the imaginary half tile by tile, so no output bit depends
+on the tile size. At `large` with 1000 realizations the real halves are
+10.2 MB (channels) and 5.1 MB (pilot noise), and each draw lets go of all
+it holds with its last tile.
 """
 
 from dataclasses import dataclass
@@ -45,16 +48,12 @@ _TILE_BYTES = 2 ** 21
 class ChannelBatch:
     """True and estimated channels of one realization tile.
 
-    The arrays are the tile buffers of the drop's draws, so the next tile
-    overwrites them.
+    h is the channel draw's buffer, which the next tile overwrites; h_hat
+    is the tile's own array.
     """
 
     h: np.ndarray        # (n, K, L, N) complex
     h_hat: np.ndarray    # (n, K, L, N) complex
-
-    @property
-    def n_real(self):
-        return self.h.shape[0]
 
 
 def realization_tiles(n_real, K, L, N):
@@ -66,17 +65,17 @@ def realization_tiles(n_real, K, L, N):
     return [slice(s, min(s + step, n_real)) for s in range(0, n_real, step)]
 
 
-def _apply_per_link(x, M, out):
-    """out[:, k, l] = M[k, l] @ x[:, k, l] for x and out (n, K, L, N) and
+def _apply_per_link(x, M):
+    """x[:, k, l] = M[k, l] @ x[:, k, l], in place, for x (n, K, L, N) and
     M (K, L, N, N).
 
     The rows of one link lie K·L·N elements apart, so the product goes to a
-    contiguous temporary and is copied over: tile after tile the temporary
+    contiguous temporary and is copied back: tile after tile the temporary
     stays in cache, and a `large` drop took 16-18 ms per map against 27 ms
     for the product written in place.
     """
-    out[...] = np.matmul(x.transpose(1, 2, 0, 3),
-                         np.swapaxes(M, -1, -2)).transpose(2, 0, 1, 3)
+    x[...] = np.matmul(x.transpose(1, 2, 0, 3),
+                       np.swapaxes(M, -1, -2)).transpose(2, 0, 1, 3)
 
 
 def _sqrtm_psd(R):
@@ -87,19 +86,22 @@ def _sqrtm_psd(R):
         eigvec.conj(), -1, -2)
 
 
-class _ComplexNormals:
-    """A complex normal draw of `shape`, handed out tile by tile.
+class _TiledDraw:
+    """A complex normal draw of `shape` and the per-link map its tiles go
+    through, handed out tile by tile.
 
     The real half of the whole draw comes with the first tile, then the
     imaginary half tile by tile, which is the stream order of one untiled
-    draw. The returned array is a buffer reused by the next tile; after the
-    last tile the draw holds neither buffers nor generator.
+    draw. `take` returns the tile's normals, in a buffer that the next tile
+    reuses, and the map; with the last tile the draw lets go of its
+    generator, real half, buffers and map.
     """
 
-    def __init__(self, seed, shape):
+    def __init__(self, seed, shape, per_link_map):
         self._rng = np.random.default_rng(seed)
         self._shape = shape
         self._done = 0          # realizations handed out
+        self._map = per_link_map
         self._re = self._im = self._z = None
 
     def take(self, tile):
@@ -111,14 +113,14 @@ class _ComplexNormals:
             self._re = self._rng.standard_normal(self._shape)
             self._im = np.empty((n,) + self._shape[1:])
             self._z = np.empty(self._im.shape, dtype=complex)
-        im, z = self._im[:n], self._z[:n]
+        im, z, per_link_map = self._im[:n], self._z[:n], self._map
         self._rng.standard_normal(out=im)
         np.multiply(1j, im, out=z)
         z += self._re[tile]
         self._done = tile.stop
         if self._done == self._shape[0]:
-            self._rng = self._re = self._im = self._z = None
-        return z
+            self._rng = self._re = self._im = self._z = self._map = None
+        return z, per_link_map
 
 
 class ChannelDraw:
@@ -128,43 +130,18 @@ class ChannelDraw:
     def __init__(self, stats: ChannelStatistics, n_real: int, seed):
         if n_real < 1:
             raise ValueError("n_real must be >= 1")
-        self.R = stats.R
-        self.tiles = realization_tiles(n_real, *stats.R.shape[:3])
-        self.normals = _ComplexNormals(seed, (n_real,) + stats.R.shape[:3])
-        self.sqrt_R = None      # made with the first tile
-        self.h = None           # tile buffer
-
-
-class MmseEstimator:
-    """One drop's pilot noise and MMSE filters, which `mmse_estimate`
-    applies tile by tile."""
-
-    def __init__(self, stats: ChannelStatistics, pilots: PilotAssignment,
-                 cfg: NetworkConfig, n_real: int, noise_seed):
-        L, N = stats.R.shape[1:3]
-        self.R = stats.R
-        self.pilots = pilots
-        self.pilot_of = np.asarray(pilots.pilot_of, dtype=int)
-        self.cfg = cfg
-        self.n_real = n_real
-        self.noise = _ComplexNormals(noise_seed, (n_real, cfg.tau_p, L, N))
-        self.filters = None     # made with the first tile
-        self.h_hat = None       # tile buffer
+        shape = (n_real,) + stats.R.shape[:3]
+        self.tiles = realization_tiles(*shape)
+        self.normals = _TiledDraw(seed, shape, _sqrtm_psd(stats.R))
 
 
 def sample_channels(draw: ChannelDraw, tile: slice) -> np.ndarray:
     """The (n, K, L, N) correlated Rayleigh channels of the next tile, in
-    the draw's tile buffer."""
-    z = draw.normals.take(tile)
-    if draw.sqrt_R is None:
-        draw.sqrt_R = _sqrtm_psd(draw.R)
-        draw.h = np.empty(z.shape, dtype=complex)
+    the draw's buffer."""
+    z, sqrt_R = draw.normals.take(tile)
     z /= np.sqrt(2.0)
-    h = draw.h[:z.shape[0]]
-    _apply_per_link(z, draw.sqrt_R, h)
-    if tile.stop == draw.tiles[-1].stop:
-        draw.sqrt_R = None      # spent, as the draw's buffers are
-    return h
+    _apply_per_link(z, sqrt_R)
+    return z
 
 
 def _mmse_filters(R, pilots, pilot_of, cfg):
@@ -182,24 +159,34 @@ def _mmse_filters(R, pilots, pilot_of, cfg):
     return np.sqrt(tau_p * p_ul) * R @ np.linalg.inv(psi)[pilot_of]
 
 
+class MmseEstimator:
+    """One drop's pilot noise and MMSE filters, which `mmse_estimate`
+    applies tile by tile."""
+
+    def __init__(self, stats: ChannelStatistics, pilots: PilotAssignment,
+                 cfg: NetworkConfig, n_real: int, noise_seed):
+        L, N = stats.R.shape[1:3]
+        self.pilots = pilots
+        self.pilot_of = np.asarray(pilots.pilot_of, dtype=int)
+        self.cfg = cfg
+        self.noise = _TiledDraw(
+            noise_seed, (n_real, cfg.tau_p, L, N),
+            _mmse_filters(stats.R, pilots, self.pilot_of, cfg))
+
+
 def mmse_estimate(h: np.ndarray, est: MmseEstimator,
                   tile: slice) -> ChannelBatch:
     """MMSE-estimate every AP-UE channel of a tile from contaminated pilot
     signals; h is the tile's channels from `sample_channels`."""
-    cfg, pilots = est.cfg, est.pilots
+    cfg = est.cfg
     # despread observation per (pilot, AP):
     # y_t = sum_{i in group t} sqrt(tau_p p) h_i + n,  n ~ CN(0, sigma2 I)
-    y = est.noise.take(tile)
-    if est.filters is None:
-        est.filters = _mmse_filters(est.R, pilots, est.pilot_of, cfg)
-        est.h_hat = np.empty(h.shape, dtype=complex)
+    y, filters = est.noise.take(tile)
     y *= np.sqrt(cfg.noise_power / 2.0)
     amp = np.sqrt(cfg.tau_p * cfg.p_ul)
-    for t, group in enumerate(pilots.groups):
+    for t, group in enumerate(est.pilots.groups):
         for i in group:
             y[:, t] += amp * h[:, i]
-    h_hat = est.h_hat[:h.shape[0]]
-    _apply_per_link(y[:, est.pilot_of], est.filters, h_hat)
-    if tile.stop == est.n_real:
-        est.filters = None      # spent, as the noise draw's buffers are
+    h_hat = y[:, est.pilot_of]
+    _apply_per_link(h_hat, filters)
     return ChannelBatch(h=h, h_hat=h_hat)

@@ -64,10 +64,6 @@ class MlpModel:
     def n_inputs(self):
         return self.layers[0].W.shape[1]
 
-    @property
-    def n_outputs(self):
-        return self.layers[-1].W.shape[0]
-
     def n_parameters(self) -> int:
         return int(sum(layer.W.size + layer.b.size for layer in self.layers))
 

@@ -20,10 +20,6 @@ class PilotAssignment:
     groups: tuple            # tuple of tuples: UE indices sharing each pilot
     tau_p: int
 
-    def sharers(self, k):
-        """UE indices on UE k's pilot, including k itself."""
-        return self.groups[self.pilot_of[k]]
-
 
 def assign_pilots(beta: np.ndarray, tau_p: int) -> PilotAssignment:
     """Assign pilots greedily from the (K, L) large-scale gain matrix."""

@@ -90,14 +90,10 @@ def build_sample(cfg: NetworkConfig, ap_positions, master_seed: int,
 def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                  precoder: str, out_path, seed: Optional[int] = None,
                  n_real: int = DEFAULT_N_REAL,
-                 solver_cfg: Optional[SolverConfig] = None,
                  max_degenerate_frac: float = 0.25) -> DatasetFile:
     """Generate (or resume) a labeled dataset of optimizer solutions."""
     master = cfg.seed if seed is None else int(seed)
-    if solver_cfg is None:
-        solver_cfg = SolverConfig(objective=objective)
-    elif solver_cfg.objective != objective:
-        raise ValueError("solver config objective disagrees with the dataset")
+    solver_cfg = SolverConfig(objective=objective)
     header = DatasetHeader(config=cfg, objective=objective, precoder=precoder,
                            n_samples=n_samples, n_real=n_real,
                            master_seed=master)
@@ -318,6 +314,14 @@ class EvalReport:
         return [per_ue, cdf_path, summary]
 
 
+def _distinct(strategies):
+    """The strategies as a list; a name given twice raises ValueError."""
+    strategies = list(strategies)
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategy named twice in {strategies}")
+    return strategies
+
+
 def _allocator_for(strategy, cfg, models):
     """Returns a callable sample -> PowerAllocation for one strategy; a
     WMMSE strategy's callable returns the whole `WmmseResult`."""
@@ -342,7 +346,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
                  models_dir=None) -> EvalReport:
     """Evaluate strategies on identical held-out drops and SE parameters."""
     master = cfg.seed if seed is None else int(seed)
-    strategies = list(strategies)
+    strategies = _distinct(strategies)
     models = {}
     for strat in strategies:
         if strat in MODEL_KINDS:
@@ -460,6 +464,7 @@ def cmd_bench(cfg: NetworkConfig, strategies, n_repeats: int = 5,
     passes and post-processing. The noop strategy measures harness overhead.
     """
     master = cfg.seed if seed is None else int(seed)
+    strategies = _distinct(strategies)
     models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)
               for s in strategies if s in MODEL_KINDS}
     columns = [("sumse", "mr"), ("sumse", "rzf"), ("pf", "mr"), ("pf", "rzf")]

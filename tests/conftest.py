@@ -138,7 +138,7 @@ def projected_gradient():
 
 
 # The package's front end stage by stage, as `build_sample` runs it, with
-# each tile copied out of the reused tile buffers into whole arrays.
+# each tile copied out of the draws' reused buffers into whole arrays.
 
 def _tiled_channels(stats, n_real, seed):
     draw = ChannelDraw(stats, n_real, seed)

@@ -171,7 +171,7 @@ def test_noise_seed_changes_estimates_only(tiled):
     assert np.array_equal(b1.h, b2.h)
     assert not np.array_equal(b1.h_hat, b2.h_hat)
     assert np.array_equal(b1.h_hat, b3.h_hat)
-    assert b1.n_real == 128
+    assert b1.h.shape[0] == 128
 
 
 def reference_sample_channels(stats, n_real, seed):
@@ -298,19 +298,22 @@ def test_tiles_reuse_two_buffers_and_leave_none_behind(monkeypatch):
     draw = ChannelDraw(stats, 300, 26)
     est = MmseEstimator(stats, pilots, cfg, 300, 27)
     assert [t.stop - t.start for t in draw.tiles] == [64] * 4 + [44]
-    first = None
+    bases = []
     for tile in draw.tiles:
-        batch = mmse_estimate(sample_channels(draw, tile), est, tile)
-        if first is None:
-            first = batch
-        # every tile lands in the first tile's buffers
-        assert np.shares_memory(batch.h, first.h)
-        assert np.shares_memory(batch.h_hat, first.h_hat)
-    # after the last tile the draws hold neither their real halves nor
-    # their per-link maps
+        h = sample_channels(draw, tile)
+        batch = mmse_estimate(h, est, tile)
+        assert batch.h is h
+        bases.append(h.base)
+    # every tile's channels lie in the channel draw's one buffer
+    assert all(b is bases[0] for b in bases) and bases[0].shape[0] == 64
+    # after the last tile neither draw holds a generator, real half, buffer
+    # or map, and the stages hold no tile array of their own
     for normals in (draw.normals, est.noise):
-        assert normals._re is None and normals._rng is None
-    assert draw.sqrt_R is None and est.filters is None
+        assert all(v is None for v in (normals._rng, normals._re, normals._im,
+                                       normals._z, normals._map))
+    for stage in (draw, est):
+        assert not any(isinstance(v, np.ndarray) and v.ndim > 1
+                       for v in vars(stage).values())
 
 
 def test_tiles_must_come_in_order(monkeypatch):

@@ -11,7 +11,7 @@ def test_orthogonal_when_pilots_cover_ues():
     pa = assign_pilots(beta, tau_p=5)
     assert list(pa.pilot_of) == [0, 1, 2]
     assert pa.groups == ((0,), (1,), (2,), (), ())
-    assert pa.sharers(1) == (1,)
+    assert pa.groups[pa.pilot_of[1]] == (1,)
 
 
 def test_hand_worked_contamination_case():
@@ -23,8 +23,8 @@ def test_hand_worked_contamination_case():
     pa = assign_pilots(beta, tau_p=2)
     assert list(pa.pilot_of) == [0, 1, 0]
     assert pa.groups == ((0, 2), (1,))
-    assert pa.sharers(2) == (0, 2)
-    assert pa.sharers(1) == (1,)
+    assert pa.groups[pa.pilot_of[2]] == (0, 2)
+    assert pa.groups[pa.pilot_of[1]] == (1,)
 
 
 def test_hand_worked_case_prefers_other_pilot():

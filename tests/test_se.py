@@ -170,7 +170,7 @@ def test_tiled_build_sample_gives_the_oneshot_bytes(
     reduce_tile = pipeline.estimate_se_parameters
 
     def spy(batch, w, sums):
-        # the tile buffers are reused, so the spy keeps copies
+        # the channel draw reuses its buffer, so the spy keeps copies
         seen.append((batch.h.copy(), batch.h_hat.copy()))
         return reduce_tile(batch, w, sums)
     monkeypatch.setattr(pipeline, "estimate_se_parameters", spy)
