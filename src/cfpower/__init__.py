@@ -29,7 +29,7 @@ from .precoding import compute_precoders
 from .scaling import ScalerParams, apply_scaler, fit_scaler
 from .se import (MomentSums, PowerAllocation, SEParameters, compute_se,
                  effective_sinr, estimate_se_parameters)
-from .wmmse import (AdmmConfig, SolverConfig, WmmseResult, solve_subproblem,
+from .wmmse import (SolverConfig, WmmseResult, solve_subproblem,
                     update_auxiliaries, utility, wmmse_solve)
 
 __version__ = "0.1.0"

@@ -152,16 +152,13 @@ class ModelGroup(Sequence):
 def stack_models(models, n_models=None) -> ModelGroup:
     """The models, in the order given, as one `ModelGroup`.
 
-    A `ModelGroup` comes back as it is. Otherwise each model's arrays are
-    copied into new stacks, and the group holds new `MlpModel`s whose
-    arrays are views into them; the given models are left alone. `models`
-    may be an iterator of `n_models` items, each copied in as it arrives
-    and released before the next one is drawn, so at most one whole model
-    besides the stacks is ever held. Raises ValueError for an empty
-    group, mixed kinds, mixed layer plans or a model without a scaler.
+    Each model's arrays are copied into new stacks, and the group holds new
+    `MlpModel`s whose arrays are views into them; the given models are left
+    alone. `models` may be an iterator of `n_models` items, each copied in
+    as it arrives and released before the next one is drawn, so at most one
+    whole model besides the stacks is ever held. Raises ValueError for an
+    empty group, mixed kinds, mixed layer plans or a model without a scaler.
     """
-    if isinstance(models, ModelGroup):
-        return models
     if n_models is None:
         models = list(models)
         n_models = len(models)
@@ -221,26 +218,19 @@ def check_cover(group: ModelGroup, L: int):
                          f"they serve APs {list(group.aps)} of L = {L}")
 
 
-def _member_array(models) -> np.ndarray:
-    if isinstance(models, ModelGroup):
-        return models.members
-    return np.array([m.member_aps for m in models])
+def model_features(models: ModelGroup, beta: np.ndarray, cfg: NetworkConfig):
+    """One raw (unscaled) feature row per model of the group, in order."""
+    return features_for(models[0].kind, beta, cfg, models.members)
 
 
-def model_features(models, beta: np.ndarray, cfg: NetworkConfig):
-    """One raw (unscaled) feature row per model, in model order."""
-    return features_for(models[0].kind, beta, cfg, _member_array(models))
-
-
-def predict_from_features(models, rows, K: int, L: int,
+def predict_from_features(models: ModelGroup, rows, K: int, L: int,
                           p_max: float) -> PowerAllocation:
-    """Scale, run and post-process one pre-built feature row per model:
-    one `apply_scaler` and one `forward` call for the whole group."""
-    group = stack_models(models)
-    check_cover(group, L)
-    x = apply_scaler(group.scaler, np.asarray(rows)[:, None, :])
-    y = forward(group, x)[:, 0, :]
-    n_units, c = group.members.shape
+    """Scale, run and post-process one pre-built feature row per model of
+    the group: one `apply_scaler` and one `forward` call for all of them."""
+    check_cover(models, L)
+    x = apply_scaler(models.scaler, np.asarray(rows)[:, None, :])
+    y = forward(models, x)[:, 0, :]
+    n_units, c = models.members.shape
     directions = y[:, :c * K].reshape(n_units * c, K)
     totals = y[:, c * K:].reshape(-1)
     # a stack of vector-vector products runs one BLAS dot per column, the
@@ -252,24 +242,23 @@ def predict_from_features(models, rows, K: int, L: int,
     columns = directions * scale[:, None]
     columns[zero] = 0.0
     mu = np.empty((K, L))
-    mu[:, group.members.reshape(-1)] = columns.T
+    mu[:, models.members.reshape(-1)] = columns.T
     if np.any(zero):
         log.warning("%d AP columns predicted as all-zero", np.sum(zero))
     return PowerAllocation(mu=mu, p_max=p_max)
 
 
-def predict_allocation(models, beta: np.ndarray,
+def predict_allocation(models: ModelGroup, beta: np.ndarray,
                        cfg: NetworkConfig) -> PowerAllocation:
     """Run every model on its features and assemble a feasible allocation.
 
-    `models` holds one model per AP (distributed kinds) or per cluster
-    (cdnn), as a `ModelGroup` or as any sequence, which is stacked first;
-    each model knows the APs it serves, so any order works as long as the
-    union covers all APs exactly once.
+    `models` is a `ModelGroup` (see `stack_models`) of one model per AP
+    (distributed kinds) or per cluster (cdnn); each model knows the APs it
+    serves, so any order works as long as the union covers all APs exactly
+    once.
     """
-    group = stack_models(models)
-    rows = model_features(group, beta, cfg)
-    return predict_from_features(group, rows, cfg.K, cfg.L, cfg.p_max_dl)
+    rows = model_features(models, beta, cfg)
+    return predict_from_features(models, rows, cfg.K, cfg.L, cfg.p_max_dl)
 
 
 def save_model(model: MlpModel, path):

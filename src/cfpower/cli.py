@@ -26,6 +26,8 @@ from .config import NetworkConfig, load_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError)
 from .mlp import MODEL_KINDS, TrainConfig
+from .precoding import PRECODERS
+from .wmmse import OBJECTIVES
 
 log = logging.getLogger(__name__)
 
@@ -77,30 +79,34 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", help="solve drops into a training set")
     _add_common(g)
     g.add_argument("--samples", type=int, required=True)
-    g.add_argument("--objective", choices=("sumse", "pf"), default="sumse")
-    g.add_argument("--precoder", choices=("mr", "rzf"), default="rzf")
+    g.add_argument("--objective", choices=OBJECTIVES, default="sumse")
+    g.add_argument("--precoder", choices=PRECODERS, default="rzf")
     g.add_argument("--realizations", type=int,
                    default=pipeline.DEFAULT_N_REAL)
-    g.add_argument("--max-degenerate-frac", type=float, default=0.25)
+    g.add_argument("--max-degenerate-frac", type=float,
+                   default=pipeline.DEFAULT_MAX_DEGENERATE_FRAC)
     g.add_argument("--out", required=True)
 
+    defaults = TrainConfig()
     t = sub.add_parser("train", help="fit models from a dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--kind", choices=MODEL_KINDS, required=True)
-    t.add_argument("--cluster-size", type=int, default=4)
-    t.add_argument("--epochs", type=int, default=60)
-    t.add_argument("--batch-size", type=int, default=256)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--drop-epoch", type=int, default=40)
-    t.add_argument("--val-fraction", type=float, default=0.1)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--cluster-size", type=int,
+                   default=pipeline.DEFAULT_CLUSTER_SIZE)
+    t.add_argument("--epochs", type=int, default=defaults.epochs)
+    t.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    t.add_argument("--lr", type=float, default=defaults.lr)
+    t.add_argument("--drop-epoch", type=int, default=defaults.drop_epoch)
+    t.add_argument("--val-fraction", type=float,
+                   default=defaults.validation_fraction)
+    t.add_argument("--seed", type=int, default=defaults.seed)
     t.add_argument("--out", required=True)
 
     e = sub.add_parser("evaluate", help="score strategies on held-out drops")
     _add_common(e)
     e.add_argument("--samples", type=int, default=200,
                    help="number of evaluation drops")
-    e.add_argument("--precoder", choices=("mr", "rzf"), default="rzf")
+    e.add_argument("--precoder", choices=PRECODERS, default="rzf")
     e.add_argument("--strategies",
                    default="wmmse-sumse,heuristic,equal",
                    help="comma list from: " + ",".join(pipeline.STRATEGIES))
@@ -114,10 +120,11 @@ def build_parser() -> _Parser:
     _add_common(b)
     b.add_argument("--strategies",
                    default="wmmse,ddnn,ddnn-si,cdnn,heuristic,equal,noop")
-    b.add_argument("--repeats", type=int, default=5)
+    b.add_argument("--repeats", type=int, default=pipeline.DEFAULT_REPEATS)
     b.add_argument("--realizations", type=int,
                    default=pipeline.DEFAULT_N_REAL)
-    b.add_argument("--cluster-size", type=int, default=4)
+    b.add_argument("--cluster-size", type=int,
+                   default=pipeline.DEFAULT_CLUSTER_SIZE)
     b.add_argument("--models", default=None)
     b.add_argument("--out", default=None)
 

@@ -126,16 +126,14 @@ def _layer_outputs(layers, a):
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Network output for a single feature vector or a batch of rows.
+    """Network output for a batch of rows x (rows, in).
 
     `model` may also hold (n, out, in) weight stacks and (n, 1, out) bias
     stacks, as a `ModelGroup` does; x is then (n, rows, in) and slice i
     runs through network i, one batched matmul per layer. Each slice runs
     the BLAS call a single network runs, so the bits are the same.
     """
-    x = np.asarray(x, dtype=float)
-    a = _layer_outputs(model.layers, np.atleast_2d(x))[0][-1]
-    return a[0] if x.ndim == 1 else a
+    return _layer_outputs(model.layers, np.asarray(x, dtype=float))[0][-1]
 
 
 def mse_loss(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:

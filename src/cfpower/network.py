@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import ConfigError
 
 # distances below 1 m are floored so the pathloss law stays below 0 dB
 MIN_DISTANCE_M = 1.0
@@ -73,9 +72,8 @@ def place_aps(cfg: NetworkConfig, seed) -> np.ndarray:
     the square, so wrap-around spacing is uniform.
     """
     if cfg.ap_placement == "grid":
+        # NetworkConfig rejects a grid of non-square L
         side = math.isqrt(cfg.L)
-        if side * side != cfg.L:
-            raise ConfigError("grid placement needs a square L")
         step = cfg.area_m / side
         centers = step * (np.arange(side) + 0.5)
         xx, yy = np.meshgrid(centers, centers, indexing="xy")
@@ -84,16 +82,15 @@ def place_aps(cfg: NetworkConfig, seed) -> np.ndarray:
     return rng.uniform(0.0, cfg.area_m, size=(cfg.L, 2))
 
 
-def drop_scenario(cfg: NetworkConfig, seed, ap_positions=None) -> Scenario:
-    """Drop K UEs uniformly on the square; APs fixed per config.
+def drop_scenario(cfg: NetworkConfig, seed, ap_positions) -> Scenario:
+    """Drop K UEs uniformly on the square around the given APs.
 
-    AP positions are infrastructure: pass `ap_positions` to reuse a layout
-    across drops (the pipeline places them once per dataset).
+    AP positions are infrastructure, placed once per dataset by
+    `place_aps`; the UEs draw from `seed` alone, so the layout never
+    shifts them.
     """
     rng = np.random.default_rng(seed)
     ue = rng.uniform(0.0, cfg.area_m, size=(cfg.K, 2))
-    if ap_positions is None:
-        ap_positions = place_aps(cfg, seed)
     ap = np.asarray(ap_positions, dtype=float)
     if ap.shape != (cfg.L, 2):
         raise ValueError(f"expected ({cfg.L}, 2) AP positions, got {ap.shape}")

@@ -47,6 +47,9 @@ TEST_NAMESPACE = 0x7465     # evaluation-drop seed space
 STRATEGIES = ("wmmse-sumse", "wmmse-pf", "heuristic", "equal") + MODEL_KINDS
 
 DEFAULT_N_REAL = 1000
+DEFAULT_MAX_DEGENERATE_FRAC = 0.25
+DEFAULT_CLUSTER_SIZE = 4
+DEFAULT_REPEATS = 5
 MODEL_SUFFIX = ".cfmlp"
 
 
@@ -90,7 +93,8 @@ def build_sample(cfg: NetworkConfig, ap_positions, master_seed: int,
 def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                  precoder: str, out_path, seed: Optional[int] = None,
                  n_real: int = DEFAULT_N_REAL,
-                 max_degenerate_frac: float = 0.25) -> DatasetFile:
+                 max_degenerate_frac: float = DEFAULT_MAX_DEGENERATE_FRAC
+                 ) -> DatasetFile:
     """Generate (or resume) a labeled dataset of optimizer solutions."""
     master = cfg.seed if seed is None else int(seed)
     solver_cfg = SolverConfig(objective=objective)
@@ -188,7 +192,7 @@ def _group_for(models_dir, kind: str, cfg: NetworkConfig):
 
 def cmd_train(dataset_path, kind: str, out_dir,
               train_cfg: Optional[TrainConfig] = None,
-              cluster_size: int = 4):
+              cluster_size: int = DEFAULT_CLUSTER_SIZE):
     """Fit one model per AP (or per cluster) from a generated dataset.
 
     Returns the list of written model paths. Loss curves land next to the
@@ -451,10 +455,11 @@ def _bench_models(cfg, kind, cluster_size, models_dir, seed):
     return stack_models(models)
 
 
-def cmd_bench(cfg: NetworkConfig, strategies, n_repeats: int = 5,
-              out_path=None, seed: Optional[int] = None,
-              n_real: int = DEFAULT_N_REAL, models_dir=None,
-              cluster_size: int = 4) -> dict:
+def cmd_bench(cfg: NetworkConfig, strategies,
+              n_repeats: int = DEFAULT_REPEATS, out_path=None,
+              seed: Optional[int] = None, n_real: int = DEFAULT_N_REAL,
+              models_dir=None,
+              cluster_size: int = DEFAULT_CLUSTER_SIZE) -> dict:
     """Wall-clock per allocation on pre-generated inputs.
 
     Returns {strategy: {column: seconds}} with columns

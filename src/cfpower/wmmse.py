@@ -15,7 +15,7 @@ quadratic subproblem in the square-root powers mu (K x L):
 The subproblem equals the weighted-MSE objective up to an additive constant,
 so exact subproblem solutions make the utility nondecreasing. Iteration
 stops when the squared difference of successive utilities drops below
-eps_outer.
+_EPS_OUTER, or after _MAX_OUTER outer steps.
 
 The subproblem is solved by over-relaxed scaled-dual ADMM on the per-AP
 ball constraints only (Boyd et al., "Distributed Optimization and
@@ -28,9 +28,11 @@ _RELAX:
   z-update   Z' = projection of Xh + U onto the per-AP balls
   u-update   U' = Xh + U - Z'
 
-The primal residual stays X - Z'. Iteration stops when both residuals pass
-the absolute-plus-relative thresholds; the norms behind them are taken only
-when the primal residual has passed a cheap upper bound on its threshold.
+ADMM starts cold at rho = _RHO. The primal residual stays X - Z'.
+Iteration stops when both residuals pass the absolute-plus-relative
+thresholds at _EPS_INNER, or after _MAX_ADMM_ITERS iterations; the norms
+behind them are taken only when the primal residual has passed a cheap
+upper bound on its threshold.
 Negative entries of a solution are flipped to their positive counterparts
 afterwards (the balls are sign-symmetric, so feasibility is preserved). The
 test-suite checks ADMM against a long-run projected-gradient oracle of its
@@ -72,22 +74,19 @@ _EIG_FLOOR = -1e-8
 # ADMM over-relaxation factor alpha (Boyd et al., 2011, sec. 3.4.3); 1.3-1.6
 # all cut iterations on the package's presets, 1.8 took more than 1.0
 _RELAX = 1.5
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Scaled-dual ADMM on the per-AP ball constraints."""
-
-    rho: float = 1.0          # initial penalty, adapted by residual balancing
-    eps_inner: float = 1e-6   # absolute and relative residual threshold
-    max_iters: int = 4000
+# ADMM: initial penalty (adapted by residual balancing), absolute and
+# relative residual threshold, iteration cap per subproblem
+_RHO = 1.0
+_EPS_INNER = 1e-6
+_MAX_ADMM_ITERS = 4000
+# outer loop: threshold on the squared utility step, cap on outer steps
+_EPS_OUTER = 1e-4
+_MAX_OUTER = 500
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     objective: str = "sumse"
-    eps_outer: float = 1e-4
-    max_outer_iters: int = 500
     init: str = "equal-power"
 
     def __post_init__(self):
@@ -170,7 +169,7 @@ def _norm(x):
     return math.sqrt(np.vdot(x, x))
 
 
-def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
+def _admm(q, C, p_max, x0, state):
     """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None.
 
     The stopping norms are taken lazily. While the primal residual r
@@ -180,9 +179,9 @@ def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
     or residual balancing needs them.
     """
     if state is None:
-        state = (project_per_ap(x0, p_max), np.zeros_like(x0), cfg.rho)
+        state = (project_per_ap(x0, p_max), np.zeros_like(x0), _RHO)
     Z, U, rho = state
-    eps = cfg.eps_inner
+    eps = _EPS_INNER
     sqrt_n = np.sqrt(q.size)
     radius = np.sqrt(p_max)
     # eps_pri <= pri_cap + eps * r, with slack for the projection's rounding
@@ -190,7 +189,7 @@ def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
     converged = False
     it = 0
     inv_rho = None
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ADMM_ITERS + 1):
         if rho != inv_rho:
             # x-update operator (C + rho I)^-1, one batched inverse
             inv = np.linalg.inv(_plus_diagonal(C, rho))
@@ -222,21 +221,20 @@ def _admm(q, C, p_max, cfg: AdmmConfig, x0, state):
 
 
 def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
-                     p_max: float, sub_cfg=None, mu0=None,
+                     p_max: float, mu0=None,
                      state=None) -> SubproblemResult:
     """Solve the convex subproblem for fixed (omega, v) by ADMM.
 
     The returned mu_raw is feasible for every AP budget; its negative
     entries are counted in n_flipped (np.abs(mu_raw) is the nonnegative
-    solution). Pass a previous result's `state` to warm-start ADMM from its
-    iterates.
+    solution). Without `state`, ADMM starts cold from mu0 (zeros by
+    default) at rho = _RHO; pass a previous result's `state`, or any
+    (Z, U, rho), to start it from those iterates instead.
     """
-    if sub_cfg is None:
-        sub_cfg = AdmmConfig()
     q, C = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
-    x, n_iters, converged, state = _admm(q, C, p_max, sub_cfg, mu0, state)
+    x, n_iters, converged, state = _admm(q, C, p_max, mu0, state)
     return SubproblemResult(mu_raw=x, n_iters=n_iters, converged=converged,
                             n_flipped=int(np.sum(x < 0.0)), state=state)
 
@@ -320,7 +318,7 @@ def wmmse_solve(params: SEParameters, p_max: float,
     converged = False
     n_outer = 0
     state = None
-    for n_outer in range(1, cfg.max_outer_iters + 1):
+    for n_outer in range(1, _MAX_OUTER + 1):
         aux = update_auxiliaries(params, mu, cfg.objective, terms)
         clamp_events += aux.clamped
         result = solve_subproblem(params, aux.omega, aux.v, p_max, mu0=mu,
@@ -333,11 +331,11 @@ def wmmse_solve(params: SEParameters, p_max: float,
         terms = sinr_terms(params, mu)
         trace.append(utility(params, mu, cfg.objective, terms))
         violations.append(max_violation(mu))
-        if (trace[-1] - trace[-2]) ** 2 < cfg.eps_outer:
+        if (trace[-1] - trace[-2]) ** 2 < _EPS_OUTER:
             converged = True
             break
     if not converged:
-        log.warning("outer loop exhausted %d iterations", cfg.max_outer_iters)
+        log.warning("outer loop exhausted %d iterations", _MAX_OUTER)
     final_flips = int(np.sum(mu < 0.0))
     alloc = PowerAllocation(mu=np.abs(mu), p_max=p_max)
     return WmmseResult(alloc=alloc, trace=np.asarray(trace),

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from cfpower.allocator import predict_allocation
+from cfpower import wmmse
+from cfpower.allocator import predict_allocation, stack_models
 from cfpower.config import NetworkConfig
 from cfpower.heuristics import (equal_power, fractional_coefficients,
                                 heuristic_allocation, side_info_ratios)
@@ -28,8 +29,7 @@ from cfpower.pipeline import (TEST_NAMESPACE, _bench_models, build_sample,
 from cfpower.precoding import compute_precoders
 from cfpower.scaling import ScalerParams
 from cfpower.se import BUDGET_SLACK, PowerAllocation, compute_se
-from cfpower.wmmse import (AdmmConfig, SolverConfig, solve_subproblem,
-                           wmmse_solve)
+from cfpower.wmmse import SolverConfig, solve_subproblem, wmmse_solve
 
 pytestmark = pytest.mark.acceptance
 
@@ -63,7 +63,7 @@ def test_criterion_01_architecture_fidelity():
 def test_criterion_02_optimizer_monotonicity(desk_cfg):
     t0 = time.perf_counter()
     aps = place_aps(desk_cfg, desk_cfg.seed)
-    slack = 10.0 * AdmmConfig().eps_inner
+    slack = 10.0 * wmmse._EPS_INNER
     n_runs, worst_dip, worst_violation = 0, 0.0, 0.0
     for precoder in ("mr", "rzf"):
         for index in range(50):
@@ -89,17 +89,17 @@ def test_criterion_02_optimizer_monotonicity(desk_cfg):
 def test_criterion_03_subproblem_oracles(synthetic_params,
                                          projected_gradient,
                                          subproblem_matrices,
-                                         subproblem_objective):
+                                         subproblem_objective, monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(wmmse, "_EPS_INNER", 1e-9)
+    monkeypatch.setattr(wmmse, "_MAX_ADMM_ITERS", 100000)
     worst_pg = 0.0
     for seed in range(50):
         params = synthetic_params(K=3, L=2, seed=200 + seed, sigma2=0.3)
         rng = np.random.default_rng(seed)
         omega = rng.uniform(0.5, 3.0, size=3)
         v = rng.uniform(0.1, 1.0, size=3)
-        admm = solve_subproblem(params, omega, v, 1.0,
-                                AdmmConfig(eps_inner=1e-9,
-                                           max_iters=100000))
+        admm = solve_subproblem(params, omega, v, 1.0)
         C, q = subproblem_matrices(params, omega, v)
         x, _, _ = projected_gradient(C, q, 1.0, eps_inner=1e-11)
         f_pg = subproblem_objective(C, q, x)
@@ -117,9 +117,7 @@ def test_criterion_03_subproblem_oracles(synthetic_params,
         omega = rng.uniform(0.5, 2.0, size=2)
         v = rng.uniform(0.2, 0.8, size=2)
         C, q = subproblem_matrices(params, omega, v)
-        admm = solve_subproblem(params, omega, v, 1.0,
-                                AdmmConfig(eps_inner=1e-9,
-                                           max_iters=100000))
+        admm = solve_subproblem(params, omega, v, 1.0)
         f = C[0, 0, 0] * X ** 2 + C[1, 0, 0] * Y ** 2 \
             - 2.0 * q[0, 0] * X - 2.0 * q[1, 0] * Y
         f_grid = float(np.where(disk, f, np.inf).min())
@@ -432,7 +430,7 @@ def test_criterion_11_universal_feasibility(desk_cfg):
             m.scaler = ScalerParams(median=np.zeros(m.n_inputs),
                                     iqr=np.ones(m.n_inputs))
             group.append(m)
-        models[kind] = group
+        models[kind] = stack_models(group)
 
     for index in range(10):
         sample = build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE,

@@ -160,12 +160,15 @@ def test_model_features_follow_member_aps(desk_cfg):
     clusters = cluster_partition(place_aps(desk_cfg, seed=0), 2)
     cdnn = [build_model("cdnn", K, unit_id=j, member_aps=clusters[j],
                         cluster_size=2, seed=j) for j in range(len(clusters))]
-    assert np.array_equal(model_features(cdnn, beta, desk_cfg),
-                          stacked_blocks(to_db(beta).T, clusters))
     ddnn = [build_model("ddnn", K, unit_id=l, seed=l) for l in (2, 0, 3, 1)]
+    for model in cdnn + ddnn:
+        model.scaler = ScalerParams(median=np.zeros(model.n_inputs),
+                                    iqr=np.ones(model.n_inputs))
+    assert np.array_equal(model_features(stack_models(cdnn), beta, desk_cfg),
+                          stacked_blocks(to_db(beta).T, clusters))
     rho1 = fractional_coefficients(beta, desk_cfg.v_exponent,
                                    desk_cfg.p_max_dl)
-    assert np.array_equal(model_features(ddnn, beta, desk_cfg),
+    assert np.array_equal(model_features(stack_models(ddnn), beta, desk_cfg),
                           to_db(rho1).T[[2, 0, 3, 1]])
 
 
@@ -212,7 +215,8 @@ def test_postprocessing_identity(request, preset, kind, layout_of,
     labels = labels_for(mu, layout)
     models = [constant_model(kind, K, i, layout[i], labels[i])
               for i in range(layout.shape[0])]
-    alloc = predict_allocation(models, random_beta(K, L, 6), cfg)
+    alloc = predict_allocation(stack_models(models), random_beta(K, L, 6),
+                               cfg)
     assert np.allclose(alloc.mu, mu, rtol=1e-12)
     assert_budget(alloc.mu, P)
 
@@ -237,7 +241,8 @@ def test_postprocessing_clamps_total(desk_cfg):
     labels[:, -1] = 5.0 * P
     models = [constant_model("ddnn", K, l, (l,), labels[l])
               for l in range(L)]
-    alloc = predict_allocation(models, random_beta(K, L, 10), desk_cfg)
+    alloc = predict_allocation(stack_models(models), random_beta(K, L, 10),
+                               desk_cfg)
     per_ap = np.sum(alloc.mu ** 2, axis=0)
     assert np.allclose(per_ap, P, rtol=1e-12)
     # direction is preserved even though the power was clamped
@@ -253,7 +258,8 @@ def test_postprocessing_zero_direction(desk_cfg, caplog):
     models = [constant_model("ddnn", K, l, (l,), labels[l])
               for l in range(L)]
     with caplog.at_level("WARNING", logger="cfpower.allocator"):
-        alloc = predict_allocation(models, random_beta(K, L, 12), desk_cfg)
+        alloc = predict_allocation(stack_models(models),
+                                   random_beta(K, L, 12), desk_cfg)
     assert np.all(alloc.mu[:, 2] == 0.0)
     assert np.allclose(alloc.mu[:, [0, 1, 3]], mu[:, [0, 1, 3]], rtol=1e-12)
     assert any("all-zero" in r.message for r in caplog.records)
@@ -267,15 +273,18 @@ def test_predict_errors(desk_cfg):
     mixed = list(good)
     mixed[1] = constant_model("ddnn-si", K, 1, (1,), labels[1])
     with pytest.raises(ValueError, match="mixed"):
-        rows = model_features(good, beta, desk_cfg)
-        predict_from_features(mixed, rows, K, L, desk_cfg.p_max_dl)
+        stack_models(mixed)
     bare = [constant_model("ddnn", K, l, (l,), labels[l]) for l in range(L)]
     for m in bare:
         m.scaler = None
     with pytest.raises(ValueError, match="scaler"):
-        predict_allocation(bare, beta, desk_cfg)
+        stack_models(bare)
+    partial = stack_models(good[:-1])
     with pytest.raises(ValueError, match="cover"):
-        predict_allocation(good[:-1], beta, desk_cfg)
+        predict_allocation(partial, beta, desk_cfg)
+    with pytest.raises(ValueError, match="cover"):
+        rows = model_features(partial, beta, desk_cfg)
+        predict_from_features(partial, rows, K, L, desk_cfg.p_max_dl)
 
 
 def test_predict_rejects_duplicate_member_aps(desk_cfg):
@@ -285,11 +294,13 @@ def test_predict_rejects_duplicate_member_aps(desk_cfg):
     # a second model for AP 1 would silently overwrite the first one's column
     twice = group + [constant_model("ddnn", K, 1, (1,), 0.5 * labels[1])]
     with pytest.raises(ValueError, match="cover"):
-        predict_allocation(twice, random_beta(K, L, 25), desk_cfg)
+        predict_allocation(stack_models(twice), random_beta(K, L, 25),
+                           desk_cfg)
     # a duplicate in place of a missing AP keeps the count right
     swapped = group[:-1] + [constant_model("ddnn", K, 1, (1,), labels[1])]
     with pytest.raises(ValueError, match="cover"):
-        predict_allocation(swapped, random_beta(K, L, 25), desk_cfg)
+        predict_allocation(stack_models(swapped), random_beta(K, L, 25),
+                           desk_cfg)
 
 
 def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
@@ -303,7 +314,7 @@ def test_random_weight_models_stay_feasible(desk_cfg, assert_budget):
         m = build_model("ddnn", K, unit_id=l, seed=100 + l)
         m.scaler = scaler
         models.append(m)
-    alloc = predict_allocation(models, beta, desk_cfg)
+    alloc = predict_allocation(stack_models(models), beta, desk_cfg)
     assert_budget(alloc.mu, desk_cfg.p_max_dl)
     assert np.all(alloc.mu >= 0.0)
 
@@ -315,7 +326,7 @@ def per_model_reference(models, beta, cfg):
     expected = np.empty((K, cfg.L))
     for model in models:
         x = features_for(model.kind, beta, cfg, np.array([model.member_aps]))
-        y = forward(model, apply_scaler(model.scaler, x[0]))
+        y = forward(model, apply_scaler(model.scaler, x))[0]
         c = len(model.member_aps)
         for j, l in enumerate(model.member_aps):
             direction = y[j * K:(j + 1) * K]
@@ -342,7 +353,7 @@ def test_decode_matches_the_per_column_reference(large_cfg, kind):
     # the vectorised decode keeps the bits of a column-by-column decode
     models = standin_group(kind, large_cfg, 40)
     beta = random_beta(large_cfg.K, large_cfg.L, 41)
-    alloc = predict_allocation(models, beta, large_cfg)
+    alloc = predict_allocation(stack_models(models), beta, large_cfg)
     assert np.array_equal(alloc.mu, per_model_reference(models, beta,
                                                         large_cfg))
 
@@ -375,7 +386,6 @@ def test_stack_models_copies_into_views(desk_cfg):
     models = standin_group("cdnn", desk_cfg, 55, cluster_size=2)
     weights = [layer.W for m in models for layer in m.layers]
     group = stack_models(models)
-    assert stack_models(group) is group
     assert len(group) == len(models)
     assert np.array_equal(group.members, [m.member_aps for m in models])
     for i, (view, model) in enumerate(zip(group, models)):

@@ -68,8 +68,9 @@ def traced_inference(tracing, groups, cfg):
 
 
 def test_learned_inference_records_every_kind_span(tracing, desk_cfg):
-    traced_inference(tracing, {kind: standins(kind, desk_cfg)
-                               for kind in MODEL_KINDS}, desk_cfg)
+    traced_inference(tracing, {
+        kind: allocator.stack_models(standins(kind, desk_cfg))
+        for kind in MODEL_KINDS}, desk_cfg)
 
 
 def test_a_loaded_group_runs_one_forward_pass_per_kind(tracing, desk_cfg,

@@ -21,7 +21,7 @@ from cfpower.config import NetworkConfig
 from cfpower.estimation import (ChannelDraw, MmseEstimator, mmse_estimate,
                                 realization_tiles, sample_channels)
 from cfpower.network import (ChannelStatistics, build_statistics,
-                             drop_scenario)
+                             drop_scenario, place_aps)
 from cfpower.pilots import assign_pilots
 
 
@@ -216,7 +216,7 @@ def reference_mmse_estimate(h, stats, pilots, cfg, noise_seed):
 
 def _desk_stats(correlation_model):
     cfg = resolve_config("desk").replace(correlation_model=correlation_model)
-    stats = build_statistics(cfg, drop_scenario(cfg, seed=21))
+    stats = build_statistics(cfg, drop_scenario(cfg, 21, place_aps(cfg, 21)))
     return cfg, stats
 
 

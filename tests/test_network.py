@@ -166,7 +166,7 @@ def test_uniform_placement_is_seeded():
 
 
 def test_drop_scenario_shapes_and_distances(desk_cfg):
-    scen = drop_scenario(desk_cfg, seed=5)
+    scen = drop_scenario(desk_cfg, 5, place_aps(desk_cfg, 5))
     assert scen.ue_positions.shape == (desk_cfg.K, 2)
     assert scen.distances.shape == (desk_cfg.K, desk_cfg.L)
     for k in range(desk_cfg.K):
@@ -179,27 +179,34 @@ def test_drop_scenario_shapes_and_distances(desk_cfg):
 
 def test_drop_scenario_deterministic_and_ap_passthrough(desk_cfg):
     aps = place_aps(desk_cfg, desk_cfg.seed)
-    s1 = drop_scenario(desk_cfg, seed=5)
-    s2 = drop_scenario(desk_cfg, seed=5, ap_positions=aps)
-    # UEs draw first, so supplying AP positions never shifts the drop
+    moved = np.random.default_rng(6).uniform(0.0, desk_cfg.area_m,
+                                             size=aps.shape)
+    s1 = drop_scenario(desk_cfg, 5, aps)
+    s2 = drop_scenario(desk_cfg, 5, moved)
+    # UEs draw first, so the AP layout never shifts the drop
     assert np.array_equal(s1.ue_positions, s2.ue_positions)
-    assert np.array_equal(s2.ap_positions, aps)
+    assert np.array_equal(s1.ap_positions, aps)
+    assert np.array_equal(s2.ap_positions, moved)
+    assert not np.array_equal(s1.distances, s2.distances)
+    again = drop_scenario(desk_cfg, 5, aps)
+    assert np.array_equal(again.ue_positions, s1.ue_positions)
+    assert np.array_equal(again.distances, s1.distances)
     with pytest.raises(ValueError):
-        drop_scenario(desk_cfg, seed=5, ap_positions=aps[:2])
+        drop_scenario(desk_cfg, 5, aps[:2])
 
 
 def test_drop_mean_is_uniform(desk_cfg):
     # 200 drops x K UEs x 2 coords; mean of U(0, 500) is 250 with a
     # standard error near 1.6 m, so 6 m is a > 3 sigma band
     coords = np.concatenate([
-        drop_scenario(desk_cfg, seed=s).ue_positions.ravel()
+        drop_scenario(desk_cfg, s, place_aps(desk_cfg, s)).ue_positions.ravel()
         for s in range(200)])
     assert abs(coords.mean() - 250.0) < 6.0
     assert coords.min() >= 0.0 and coords.max() <= 500.0
 
 
 def test_statistics_uncorrelated(desk_cfg):
-    scen = drop_scenario(desk_cfg, seed=9)
+    scen = drop_scenario(desk_cfg, 9, place_aps(desk_cfg, 9))
     stats = build_statistics(desk_cfg, scen)
     K, L, N = desk_cfg.K, desk_cfg.L, desk_cfg.N
     assert stats.R.shape == (K, L, N, N)
@@ -228,7 +235,7 @@ def test_local_scattering_matches_quadrature():
     cfg = NetworkConfig(L=1, K=1, N=4, area_m=400.0, tau_p=1,
                         correlation_model="local-scattering",
                         angular_spread_deg=15.0)
-    scen = drop_scenario(cfg, seed=21)
+    scen = drop_scenario(cfg, 21, place_aps(cfg, 21))
     stats = build_statistics(cfg, scen)
     R = stats.R[0, 0]
     beta = stats.beta[0, 0]
@@ -244,7 +251,7 @@ def test_local_scattering_matches_quadrature():
 
 def test_local_scattering_structure(desk_cfg):
     cfg = desk_cfg.replace(correlation_model="local-scattering")
-    stats = build_statistics(cfg, drop_scenario(cfg, seed=2))
+    stats = build_statistics(cfg, drop_scenario(cfg, 2, place_aps(cfg, 2)))
     K, L, N = cfg.K, cfg.L, cfg.N
     for k in range(K):
         for l in range(L):
@@ -261,7 +268,7 @@ def test_local_scattering_zero_spread_is_rank_one():
     cfg = NetworkConfig(L=1, K=2, N=4, area_m=300.0, tau_p=1,
                         correlation_model="local-scattering",
                         angular_spread_deg=1e-9)
-    stats = build_statistics(cfg, drop_scenario(cfg, seed=4))
+    stats = build_statistics(cfg, drop_scenario(cfg, 4, place_aps(cfg, 4)))
     for k in range(2):
         R = stats.R[k, 0]
         eig = np.linalg.eigvalsh(R)
@@ -302,6 +309,6 @@ def test_local_scattering_clips_only_indefinite_links():
 
 
 def test_scenario_is_frozen(desk_cfg):
-    scen = drop_scenario(desk_cfg, seed=1)
+    scen = drop_scenario(desk_cfg, 1, place_aps(desk_cfg, 1))
     with pytest.raises(AttributeError):
         scen.area_m = 0.0

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfpower import pipeline
+from cfpower import pipeline, wmmse
 from cfpower.allocator import load_model, model_layout, save_model
 from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
@@ -155,15 +155,46 @@ def test_generate_rejects_mismatched_resume(tmp_path, desk_cfg):
 
 def test_generate_degeneracy_guard(tmp_path, desk_cfg, monkeypatch):
     # one outer iteration with an unreachable tolerance never converges
-    crippled = SolverConfig(objective="sumse", max_outer_iters=1,
-                            eps_outer=1e-30)
-
-    def crippled_solve(params, p_max, solver_cfg, **kwargs):
-        return wmmse_solve(params, p_max, crippled, **kwargs)
-
-    monkeypatch.setattr(pipeline, "wmmse_solve", crippled_solve)
+    monkeypatch.setattr(wmmse, "_MAX_OUTER", 1)
+    monkeypatch.setattr(wmmse, "_EPS_OUTER", 1e-30)
     with pytest.raises(SolverDegeneracyError):
         gen(desk_cfg, tmp_path / "d.cfds", n=2)
+
+
+def test_exhausted_subproblems_are_counted_and_reported(tmp_path, desk_cfg,
+                                                        monkeypatch):
+    # two ADMM iterations never meet the residual thresholds, so every
+    # subproblem is exhausted; three outer steps keep the solves short
+    monkeypatch.setattr(wmmse, "_MAX_ADMM_ITERS", 2)
+    monkeypatch.setattr(wmmse, "_MAX_OUTER", 3)
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(wmmse_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(pipeline, "wmmse_solve", recording)
+    path = tmp_path / "d.cfds"
+    gen(desk_cfg, path, n=3, max_degenerate_frac=1.0)
+    assert len(solves) == 3
+    assert all(r.subproblem_exhausted == r.n_outer > 0 for r in solves)
+    records = list(DatasetFile.open(path))
+    assert [r.subproblem_exhausted for r in records] == [True] * 3
+    assert cmd_inspect(path)["solver"]["subproblem_exhausted"] == 3
+
+    solves.clear()
+    strategies = ["wmmse-sumse", "wmmse-pf"]
+    cmd_evaluate(desk_cfg, strategies, 2, "rzf", out_dir=tmp_path / "rep",
+                 n_real=N_REAL)
+    with open(tmp_path / "rep" / "summary.csv", newline="") as fh:
+        rows = {r["strategy"]: r for r in csv.DictReader(fh)}
+    # each drop runs the strategies in the order given
+    for i, strat in enumerate(strategies):
+        runs = solves[i::len(strategies)]
+        assert len(runs) == 2
+        assert all(r.subproblem_exhausted == r.n_outer > 0 for r in runs)
+        assert rows[strat]["subproblem_exhausted"] == \
+            repr(sum(r.subproblem_exhausted for r in runs))
 
 
 @pytest.fixture(scope="module")
@@ -739,6 +770,20 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch,
     assert code == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+
+
+def test_cli_train_defaults_are_the_packages(tmp_path, monkeypatch):
+    seen = {}
+
+    def recording(dataset, kind, out_dir, train_cfg, cluster_size):
+        seen.update(train_cfg=train_cfg, cluster_size=cluster_size)
+        return []
+
+    monkeypatch.setattr(pipeline, "cmd_train", recording)
+    assert main(["train", "--dataset", str(tmp_path / "d.cfds"), "--kind",
+                 "ddnn", "--out", str(tmp_path / "models")]) == 0
+    assert seen == {"train_cfg": TrainConfig(),
+                    "cluster_size": pipeline.DEFAULT_CLUSTER_SIZE}
 
 
 def test_cli_full_walkthrough(tmp_path, capsys):

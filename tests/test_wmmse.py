@@ -14,8 +14,8 @@ import pytest
 
 from cfpower import se, wmmse
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
-from cfpower.wmmse import (E_CLAMP, AdmmConfig, AuxiliaryUpdate,
-                           SolverConfig, SubproblemResult, project_per_ap,
+from cfpower.wmmse import (E_CLAMP, AuxiliaryUpdate, SolverConfig,
+                           SubproblemResult, project_per_ap,
                            solve_subproblem, update_auxiliaries, utility,
                            wmmse_solve)
 
@@ -24,6 +24,20 @@ OMEGA_PF_HALF = 2.8853900817779268     # mpmath: -1 / (0.5 ln 0.5)
 
 def norm_close(f, f_ref, tol):
     return abs(f - f_ref) <= tol * max(1.0, abs(f_ref))
+
+
+@pytest.fixture
+def admm_tolerance(monkeypatch):
+    """Sets ADMM's residual threshold and iteration cap for one test."""
+    def tighten(eps_inner, max_iters):
+        monkeypatch.setattr(wmmse, "_EPS_INNER", eps_inner)
+        monkeypatch.setattr(wmmse, "_MAX_ADMM_ITERS", max_iters)
+    return tighten
+
+
+def off_scale_state(x0, p_max, rho=1e-3):
+    """A cold ADMM start from x0 at an off-scale initial penalty."""
+    return project_per_ap(x0, p_max), np.zeros_like(x0), rho
 
 
 def subproblem_result(x, n_iters, converged, state=None):
@@ -163,23 +177,27 @@ def diagonal_params(d, a_row):
                         sigma2=1.0, prelog=1.0, n_real=1000)
 
 
-# ADMM, then the projected-gradient oracle (given by its keyword arguments)
+# ADMM, then the projected-gradient oracle, each with its tolerance
 @pytest.mark.parametrize("sub_cfg", [
-    AdmmConfig(eps_inner=1e-10, max_iters=50000),
-    dict(eps_inner=1e-11),
+    ("admm", dict(eps_inner=1e-10, max_iters=50000)),
+    ("projected-gradient", dict(eps_inner=1e-11)),
 ])
 def test_subproblem_separable_kkt(projected_gradient, subproblem_matrices,
-                                  subproblem_objective, sub_cfg):
+                                  subproblem_objective, admm_tolerance,
+                                  sub_cfg):
     d = [2.0, 0.5, 1.0]
     a_row = [0.6, 3.0, 1.0]
     params = diagonal_params(d, a_row)
     p_max = 1.0
     omega, v = np.array([1.3]), np.array([0.7])
     C, q = subproblem_matrices(params, omega, v)
-    if isinstance(sub_cfg, AdmmConfig):
-        res = solve_subproblem(params, omega, v, p_max, sub_cfg)
+    solver, tolerance = sub_cfg
+    if solver == "admm":
+        admm_tolerance(**tolerance)
+        res = solve_subproblem(params, omega, v, p_max)
     else:
-        res = subproblem_result(*projected_gradient(C, q, p_max, **sub_cfg))
+        res = subproblem_result(*projected_gradient(C, q, p_max,
+                                                    **tolerance))
     # per column: argmin c mu^2 - 2 q mu over mu^2 <= P is min(q/c, sqrt(P))
     expected = np.minimum(q[0] / np.diag(C[0]), np.sqrt(p_max))
     assert res.converged
@@ -189,14 +207,14 @@ def test_subproblem_separable_kkt(projected_gradient, subproblem_matrices,
 
 
 def test_subproblem_unconstrained_interior(synthetic_params,
-                                           subproblem_matrices):
+                                           subproblem_matrices,
+                                           admm_tolerance):
     params = synthetic_params(K=3, L=2, seed=5)
     omega = np.array([1.0, 2.0, 0.5])
     v = np.array([0.3, 0.2, 0.4])
     C, q = subproblem_matrices(params, omega, v)
-    res = solve_subproblem(params, omega, v, p_max=1e9,
-                           sub_cfg=AdmmConfig(eps_inner=1e-10,
-                                              max_iters=50000))
+    admm_tolerance(eps_inner=1e-10, max_iters=50000)
+    res = solve_subproblem(params, omega, v, p_max=1e9)
     for i in range(3):
         interior = np.linalg.solve(C[i], q[i])
         assert np.allclose(res.mu_raw[i], interior, atol=1e-6)
@@ -206,13 +224,14 @@ def test_subproblem_unconstrained_interior(synthetic_params,
 def test_admm_agrees_with_long_run_gradient(synthetic_params,
                                             projected_gradient,
                                             subproblem_matrices,
-                                            subproblem_objective, seed):
+                                            subproblem_objective,
+                                            admm_tolerance, seed):
     params = synthetic_params(K=3, L=2, seed=10 + seed, sigma2=0.3)
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.5, 3.0, size=3)
     v = rng.uniform(0.1, 1.0, size=3)
-    admm = solve_subproblem(params, omega, v, 1.0,
-                            AdmmConfig(eps_inner=1e-9, max_iters=100000))
+    admm_tolerance(eps_inner=1e-9, max_iters=100000)
+    admm = solve_subproblem(params, omega, v, 1.0)
     C, q = subproblem_matrices(params, omega, v)
     pg = subproblem_result(*projected_gradient(C, q, 1.0, eps_inner=1e-11))
     assert admm.converged and pg.converged
@@ -222,13 +241,13 @@ def test_admm_agrees_with_long_run_gradient(synthetic_params,
 
 
 def test_admm_matches_grid_search(synthetic_params, subproblem_matrices,
-                                  subproblem_objective):
+                                  subproblem_objective, admm_tolerance):
     # one AP, two UEs: exhaustive search over the feasible disk
     params = synthetic_params(K=2, L=1, seed=20, sigma2=0.4)
     omega, v = np.array([1.2, 0.8]), np.array([0.5, 0.6])
     C, q = subproblem_matrices(params, omega, v)
-    res = solve_subproblem(params, omega, v, 1.0,
-                           AdmmConfig(eps_inner=1e-9, max_iters=100000))
+    admm_tolerance(eps_inner=1e-9, max_iters=100000)
+    res = solve_subproblem(params, omega, v, 1.0)
     r = 1.0
     g = np.linspace(-r, r, 2001)
     X, Y = np.meshgrid(g, g, indexing="ij")
@@ -241,25 +260,25 @@ def test_admm_matches_grid_search(synthetic_params, subproblem_matrices,
     assert norm_close(f_admm, f_grid, 1e-3)
 
 
-def test_subproblem_sign_flip_accounting():
+def test_subproblem_sign_flip_accounting(admm_tolerance):
     # strong positive coupling with a one-sided pull makes mu_2 negative
     params = SEParameters(a=np.array([[1.0, 0.0]]),
                           B=np.array([[1.0, 0.9], [0.9, 1.0]])[None, None],
                           sigma2=1.0, prelog=1.0, n_real=1000)
-    res = solve_subproblem(params, np.ones(1), np.ones(1), p_max=1e9,
-                           sub_cfg=AdmmConfig(eps_inner=1e-10,
-                                              max_iters=50000))
+    admm_tolerance(eps_inner=1e-10, max_iters=50000)
+    res = solve_subproblem(params, np.ones(1), np.ones(1), p_max=1e9)
     assert res.mu_raw[0, 1] < 0.0
     assert res.n_flipped == 1
 
 
 def test_admm_solution_is_gradient_fixed_point(synthetic_params,
-                                               subproblem_matrices):
+                                               subproblem_matrices,
+                                               admm_tolerance):
     params = synthetic_params(K=3, L=2, seed=30)
     omega, v = np.ones(3), np.full(3, 0.4)
     C, q = subproblem_matrices(params, omega, v)
-    res = solve_subproblem(params, omega, v, 1.0,
-                           AdmmConfig(eps_inner=1e-10, max_iters=100000))
+    admm_tolerance(eps_inner=1e-10, max_iters=100000)
+    res = solve_subproblem(params, omega, v, 1.0)
     X = res.mu_raw
     step = 1.0 / (2.0 * float(np.linalg.eigvalsh(C)[:, -1].max()))
     G = 2.0 * (np.einsum("kab,kb->ka", C, X) - q)
@@ -267,14 +286,14 @@ def test_admm_solution_is_gradient_fixed_point(synthetic_params,
     assert np.allclose(moved, X, atol=1e-6)
 
 
-def test_warm_start_reuses_state(synthetic_params):
+def test_warm_start_reuses_state(synthetic_params, admm_tolerance):
     params = synthetic_params(K=3, L=2, seed=40)
     omega, v = np.ones(3), np.full(3, 0.3)
-    cfg = AdmmConfig(eps_inner=1e-8, max_iters=20000)
-    first = solve_subproblem(params, omega, v, 1.0, cfg)
+    admm_tolerance(eps_inner=1e-8, max_iters=20000)
+    first = solve_subproblem(params, omega, v, 1.0)
     Z, U, rho = first.state
     assert np.array_equal(Z, first.mu_raw) and rho > 0.0
-    second = solve_subproblem(params, omega, v, 1.0, cfg, state=first.state)
+    second = solve_subproblem(params, omega, v, 1.0, state=first.state)
     assert second.n_iters <= first.n_iters
     assert np.allclose(second.mu_raw, first.mu_raw, atol=1e-6)
 
@@ -288,7 +307,7 @@ def test_outer_loop_on_real_sample(desk_sample, desk_cfg, assert_budget,
                          SolverConfig(objective=objective), beta=beta)
     assert result.converged
     diffs = np.diff(result.trace)
-    assert diffs.min() >= -10.0 * AdmmConfig().eps_inner
+    assert diffs.min() >= -10.0 * wmmse._EPS_INNER
     assert result.trace.shape == (result.n_outer + 1,)
     assert np.all(result.violations <= 1e-9)
     assert_budget(result.alloc.mu, desk_cfg.p_max_dl)
@@ -356,10 +375,12 @@ def test_pf_requires_positive_initial_sinr():
         wmmse_solve(params, 1.0, SolverConfig(objective="pf"))
 
 
-def test_exhausted_outer_budget_is_reported(desk_sample, desk_cfg):
+def test_exhausted_outer_budget_is_reported(desk_sample, desk_cfg,
+                                            monkeypatch):
     params = desk_sample("rzf").params
-    result = wmmse_solve(params, desk_cfg.p_max_dl,
-                         SolverConfig(max_outer_iters=1, eps_outer=1e-30))
+    monkeypatch.setattr(wmmse, "_MAX_OUTER", 1)
+    monkeypatch.setattr(wmmse, "_EPS_OUTER", 1e-30)
+    result = wmmse_solve(params, desk_cfg.p_max_dl)
     assert not result.converged
     assert result.n_outer == 1
     assert result.alloc.mu.shape == (desk_cfg.K, desk_cfg.L)
@@ -469,8 +490,9 @@ def test_one_inverse_per_subproblem_and_rho_change(desk_sample, desk_cfg,
     sys.settrace(tracer)
     try:
         result = wmmse_solve(params, desk_cfg.p_max_dl)
-        off_scale = solve_subproblem(params, aux.omega, aux.v,
-                                     desk_cfg.p_max_dl, AdmmConfig(rho=1e-3))
+        off_scale = solve_subproblem(
+            params, aux.omega, aux.v, desk_cfg.p_max_dl,
+            state=off_scale_state(np.zeros_like(mu0), desk_cfg.p_max_dl))
     finally:
         sys.settrace(old_trace)
     assert result.n_outer > 1 and result.subproblem_exhausted == 0
@@ -480,17 +502,17 @@ def test_one_inverse_per_subproblem_and_rho_change(desk_sample, desk_cfg,
     assert calls["inv"] == result.n_outer + 1 + len(changes)
 
 
-def eager_admm(q, C, p_max, cfg, x0, state):
+def eager_admm(q, C, p_max, x0, state):
     """`wmmse._admm` with every stopping norm taken on every iteration."""
     if state is None:
-        state = (project_per_ap(x0, p_max), np.zeros_like(x0), cfg.rho)
+        state = (project_per_ap(x0, p_max), np.zeros_like(x0), wmmse._RHO)
     Z, U, rho = state
-    eps = cfg.eps_inner
+    eps = wmmse._EPS_INNER
     sqrt_n = np.sqrt(q.size)
     eye = np.eye(C.shape[-1])
     converged = False
     inv_rho = None
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, wmmse._MAX_ADMM_ITERS + 1):
         if rho != inv_rho:
             inv = np.linalg.inv(C + rho * eye)
             inv_rho = rho
@@ -543,8 +565,9 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
     # one off-scale penalty, where residual balancing moves rho
     aux = update_auxiliaries(sample.params, result.alloc.mu, objective)
     q, C = wmmse._subproblem(sample.params, aux.omega, aux.v)
-    args = (q, C, desk_cfg.p_max_dl, AdmmConfig(rho=1e-3),
-            np.zeros_like(q), None)
+    x0 = np.zeros_like(q)
+    args = (q, C, desk_cfg.p_max_dl, x0,
+            off_scale_state(x0, desk_cfg.p_max_dl))
     lazy = admm(*args)
     assert_same_admm(lazy, eager_admm(*args))
     assert lazy[2] and lazy[3][2] != 1e-3
@@ -597,21 +620,21 @@ def ref_project_per_ap(X, p_max):
     return X * np.minimum(1.0, np.sqrt(p_max) / np.maximum(norms, 1e-300))
 
 
-def ref_admm(C, q, p_max, cfg, x0, state):
+def ref_admm(C, q, p_max, x0, state):
     K, L = q.shape
     eigval, eigvec = np.linalg.eigh(C)
     eigval = np.clip(eigval, 0.0, None)
     eigvec_t = np.ascontiguousarray(np.transpose(eigvec, (0, 2, 1)))
     if state is None:
-        rho = cfg.rho
+        rho = wmmse._RHO
         Z = ref_project_per_ap(x0, p_max)
         U = np.zeros_like(Z)
     else:
         rho, Z, U = state[0], state[1].copy(), state[2].copy()
-    eps = cfg.eps_inner
+    eps = wmmse._EPS_INNER
     sqrt_n = np.sqrt(K * L)
     converged = False
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, wmmse._MAX_ADMM_ITERS + 1):
         rhs = q + rho * (Z - U)
         t = np.einsum("kab,kb->ka", eigvec_t, rhs)
         t /= eigval + rho
@@ -640,8 +663,7 @@ def ref_admm(C, q, p_max, cfg, x0, state):
 
 def ref_solve_subproblem(params, omega, v, p_max, mu0, state):
     C, q = ref_subproblem_matrices(params, omega, v)
-    return subproblem_result(*ref_admm(C, q, p_max, AdmmConfig(), mu0,
-                                       state))
+    return subproblem_result(*ref_admm(C, q, p_max, mu0, state))
 
 
 @pytest.mark.parametrize("objective", ["sumse", "pf"])
