@@ -62,7 +62,7 @@ from .se import PowerAllocation
 
 log = logging.getLogger(__name__)
 
-_MAGIC = b"CFMLP001"
+MAGIC = b"CFMLP001"
 FORMAT_VERSION = 1
 
 
@@ -278,7 +278,7 @@ def save_model(model: MlpModel, path):
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
+        fh.write(MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         # one array at a time, straight from its buffer when it is already
@@ -295,7 +295,7 @@ _HEADER_FIELDS = {"kind": str, "unit_id": int, "member_aps": list,
 
 
 def _parse_model(blob: bytes) -> MlpModel:
-    header, off = read_json_header(blob, _MAGIC, FORMAT_VERSION, "model")
+    header, off = read_json_header(blob, MAGIC, FORMAT_VERSION, "model")
     check_fields(header, _HEADER_FIELDS, "model")
     sizes, acts = header["layer_sizes"], header["activations"]
     if (len(sizes) < 2 or len(acts) != len(sizes) - 1

@@ -1,11 +1,11 @@
 """Binary training-set container with fixed-size records.
 
 Layout (little-endian): magic "CFDSET01", uint32 header length, sorted-key
-JSON header (format_version, config snapshot, objective, precoder,
-n_samples target, n_real, master_seed), then one fixed-size record per
-sample in index order. `record_dtype` is the record layout: one unaligned
-little-endian numpy structured dtype that packing, unpacking and the record
-size all read.
+JSON header (format_version, always FORMAT_VERSION; config snapshot,
+objective, precoder, n_samples target, n_real, master_seed), then one
+fixed-size record per sample in index order. `record_dtype` is the record
+layout: one unaligned little-endian numpy structured dtype that packing,
+unpacking and the record size all read.
 
 Fixed records make generation resumable: the completed count is read off
 the file size, and regeneration with the same master seed reproduces the
@@ -25,7 +25,7 @@ from .config import NetworkConfig, config_from_dict
 from .container import check_fields, read_json_header
 from .errors import ConfigError, DataFormatError
 
-_MAGIC = b"CFDSET01"
+MAGIC = b"CFDSET01"
 FORMAT_VERSION = 1
 
 
@@ -86,11 +86,10 @@ class DatasetHeader:
     n_samples: int
     n_real: int
     master_seed: int
-    format_version: int = FORMAT_VERSION
 
     def to_bytes(self) -> bytes:
         payload = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "config": self.config.to_dict(),
             "objective": self.objective,
             "precoder": self.precoder,
@@ -100,7 +99,7 @@ class DatasetHeader:
         }
         head = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode()
-        return _MAGIC + struct.pack("<I", len(head)) + head
+        return MAGIC + struct.pack("<I", len(head)) + head
 
 
 _HEADER_FIELDS = {"config": dict, "objective": str, "precoder": str,
@@ -108,7 +107,7 @@ _HEADER_FIELDS = {"config": dict, "objective": str, "precoder": str,
 
 
 def _parse_header(blob: bytes):
-    payload, start = read_json_header(blob, _MAGIC, FORMAT_VERSION, "dataset")
+    payload, start = read_json_header(blob, MAGIC, FORMAT_VERSION, "dataset")
     check_fields(payload, _HEADER_FIELDS, "dataset")
     try:
         config = config_from_dict(payload["config"])

@@ -9,13 +9,13 @@ different axes:
 rho1 columns sum to sqrt(P) over UEs, rho2 rows sum to sqrt(P) over APs.
 Both are scale-invariant in beta. The baseline allocator turns rho1 into a
 budget-saturating allocation; equal power splits each AP budget evenly.
+v and P have no defaults here: callers pass NetworkConfig's v_exponent and
+p_max_dl.
 """
 
 import numpy as np
 
 from .se import PowerAllocation
-
-V_EXPONENT_DEFAULT = 0.6
 
 
 def _check_beta(beta):
@@ -25,21 +25,21 @@ def _check_beta(beta):
     return beta
 
 
-def fractional_coefficients(beta, v=V_EXPONENT_DEFAULT, p_max=1.0):
+def fractional_coefficients(beta, v, p_max):
     """Per-AP normalized coefficients rho1, shape (K, L)."""
     beta = _check_beta(beta)
     num = beta ** v
     return np.sqrt(p_max) * num / num.sum(axis=0, keepdims=True)
 
 
-def side_info_ratios(beta, v=V_EXPONENT_DEFAULT, p_max=1.0):
+def side_info_ratios(beta, v, p_max):
     """Per-UE normalized ratios rho2, shape (K, L)."""
     beta = _check_beta(beta)
     num = beta ** v
     return np.sqrt(p_max) * num / num.sum(axis=1, keepdims=True)
 
 
-def heuristic_allocation(beta, v=V_EXPONENT_DEFAULT, p_max=1.0) -> PowerAllocation:
+def heuristic_allocation(beta, v, p_max) -> PowerAllocation:
     """Fractional allocation rescaled to saturate every AP budget.
 
     The per-AP coefficients sum to sqrt(P) per column, so multiplying by

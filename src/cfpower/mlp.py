@@ -10,13 +10,14 @@ nonnegative:
   cdnn     cK  -> 128 -> 512 -> 256 -> 128 -> c(K+1)  linear,elu,tanh,tanh,relu
 
 Training is floating-point deterministic: seeded uniform fan-in init,
-seeded shuffles, sequential minibatches. `forward` and the gradients of
-`loss_and_grads` run the same layer loop, `_layer_outputs`; the gradients
-call it directly, not through `forward`. An epoch's training loss is the
-row-weighted mean of its minibatch losses, each taken before that
-minibatch's Adam step (as Keras reports `loss`); no extra pass scores the
-training rows. The validation loss scores the held-out rows after the
-epoch's last step.
+seeded shuffles, sequential minibatches. Adam runs with fixed constants,
+and its learning rate falls by LR_DROP_FACTOR at TrainConfig.drop_epoch.
+`forward` and the gradients of `loss_and_grads` run the same layer loop,
+`_layer_outputs`; the gradients call it directly, not through `forward`.
+An epoch's training loss is the row-weighted mean of its minibatch losses,
+each taken before that minibatch's Adam step (as Keras reports `loss`); no
+extra pass scores the training rows. The validation loss scores the
+held-out rows after the epoch's last step.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from .scaling import ScalerParams
 
 MODEL_KINDS = ("ddnn", "ddnn-si", "cdnn")
 ACTIVATIONS = ("linear", "tanh", "relu", "elu")
+
+# the learning rate is multiplied by this from TrainConfig.drop_epoch on
+LR_DROP_FACTOR = 0.1
 
 
 def layer_plan(kind: str, K: int, cluster_size: int = 1):
@@ -172,8 +176,7 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 256
     lr: float = 1e-3
-    lr_drop_factor: float = 0.1
-    drop_epoch: int = 40          # 0-based epoch at which the drop applies
+    drop_epoch: int = 40          # 0-based epoch of the LR_DROP_FACTOR drop
     validation_fraction: float = 0.1
     seed: int = 0
 
@@ -189,14 +192,16 @@ class _Adam:
 
     Per parameter array P with gradient g, in this operation order:
     m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v) and
-    P -= (lr (m / c1)) / (sqrt(v / c2) + eps). Temporaries live in two flat
-    scratch arrays sized to the largest parameter array, shared by all
-    layers as views. They are made per step: kept across steps, they would
-    sit on top of the gradient pass, which sets training's memory peak.
+    P -= (lr (m / c1)) / (sqrt(v / c2) + eps), with the constants of
+    Kingma & Ba (2015). Temporaries live in two flat scratch arrays sized
+    to the largest parameter array, shared by all layers as views. They are
+    made per step: kept across steps, they would sit on top of the gradient
+    pass, which sets training's memory peak.
     """
 
-    def __init__(self, layers, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, layers):
         self.t = 0
         self.m = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
         self.v = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
@@ -263,7 +268,7 @@ def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
     train_curve = np.empty(cfg.epochs)
     val_curve = np.full(cfg.epochs, np.nan)
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (cfg.lr_drop_factor if epoch >= cfg.drop_epoch else 1.0)
+        lr = cfg.lr * (LR_DROP_FACTOR if epoch >= cfg.drop_epoch else 1.0)
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):

@@ -45,8 +45,9 @@ def wrap_displacements(origins, targets, area_m):
     return cand[i, j, idx], cand_d2[i, j, idx]
 
 
-def pathloss_beta(distance_m, offset_db=-30.5, exponent_db=36.7):
-    """Large-scale channel gain (linear) at the given distance in meters."""
+def pathloss_beta(distance_m, offset_db, exponent_db):
+    """Large-scale channel gain (linear) at the given distance in meters,
+    for a median gain `offset_db` at 1 m and `exponent_db` dB per decade."""
     d = np.asarray(distance_m, dtype=float)
     if np.any(d < MIN_DISTANCE_M):
         raise ValueError("distance below the 1 m floor")

@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (check_cover, features_for, labels_for, load_model,
-                        model_layout, predict_allocation, save_model,
-                        stack_models)
+from .allocator import (MAGIC as MODEL_MAGIC, check_cover, features_for,
+                        labels_for, load_model, model_layout,
+                        predict_allocation, save_model, stack_models)
 from .scaling import ScalerParams
 from .config import NetworkConfig
-from .dataset import DatasetFile, DatasetHeader, SampleRecord, read_layout
+from .dataset import (MAGIC as DATASET_MAGIC, DatasetFile, DatasetHeader,
+                      SampleRecord, read_layout)
 from .errors import DataFormatError, SolverDegeneracyError
 from .estimation import (ChannelDraw, MmseEstimator, mmse_estimate,
                          sample_channels)
@@ -35,7 +36,7 @@ from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
 from .precoding import compute_precoders
 from .scaling import apply_scaler, fit_scaler
-from .se import (MomentSums, SEParameters, compute_se,
+from .se import (MAGIC as SE_MAGIC, MomentSums, SEParameters, compute_se,
                  estimate_se_parameters)
 from .wmmse import SolverConfig, WmmseResult, wmmse_solve
 
@@ -123,8 +124,7 @@ def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
     for index in range(start, n_samples):
         sample = build_sample(cfg, aps, master, TRAIN_NAMESPACE, index,
                               precoder, n_real)
-        result = wmmse_solve(sample.params, cfg.p_max_dl, solver_cfg,
-                             beta=sample.beta)
+        result = wmmse_solve(sample.params, cfg.p_max_dl, solver_cfg)
         if not result.converged:
             n_failed += 1
         rec = SampleRecord(index=index, beta=sample.beta,
@@ -331,8 +331,7 @@ def _allocator_for(strategy, cfg, models):
     WMMSE strategy's callable returns the whole `WmmseResult`."""
     if strategy in ("wmmse-sumse", "wmmse-pf"):
         solver = SolverConfig(objective=strategy[len("wmmse-"):])
-        return lambda s: wmmse_solve(s.params, cfg.p_max_dl, solver,
-                                     beta=s.beta)
+        return lambda s: wmmse_solve(s.params, cfg.p_max_dl, solver)
     if strategy == "heuristic":
         return lambda s: heuristic_allocation(s.beta, cfg.v_exponent,
                                               cfg.p_max_dl)
@@ -413,7 +412,7 @@ def cmd_inspect(path) -> dict:
     """Summarize any package container (dataset, model, SE parameters)."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
-    if magic == b"CFDSET01":
+    if magic == DATASET_MAGIC:
         ds = DatasetFile.open(path)
         h = ds.header
         return {"type": "dataset", "objective": h.objective,
@@ -421,7 +420,7 @@ def cmd_inspect(path) -> dict:
                 "n_samples_present": len(ds), "n_real": h.n_real,
                 "master_seed": h.master_seed, "config": h.config.to_dict(),
                 "solver": _solver_summary(list(ds))}
-    if magic == b"CFMLP001":
+    if magic == MODEL_MAGIC:
         model = load_model(path)
         return {"type": "model", "kind": model.kind,
                 "unit_id": model.unit_id,
@@ -431,7 +430,7 @@ def cmd_inspect(path) -> dict:
                                + [l.W.shape[0] for l in model.layers],
                 "activations": [l.activation for l in model.layers],
                 "has_scaler": model.scaler is not None}
-    if magic == b"CFSEP001":
+    if magic == SE_MAGIC:
         params = SEParameters.load(path)
         return {"type": "se-parameters", "K": params.K, "L": params.L,
                 "n_real": params.n_real, "prelog": params.prelog,

@@ -50,7 +50,7 @@ from .estimation import _CHUNK, ChannelBatch
 
 log = logging.getLogger(__name__)
 
-_MAGIC = b"CFSEP001"
+MAGIC = b"CFSEP001"
 _HEADER = struct.Struct("<8sIIQdd")
 
 # tolerated relative slack on the per-AP power budget
@@ -118,7 +118,7 @@ class SEParameters:
         return self.a.shape[1]
 
     def to_bytes(self) -> bytes:
-        head = _HEADER.pack(_MAGIC, self.K, self.L, self.n_real,
+        head = _HEADER.pack(MAGIC, self.K, self.L, self.n_real,
                             self.prelog, self.sigma2)
         body_a = np.ascontiguousarray(self.a, dtype="<f8").tobytes()
         body_b = np.ascontiguousarray(self.B, dtype="<f8").tobytes()
@@ -129,7 +129,7 @@ class SEParameters:
         if len(blob) < _HEADER.size:
             raise DataFormatError("truncated SE parameter container")
         magic, K, L, n_real, prelog, sigma2 = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC:
+        if magic != MAGIC:
             raise DataFormatError("bad magic for SE parameter container")
         need = _HEADER.size + 8 * (K * L + K * K * L * L)
         if len(blob) != need:

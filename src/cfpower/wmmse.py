@@ -13,9 +13,10 @@ quadratic subproblem in the square-root powers mu (K x L):
   with                   C_i = sum_k omega_k v_k^2 B_ki,  q_i = omega_i v_i a_i
 
 The subproblem equals the weighted-MSE objective up to an additive constant,
-so exact subproblem solutions make the utility nondecreasing. Iteration
-stops when the squared difference of successive utilities drops below
-_EPS_OUTER, or after _MAX_OUTER outer steps.
+so exact subproblem solutions make the utility nondecreasing. The loop
+starts from equal power, mu_kl = sqrt(P / K). Iteration stops when the
+squared difference of successive utilities drops below _EPS_OUTER, or
+after _MAX_OUTER outer steps.
 
 The subproblem is solved by over-relaxed scaled-dual ADMM on the per-AP
 ball constraints only (Boyd et al., "Distributed Optimization and
@@ -58,12 +59,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericalError
+from .heuristics import equal_power
 from .se import PowerAllocation, SEParameters, effective_sinr, sinr_terms
 
 log = logging.getLogger(__name__)
 
 OBJECTIVES = ("sumse", "pf")
-INITS = ("equal-power", "fractional-heuristic")
 
 E_CLAMP = 1e-12
 
@@ -87,13 +88,10 @@ _MAX_OUTER = 500
 @dataclass(frozen=True)
 class SolverConfig:
     objective: str = "sumse"
-    init: str = "equal-power"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 class AuxiliaryUpdate(NamedTuple):
@@ -275,19 +273,10 @@ class WmmseResult:
         return float(self.trace[-1])
 
 
-def _initial_mu(params, p_max, init, beta):
-    K, L = params.a.shape
-    if init == "equal-power":
-        return np.full((K, L), np.sqrt(p_max / K))
-    # fractional-heuristic: fall back to a^2 as the large-scale gain proxy
-    from .heuristics import heuristic_allocation
-    gains = beta if beta is not None else np.maximum(params.a ** 2, 1e-300)
-    return heuristic_allocation(gains, p_max=p_max).mu
-
-
 def wmmse_solve(params: SEParameters, p_max: float,
                 cfg: Optional[SolverConfig] = None, beta=None) -> WmmseResult:
-    """Run the outer loop to convergence and return the final allocation.
+    """Run the outer loop from equal power to convergence and return the
+    final allocation.
 
     Iterates live on the sign-relaxed problem: each outer step keeps the raw
     subproblem minimizer, which is what makes the utility trace nondecreasing
@@ -295,12 +284,14 @@ def wmmse_solve(params: SEParameters, p_max: float,
     once, after the loop; flipping preserves every power budget but is not
     part of the monotone trajectory.
 
-    `beta` feeds the fractional-heuristic init when available. With the PF
-    objective every UE must have a strictly positive SINR at the init.
+    With the PF objective every UE must have a strictly positive SINR at
+    equal power. `beta` is not read. It stays only because the benchmark's
+    allocate workload (perfbench/workloads.py) passes it, and that call
+    changes only together with the benchmark.
     """
     if cfg is None:
         cfg = SolverConfig()
-    mu = _initial_mu(params, p_max, cfg.init, beta)
+    mu = equal_power(*params.a.shape, p_max).mu
     # the SINR terms of each mu serve the utility that ends one outer step
     # and the auxiliary update that starts the next
     terms = sinr_terms(params, mu)

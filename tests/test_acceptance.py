@@ -72,8 +72,7 @@ def test_criterion_02_optimizer_monotonicity(desk_cfg):
                                   n_real=300)
             for objective in ("sumse", "pf"):
                 res = wmmse_solve(sample.params, desk_cfg.p_max_dl,
-                                  SolverConfig(objective=objective),
-                                  beta=sample.beta)
+                                  SolverConfig(objective=objective))
                 n_runs += 1
                 dips = np.diff(res.trace)
                 worst_dip = max(worst_dip, float(-dips.min()))
@@ -277,7 +276,9 @@ def test_criterion_06_heuristic_identities():
         rho2 = side_info_ratios(beta, v, p_max)
         worst_rows = max(worst_rows,
                          float(np.abs(rho2.sum(axis=1) - root).max()))
-    exact = pathloss_beta(1.0) == 10.0 ** (-30.5 / 10.0)
+    cfg = NetworkConfig()
+    exact = (pathloss_beta(1.0, cfg.pathloss_offset_db, cfg.pathloss_exponent)
+             == 10.0 ** (-30.5 / 10.0))
     ok = worst_cols <= 1e-12 and worst_rows <= 1e-12 and exact
     verdict(6, ok, 60.0, time.perf_counter() - t0,
             f"column-sum error {worst_cols:.2e}, row-sum error "
@@ -437,8 +438,7 @@ def test_criterion_11_universal_feasibility(desk_cfg):
                               index, "rzf", n_real=300)
         for objective in ("sumse", "pf"):
             res = wmmse_solve(sample.params, P,
-                              SolverConfig(objective=objective),
-                              beta=sample.beta)
+                              SolverConfig(objective=objective))
             audit(res.alloc)
         audit(heuristic_allocation(sample.beta, desk_cfg.v_exponent, P))
         audit(equal_power(desk_cfg.K, desk_cfg.L, P))

@@ -328,6 +328,26 @@ def test_in_place_adam_matches_reference(kind):
             assert np.array_equal(state_fast[1], state_ref[1])
 
 
+def test_learning_rate_drops_at_drop_epoch(monkeypatch):
+    # one linear unit far below its target: every gradient has the same sign
+    # and nearly the same size, so each Adam step moves the bias by the rate
+    model = tiny_model([1, 1], ["linear"], seed=40, scale=0.0)
+    X, Y = np.ones((4, 1)), np.full((4, 1), 1e6)
+    biases = []
+
+    def recording_loss_and_grads(model_, X_, Y_):
+        biases.append(float(model_.layers[0].b[0]))
+        return loss_and_grads(model_, X_, Y_)
+
+    monkeypatch.setattr(mlp, "loss_and_grads", recording_loss_and_grads)
+    # one minibatch, so one Adam step, per epoch
+    cfg = TrainConfig(epochs=5, batch_size=4, lr=1e-3, drop_epoch=3)
+    train(model, X, Y, cfg)
+    steps = np.diff(biases + [float(model.layers[0].b[0])])
+    expected = [cfg.lr] * 3 + [cfg.lr * mlp.LR_DROP_FACTOR] * 2
+    assert steps == pytest.approx(expected, rel=1e-6)
+
+
 def _training_set(n=600, K=3, seed=32):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, K))

@@ -240,8 +240,7 @@ def test_se_matches_the_closed_form(desk_sample, desk_cfg, large_drop,
         # equal power, and the sum-SE WMMSE solution on the drop's
         # Monte-Carlo estimate
         allocs = [equal_power(cfg.K, cfg.L, cfg.p_max_dl),
-                  wmmse_solve(sample.params, cfg.p_max_dl,
-                              beta=sample.beta).alloc]
+                  wmmse_solve(sample.params, cfg.p_max_dl).alloc]
         signal, interference = per_realization_terms(
             cfg, index, sample.params.n_real, [a.mu for a in allocs])
         for j, alloc in enumerate(allocs):

@@ -20,6 +20,8 @@ from cfpower.network import (_WRAP_SHIFTS, MIN_DISTANCE_M, _local_scattering,
 
 # mpmath (50 digits): 10^((-30.5 - 36.7 log10(353)) / 10)
 PATHLOSS_353M = 3.9780187997294197e-13
+# the urban-microcell law of NetworkConfig: -30.5 dB at 1 m, 36.7 dB/decade
+UMI = (NetworkConfig().pathloss_offset_db, NetworkConfig().pathloss_exponent)
 
 
 def wrap_displacement(p, q, area_m):
@@ -115,29 +117,30 @@ def test_wrap_displacements_tie_picks_first_image():
 
 
 def test_pathloss_frozen_values():
-    assert pathloss_beta(353.0) == pytest.approx(PATHLOSS_353M, rel=1e-12)
+    assert pathloss_beta(353.0, *UMI) == pytest.approx(PATHLOSS_353M,
+                                                       rel=1e-12)
     # at the 1 m floor the law reduces to the offset alone
-    assert pathloss_beta(1.0) == 10.0 ** (-30.5 / 10.0)
+    assert pathloss_beta(1.0, *UMI) == 10.0 ** (-30.5 / 10.0)
 
 
 def test_pathloss_monotone_decreasing():
     d = np.linspace(1.0, 1400.0, 200)
-    beta = pathloss_beta(d)
+    beta = pathloss_beta(d, *UMI)
     assert np.all(np.diff(beta) < 0.0)
 
 
 def test_pathloss_rejects_below_floor():
     with pytest.raises(ValueError):
-        pathloss_beta(0.5)
+        pathloss_beta(0.5, *UMI)
     with pytest.raises(ValueError):
-        pathloss_beta(np.array([10.0, 0.99]))
+        pathloss_beta(np.array([10.0, 0.99]), *UMI)
 
 
 def test_pathloss_vector_matches_scalar():
     d = np.array([1.0, 42.0, 353.0, 900.0])
-    out = pathloss_beta(d)
+    out = pathloss_beta(d, *UMI)
     for i, di in enumerate(d):
-        assert out[i] == pathloss_beta(float(di))
+        assert out[i] == pathloss_beta(float(di), *UMI)
 
 
 def test_grid_placement_large_preset(large_cfg):
@@ -210,7 +213,7 @@ def test_statistics_uncorrelated(desk_cfg):
     stats = build_statistics(desk_cfg, scen)
     K, L, N = desk_cfg.K, desk_cfg.L, desk_cfg.N
     assert stats.R.shape == (K, L, N, N)
-    expected = pathloss_beta(scen.distances)
+    expected = pathloss_beta(scen.distances, *UMI)
     assert np.allclose(stats.beta, expected, rtol=1e-14)
     for k in range(K):
         for l in range(L):

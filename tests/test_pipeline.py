@@ -499,7 +499,7 @@ def test_evaluate_reports_solver_convergence(tmp_path, desk_cfg):
                             drop, "rzf", N_REAL) for drop in range(n_drops)]
     for strat, objective in (("wmmse-sumse", "sumse"), ("wmmse-pf", "pf")):
         runs = [wmmse_solve(s.params, desk_cfg.p_max_dl,
-                            SolverConfig(objective=objective), beta=s.beta)
+                            SolverConfig(objective=objective))
                 for s in samples]
         n_outer = [r.n_outer for r in runs]
         info = report.solver[strat]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cfpower import se, wmmse
+from cfpower.heuristics import equal_power
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
 from cfpower.wmmse import (E_CLAMP, AuxiliaryUpdate, SolverConfig,
                            SubproblemResult, project_per_ap,
@@ -302,9 +303,8 @@ def test_warm_start_reuses_state(synthetic_params, admm_tolerance):
 def test_outer_loop_on_real_sample(desk_sample, desk_cfg, assert_budget,
                                    objective):
     params = desk_sample("rzf").params
-    beta = desk_sample("rzf").beta
     result = wmmse_solve(params, desk_cfg.p_max_dl,
-                         SolverConfig(objective=objective), beta=beta)
+                         SolverConfig(objective=objective))
     assert result.converged
     diffs = np.diff(result.trace)
     assert diffs.min() >= -10.0 * wmmse._EPS_INNER
@@ -329,11 +329,10 @@ def test_outer_loop_on_real_sample(desk_sample, desk_cfg, assert_budget,
 
 def test_pf_lifts_the_weakest_ue(desk_sample, desk_cfg):
     params = desk_sample("rzf").params
-    beta = desk_sample("rzf").beta
     se = {}
     for objective in ("sumse", "pf"):
         res = wmmse_solve(params, desk_cfg.p_max_dl,
-                          SolverConfig(objective=objective), beta=beta)
+                          SolverConfig(objective=objective))
         sinr = effective_sinr(params, res.alloc.mu)
         se[objective] = params.prelog * np.log2(1.0 + sinr)
     assert se["pf"].min() > se["sumse"].min()
@@ -353,17 +352,6 @@ def test_outer_loop_with_projected_gradient(desk_sample, desk_cfg,
     result = wmmse_solve(params, desk_cfg.p_max_dl)
     assert result.converged
     assert np.diff(result.trace).min() >= -1e-6
-
-
-def test_fractional_heuristic_init(desk_sample, desk_cfg):
-    sample = desk_sample("rzf")
-    cfg = SolverConfig(init="fractional-heuristic")
-    with_beta = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg,
-                            beta=sample.beta)
-    proxy = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg, beta=None)
-    assert with_beta.converged and proxy.converged
-    assert np.diff(with_beta.trace).min() >= -1e-5
-    assert np.diff(proxy.trace).min() >= -1e-5
 
 
 def test_pf_requires_positive_initial_sinr():
@@ -394,11 +382,31 @@ def test_solver_is_deterministic(desk_sample, desk_cfg):
     assert np.array_equal(a.trace, b.trace)
 
 
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+def test_beta_keyword_leaves_the_solve_unchanged(desk_sample, desk_cfg,
+                                                 precoder, objective):
+    # the benchmark's allocate workload passes beta, evaluate does not: both
+    # must run the same solve, from equal power
+    sample = desk_sample(precoder)
+    cfg = SolverConfig(objective=objective)
+    P = desk_cfg.p_max_dl
+    bench = wmmse_solve(sample.params, P, cfg, beta=sample.beta)
+    plain = wmmse_solve(sample.params, P, cfg)
+    assert np.array_equal(bench.trace, plain.trace)
+    assert np.array_equal(bench.violations, plain.violations)
+    assert np.array_equal(bench.alloc.mu, plain.alloc.mu)
+    counters = ("converged", "n_outer", "admm_iters", "clamp_events",
+                "subproblem_exhausted", "sign_flips", "final_flips")
+    assert ([getattr(bench, c) for c in counters]
+            == [getattr(plain, c) for c in counters])
+    start = equal_power(desk_cfg.K, desk_cfg.L, P).mu
+    assert plain.trace[0] == utility(sample.params, start, objective)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(objective="maxmin")
-    with pytest.raises(ValueError):
-        SolverConfig(init="zeros")
 
 
 def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
@@ -558,8 +566,7 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
     for index in (0, 1):
         sample = desk_sample(precoder, index)
         result = wmmse_solve(sample.params, desk_cfg.p_max_dl,
-                             SolverConfig(objective=objective),
-                             beta=sample.beta)
+                             SolverConfig(objective=objective))
         assert result.converged
     assert len(seen) > 2
     # one off-scale penalty, where residual balancing moves rho
@@ -673,15 +680,13 @@ def test_outer_loop_matches_reference_step(desk_sample, desk_cfg,
     cfg = SolverConfig(objective=objective)
     for index in (0, 1):
         sample = desk_sample(precoder, index)
-        fast = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg,
-                           beta=sample.beta)
+        fast = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(wmmse, "update_auxiliaries", ref_update_auxiliaries)
             patch.setattr(wmmse, "solve_subproblem", ref_solve_subproblem)
             patch.setattr(wmmse, "utility", ref_utility)
             patch.setattr(wmmse, "effective_sinr", ref_effective_sinr)
-            ref = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg,
-                              beta=sample.beta)
+            ref = wmmse_solve(sample.params, desk_cfg.p_max_dl, cfg)
         assert fast.n_outer == ref.n_outer > 1
         assert fast.sign_flips == ref.sign_flips
         assert np.allclose(fast.alloc.mu, ref.alloc.mu, rtol=1e-10,
@@ -703,6 +708,6 @@ def test_outer_loop_takes_sinr_terms_once_per_iterate(desk_sample, desk_cfg,
     monkeypatch.setattr(wmmse, "sinr_terms", counting)
     sample = desk_sample("mr")
     result = wmmse_solve(sample.params, desk_cfg.p_max_dl,
-                         SolverConfig(objective=objective), beta=sample.beta)
+                         SolverConfig(objective=objective))
     assert result.n_outer > 1
     assert len(calls) == result.n_outer + 1
