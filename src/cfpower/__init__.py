@@ -14,8 +14,8 @@ from .config import NetworkConfig, load_config, save_config
 from .errors import (CfPowerError, ConfigError, DataFormatError,
                      NumericalError, SolverDegeneracyError,
                      TrainingDivergedError)
-from .estimation import (ChannelBatch, ChannelDraw, MmseEstimator,
-                         mmse_estimate, sample_channels)
+from .estimation import (ChannelBatch, ChannelDraw, DirectionLayout,
+                         MmseEstimator, mmse_estimate, sample_channels)
 from .heuristics import (equal_power, fractional_coefficients,
                          heuristic_allocation, side_info_ratios)
 from .mlp import (MlpModel, TrainConfig, TrainResult, build_model, forward,

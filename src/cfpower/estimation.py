@@ -5,8 +5,9 @@ Gaussian. Pilot observations at each AP are despread per pilot sequence,
 so UEs sharing a pilot contaminate each other's estimates. Channel draws
 and pilot-noise draws come from separate seeds.
 
-Every per-link linear map (R^(1/2) and the MMSE filter) is applied to all
-links of a realization tile at once by one batched matmul.
+Every per-link linear map (R^(1/2) and, unless every filter is a scalar,
+the MMSE filter) is applied to all links of a realization tile at once by
+one batched matmul.
 
 The Monte-Carlo front end runs in realization tiles (`realization_tiles`).
 A tile is the largest whole number of the reduction's 64-realization
@@ -14,18 +15,27 @@ chunks whose (K, L, N) complex slice fits in 2 MiB, and a batch that fits
 in 2 MiB is one tile: 64 realizations (1.3 MB) at `large`, a whole
 1000-realization `desk` drop. A drop's `ChannelDraw` and `MmseEstimator`
 hand out one tile at a time, in realization order (`sample_channels`,
-`mmse_estimate`), so no drop-sized `h` or `h_hat` exists. Each owns one
-draw, which holds its generator, its real half, one reused tile buffer and
-its per-link map; the channels are mapped in place in that buffer, the
-estimates in the tile's gather of the pilot signals. Both draws keep the
-stream order of an untiled draw: the real half is drawn in full with the
-first tile, then the imaginary half tile by tile, so no output bit depends
-on the tile size. At `large` with 1000 realizations the real halves are
-10.2 MB (channels) and 5.1 MB (pilot noise), and each draw lets go of all
-it holds with its last tile.
+`mmse_estimate`), so no drop-sized channel or estimate array exists. Each
+owns one draw, which holds its generator, its real half, one reused tile
+buffer and its per-link map; the channels are mapped in place in that
+buffer, the precoder directions in the tile's gather of the pilot
+signals. Both draws keep the stream order of an untiled draw: the real
+half is drawn in full with the first tile, then the imaginary half tile by
+tile, so no output bit depends on the tile size. At `large` with 1000
+realizations the real halves are 10.2 MB (channels) and 5.1 MB (pilot
+noise), and each draw lets go of all it holds with its last tile.
+
+Precoders are formed on J directions per tile, not on K estimates
+(`DirectionLayout`). `MmseEstimator` picks the layout once per drop. When
+every MMSE filter is a positive multiple c_kl I, as under uncorrelated
+fading, UE k's estimate at AP l is c_kl y_t(k),l: pilot-sharing UEs have
+parallel estimates and one unit-norm MR or RZF precoder, so the directions
+are the despread signals of the used pilots (J = min(tau_p, K) under the
+greedy assignment: 10 against K = 20 at `large`) and no filter is applied.
+Otherwise the directions are the K per-UE estimates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,15 +55,41 @@ _TILE_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
-class ChannelBatch:
-    """True and estimated channels of one realization tile.
+class DirectionLayout:
+    """How a drop's K channel estimates lie on J precoder directions.
 
-    h is the channel draw's buffer, which the next tile overwrites; h_hat
-    is the tile's own array.
+    UE k's estimate at AP l is scale[k, l] d[:, unit_of[k], l] for a tile's
+    directions d, with scale > 0, so UE k takes direction unit_of[k]'s
+    unit-norm precoder. weight[j, l], the sum of scale[k, l]^2 over the UEs
+    k of direction j, is direction j's share of AP l's RZF Gram matrix.
+    """
+
+    unit_of: np.ndarray  # (K,) int, onto range(J)
+    scale: np.ndarray    # (K, L) float
+    weight: np.ndarray = field(init=False)   # (J, L) float
+
+    def __post_init__(self):
+        weight = np.zeros((self.unit_of.max() + 1, self.scale.shape[1]))
+        np.add.at(weight, self.unit_of, self.scale ** 2)
+        object.__setattr__(self, "weight", weight)
+
+    @classmethod
+    def per_ue(cls, K: int, L: int) -> "DirectionLayout":
+        """Each UE its own direction, its estimate itself."""
+        return cls(unit_of=np.arange(K), scale=np.ones((K, L)))
+
+
+@dataclass(frozen=True)
+class ChannelBatch:
+    """True channels and precoder directions of one realization tile.
+
+    h is the channel draw's buffer, which the next tile overwrites; d is
+    the tile's own array.
     """
 
     h: np.ndarray        # (n, K, L, N) complex
-    h_hat: np.ndarray    # (n, K, L, N) complex
+    d: np.ndarray        # (n, J, L, N) complex
+    layout: DirectionLayout
 
 
 def realization_tiles(n_real, K, L, N):
@@ -159,25 +195,48 @@ def _mmse_filters(R, pilots, pilot_of, cfg):
     return np.sqrt(tau_p * p_ul) * R @ np.linalg.inv(psi)[pilot_of]
 
 
+def _scalar_filters(filters):
+    """c (K, L) when every filter is c_kl I with c_kl > 0, else None."""
+    c = filters[..., 0, 0].real
+    N = filters.shape[-1]
+    if np.all(c > 0.0) and np.array_equal(filters,
+                                          c[..., None, None] * np.eye(N)):
+        return c
+    return None
+
+
 class MmseEstimator:
-    """One drop's pilot noise and MMSE filters, which `mmse_estimate`
-    applies tile by tile."""
+    """One drop's pilot noise, MMSE filters and direction layout, which
+    `mmse_estimate` applies tile by tile.
+
+    With scalar filters the directions are the used pilots' signals
+    (`gather`) and no filter is applied; otherwise they are the per-UE
+    estimates, the pilot signals gathered per UE and filtered.
+    """
 
     def __init__(self, stats: ChannelStatistics, pilots: PilotAssignment,
                  cfg: NetworkConfig, n_real: int, noise_seed):
-        L, N = stats.R.shape[1:3]
+        K, L, N = stats.R.shape[:3]
         self.pilots = pilots
-        self.pilot_of = np.asarray(pilots.pilot_of, dtype=int)
         self.cfg = cfg
-        self.noise = _TiledDraw(
-            noise_seed, (n_real, cfg.tau_p, L, N),
-            _mmse_filters(stats.R, pilots, self.pilot_of, cfg))
+        pilot_of = np.asarray(pilots.pilot_of, dtype=int)
+        filters = _mmse_filters(stats.R, pilots, pilot_of, cfg)
+        c = _scalar_filters(filters)
+        if c is None:
+            self.gather = pilot_of
+            self.layout = DirectionLayout.per_ue(K, L)
+        else:
+            self.gather, unit_of = np.unique(pilot_of, return_inverse=True)
+            self.layout = DirectionLayout(unit_of=unit_of, scale=c)
+            filters = None
+        self.noise = _TiledDraw(noise_seed, (n_real, cfg.tau_p, L, N),
+                                filters)
 
 
 def mmse_estimate(h: np.ndarray, est: MmseEstimator,
                   tile: slice) -> ChannelBatch:
-    """MMSE-estimate every AP-UE channel of a tile from contaminated pilot
-    signals; h is the tile's channels from `sample_channels`."""
+    """The precoder directions of a tile from contaminated pilot signals;
+    h is the tile's channels from `sample_channels`."""
     cfg = est.cfg
     # despread observation per (pilot, AP):
     # y_t = sum_{i in group t} sqrt(tau_p p) h_i + n,  n ~ CN(0, sigma2 I)
@@ -187,6 +246,7 @@ def mmse_estimate(h: np.ndarray, est: MmseEstimator,
     for t, group in enumerate(est.pilots.groups):
         for i in group:
             y[:, t] += amp * h[:, i]
-    h_hat = y[:, est.pilot_of]
-    _apply_per_link(h_hat, filters)
-    return ChannelBatch(h=h, h_hat=h_hat)
+    d = y[:, est.gather]
+    if filters is not None:
+        _apply_per_link(d, filters)
+    return ChannelBatch(h=h, d=d, layout=est.layout)

@@ -30,13 +30,14 @@ def assign_pilots(beta: np.ndarray, tau_p: int) -> PilotAssignment:
     pilot_of = np.zeros(K, dtype=int)
     n_orth = min(tau_p, K)
     pilot_of[:n_orth] = np.arange(n_orth)
+    # load[t, l]: contamination already parked on pilot t, seen at AP l,
+    # summed in UE index order
+    load = np.zeros((tau_p, beta.shape[1]))
+    load[:n_orth] += beta[:n_orth]
     for k in range(n_orth, K):
         master = int(np.argmax(beta[k]))
-        # contamination already parked on each pilot, seen at the master AP
-        load = np.zeros(tau_p)
-        for i in range(k):
-            load[pilot_of[i]] += beta[i, master]
-        pilot_of[k] = int(np.argmin(load))
+        pilot_of[k] = int(np.argmin(load[:, master]))
+        load[pilot_of[k]] += beta[k]
     groups = tuple(
         tuple(int(i) for i in np.flatnonzero(pilot_of == t))
         for t in range(tau_p)

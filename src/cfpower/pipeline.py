@@ -80,7 +80,7 @@ def build_sample(cfg: NetworkConfig, ap_positions, master_seed: int,
     pil = assign_pilots(stats.beta, cfg.tau_p)
     draw = ChannelDraw(stats, n_real, chan_s)
     estimator = MmseEstimator(stats, pil, cfg, n_real, noise_s)
-    sums = MomentSums(cfg.K, cfg.L, n_real)
+    sums = MomentSums(estimator.layout, n_real)
     # each realization tile passes every stage before the next is drawn
     for tile in draw.tiles:
         h = sample_channels(draw, tile)

@@ -16,27 +16,31 @@ DEGENERATE_NORM = 1e-30
 
 def compute_precoders(batch: ChannelBatch, scheme: str, p_ul: float,
                       sigma2: float) -> np.ndarray:
-    """Unit-norm precoders, shape (n_real, K, L, N).
+    """Unit-norm precoders of the batch's directions, shape (n_real, J, L,
+    N); UE k's precoder is w[:, unit_of[k]] (see `DirectionLayout`).
 
-    mr:  w ~ h_hat
-    rzf: w ~ (sum_i p_i h_hat_il h_hat_il^H + sigma2 I)^-1 p_k h_hat_kl
+    mr:  w_j ~ d_j
+    rzf: w_j ~ (p sum_i s_il d_il d_il^H + sigma2 I)^-1 p d_jl, with s the
+         layout's Gram weights, so the Gram matrix is the sum over UEs of
+         p h_hat h_hat^H
 
     Normalization is per coherence block, so every nonzero precoder has unit
-    norm. Degenerate (zero) estimates give a zero precoder and a warning.
+    norm. Degenerate (zero) directions give a zero precoder and a warning.
     """
     if scheme not in PRECODERS:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    hh = batch.h_hat
-    n_real, K, L, N = hh.shape
+    d = batch.d
+    N = d.shape[-1]
     if scheme == "mr":
-        w = hh.copy()
+        w = d.copy()
     else:
-        # the estimates of all UEs per (realization, AP), as (r, L, N, K)
-        rhs = np.moveaxis(hh, 1, 3)
+        # the directions per (realization, AP), as (r, L, N, J)
+        rhs = np.moveaxis(d, 1, 3)
         # per (realization, AP) regularized covariance of the estimates
-        A = p_ul * np.matmul(rhs, np.swapaxes(rhs.conj(), -1, -2))
+        A = p_ul * np.matmul(rhs * batch.layout.weight.T[:, None],
+                             np.swapaxes(rhs.conj(), -1, -2))
         A += sigma2 * np.eye(N)
-        # solve A x = h_hat for all UEs at once
+        # solve A x = d for all directions at once
         x = np.linalg.solve(A, rhs)
         w = p_ul * np.moveaxis(x, 3, 1)
     norms = np.linalg.norm(w, axis=-1)

@@ -11,23 +11,29 @@ Monte-Carlo estimates over channel realizations; everything downstream
 (optimizer, heuristics, learned allocators) consumes only (a, B, sigma2).
 
 The Monte-Carlo reduction runs over fixed 64-realization chunks in
-realization order. Per chunk, g = h^H w is one batched (K, N) @ (N, K)
-matmul per (realization, AP), and B takes one real Gram product per (k, i)
-pair. Summation order is fixed by the chunk size and by the BLAS kernels,
-so the same batch on the same BLAS build and CPU gives the same bytes.
-Dataset bytes and SE digests may differ between BLAS builds or CPUs. As
-measured on one x86_64 OpenBLAS build, a `large` drop's digest was the same
-at 1 and 2 OpenBLAS threads. Another chunk size moves (a, B) in the last
-bits. The chunk bounds memory: its g is 6.6 MB at `large`, where a full
-(n_real, K, K, L) g would be 102 MB.
+realization order, on the precoders of the tile's J directions
+(`estimation.DirectionLayout`): UE i's precoder is that of direction
+u(i) = unit_of[i]. Per chunk, g[k, j] = h_k^H w_j is one batched (K, N) @
+(N, J) matmul per (realization, AP), a_k takes g[k, u(k)], and B takes one
+real Gram product per (k, j) pair; B_ki is then B_k,u(i). When every
+estimate is a positive multiple of its pilot signal (uncorrelated fading),
+J is the number of used pilots and pilot-sharing UEs share one column of g;
+otherwise J = K and u is the identity. Summation order is fixed by the
+chunk size and by the BLAS kernels, so the same batch on the same BLAS
+build and CPU gives the same bytes. Dataset bytes and SE digests may
+differ between BLAS builds or CPUs. As measured on one x86_64 OpenBLAS
+build, a `large` drop's digest was the same at 1 and 2 OpenBLAS threads.
+Another chunk size moves (a, B) in the last bits. The chunk bounds memory:
+its g is 3.3 MB at `large` (J = 10), where a full (n_real, K, J, L) g
+would be 51 MB.
 
 The chunks are walked in the front end's realization tiles
 (`estimation.realization_tiles`), which the tile size cannot reorder:
-`pipeline.build_sample` carries each tile through channels, estimates and
+`pipeline.build_sample` carries each tile through channels, directions and
 precoders and then adds it to one running `MomentSums`, so neither a full
 channel array nor a full precoder array exists. The Gram products take one
-k at a time, so the float copy of g is 0.3 MB at `large`. One `large` RZF
-drop at 1000 realizations peaks at 31.9 MB under tracemalloc (1.6 x the
+k at a time, so the float copy of g is 0.16 MB at `large`. One `large` RZF
+drop at 1000 realizations peaks at 25.6 MB under tracemalloc (1.25 x the
 20.5 MB a full `h` would take); the real halves of its two random draws
 are 15.4 MB of it.
 
@@ -46,7 +52,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import DataFormatError, NumericalError
-from .estimation import _CHUNK, ChannelBatch
+from .estimation import _CHUNK, ChannelBatch, DirectionLayout
 
 log = logging.getLogger(__name__)
 
@@ -156,30 +162,37 @@ class SEParameters:
 
 
 class MomentSums:
-    """Running Monte-Carlo sums of one drop's (a, B), which
-    `estimate_se_parameters` adds realization tiles to in order; `finish`
-    turns them into the estimate once all n_real are in."""
+    """Running Monte-Carlo sums of one drop's (a, B) over the drop's
+    direction layout, which `estimate_se_parameters` adds realization tiles
+    to in order; `finish` turns them into the estimate once all n_real are
+    in."""
 
-    def __init__(self, K: int, L: int, n_real: int):
+    def __init__(self, layout: DirectionLayout, n_real: int):
         if n_real < 100:
             raise ValueError(
                 "need at least 100 realizations for stable estimates")
+        (K, L), J = layout.scale.shape, layout.weight.shape[0]
+        self.layout = layout
         self.n_real = n_real
         self.n_seen = 0
         self.signal = np.zeros((K, L), dtype=complex)
         self.imag_sq = np.zeros((K, L))
-        self.second = np.zeros((K, K, L, L))
+        # the sums of B_kj per direction j; UE i's B_ki is B_k,unit_of[i]
+        self.second = np.zeros((K, J, L, L))
 
     def finish(self, cfg: NetworkConfig) -> SEParameters:
-        """a_kl = |mean g[k, k, l]|, B_ki[l, m] = Re mean(g[k,i,l] conj
-        g[k,i,m]) and the imaginary-residue diagnostic."""
+        """a_kl = |mean g[k, u(k), l]|, B_ki[l, m] = Re mean(g[k,u(i),l]
+        conj g[k,u(i),m]) with u the layout's unit_of, and the
+        imaginary-residue diagnostic."""
         n_real = self.n_real
         if self.n_seen != n_real:
             raise ValueError(f"sums hold {self.n_seen} of {n_real} "
                              "realizations")
         mean_sig = self.signal / n_real
         a = np.abs(mean_sig)
-        B = self.second / n_real
+        # take, not fancy indexing, keeps B C-contiguous, so the solver's
+        # (K, K*L*L) views of it do not copy
+        B = np.take(self.second, self.layout.unit_of, axis=1) / n_real
         # per-entry ratios are recorded. The warning asks whether the
         # imaginary means are Monte-Carlo noise: without a rotation error,
         # each squared mean over its squared standard error is about
@@ -204,30 +217,34 @@ def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,
                            sums: MomentSums) -> MomentSums:
     """Add a tile's realizations to the running (a, B) sums; returns sums.
 
-    The per-realization scalar g[k, i, l] = h_kl^H w_il carries everything
-    (see `MomentSums.finish`); `w` holds the tile's precoders. The tile
-    runs in fixed-size chunks and every tile but the last holds whole
-    chunks, so the sums do not depend on the tiles (see the module
-    docstring).
+    The per-realization scalar g[k, j, l] = h_kl^H w_jl of UE k and
+    direction j carries everything (see `MomentSums.finish`); `w` holds the
+    tile's precoders, one per direction. The tile runs in fixed-size chunks
+    and every tile but the last holds whole chunks, so the sums do not
+    depend on the tiles (see the module docstring).
     """
     h = batch.h
     n, K, L, N = h.shape
-    if w.shape != h.shape:
-        raise ValueError("precoders and channels must share a shape")
+    if w.shape != batch.d.shape or w.shape[0] != n:
+        raise ValueError("precoders, directions and channels must share a "
+                         "shape")
+    if batch.layout is not sums.layout:
+        raise ValueError("the tile's direction layout is not the sums'")
     if sums.n_seen % _CHUNK or sums.n_seen + n > sums.n_real:
         raise ValueError(f"a tile of {n} realizations does not follow "
                          f"{sums.n_seen} of {sums.n_real} in whole chunks")
+    ks, unit_of = np.arange(K), sums.layout.unit_of
     for start in range(0, n, _CHUNK):
-        # g[r, l, k, i] = h_kl^H w_il: one (K, N) @ (N, K) product per
+        # g[r, l, k, j] = h_kl^H w_jl: one (K, N) @ (N, J) product per
         # (realization, AP)
         hc = h[start:start + _CHUNK].conj().transpose(0, 2, 1, 3)
         wc = w[start:start + _CHUNK].transpose(0, 2, 3, 1)
         g = np.matmul(hc, wc)
-        g_kk = np.diagonal(g, axis1=2, axis2=3)
+        g_kk = g[:, :, ks, unit_of]
         sums.signal += g_kk.sum(axis=0).T
         sums.imag_sq += (g_kk.imag ** 2).sum(axis=0).T
         # the float view interleaves Re and Im along the realization axis,
-        # so one real Gram product per (k, i) gives Re(G_ki^H G_ki); one k
+        # so one real Gram product per (k, j) gives Re(G_kj^H G_kj); one k
         # at a time, the copy stays in cache
         for k in range(K):
             gv = np.ascontiguousarray(
@@ -245,12 +262,19 @@ def sinr_terms(params: SEParameters, mu: np.ndarray) -> tuple:
     return signal, params.B.reshape(params.K, -1) @ outer.ravel()
 
 
+def _sinr(params: SEParameters, mu: np.ndarray, terms=None) -> tuple:
+    """Hardening-bound SINR per UE and its denominator; `terms` is
+    sinr_terms(params, mu) when the caller already has it."""
+    sig, interf = sinr_terms(params, mu) if terms is None else terms
+    den = interf - sig ** 2 + params.sigma2
+    return sig ** 2 / den, den
+
+
 def effective_sinr(params: SEParameters, mu: np.ndarray,
                    terms=None) -> np.ndarray:
     """Hardening-bound SINR per UE for the weight matrix mu; `terms` is
     sinr_terms(params, mu) when the caller already has it."""
-    sig, interf = sinr_terms(params, mu) if terms is None else terms
-    return sig ** 2 / (interf - sig ** 2 + params.sigma2)
+    return _sinr(params, mu, terms)[0]
 
 
 def compute_se(params: SEParameters, alloc: PowerAllocation) -> np.ndarray:
@@ -258,9 +282,8 @@ def compute_se(params: SEParameters, alloc: PowerAllocation) -> np.ndarray:
     mu = alloc.mu
     if mu.shape != (params.K, params.L):
         raise ValueError("allocation shape does not match parameters")
-    sig, interf = sinr_terms(params, mu)
-    den = interf - sig ** 2 + params.sigma2
+    sinr, den = _sinr(params, mu)
     if np.any(den < params.sigma2 * (1.0 - 1e-9)):
         raise NumericalError("SINR denominator below the noise floor; "
                              "SE parameters are inconsistent")
-    return params.prelog * np.log2(1.0 + sig ** 2 / den)
+    return params.prelog * np.log2(1.0 + sinr)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import settings
 
 from cfpower.cli import resolve_config
-from cfpower.estimation import (ChannelBatch, ChannelDraw, MmseEstimator,
-                                mmse_estimate, sample_channels)
+from cfpower.estimation import (ChannelBatch, ChannelDraw, DirectionLayout,
+                                MmseEstimator, mmse_estimate, sample_channels)
 from cfpower.network import build_statistics, drop_scenario, place_aps
 from cfpower.pilots import assign_pilots
 from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
@@ -147,28 +147,43 @@ def _tiled_channels(stats, n_real, seed):
 
 
 def _tiled_front_end(stats, pilots, cfg, n_real, chan_seed, noise_seed):
-    """The whole (h, h_hat) of a drop as one ChannelBatch."""
+    """The whole (h, d) of a drop as one ChannelBatch."""
     draw = ChannelDraw(stats, n_real, chan_seed)
     est = MmseEstimator(stats, pilots, cfg, n_real, noise_seed)
-    h, h_hat = [], []
+    h, d = [], []
     for tile in draw.tiles:
         batch = mmse_estimate(sample_channels(draw, tile), est, tile)
         h.append(batch.h.copy())
-        h_hat.append(batch.h_hat.copy())
-    return ChannelBatch(h=np.concatenate(h), h_hat=np.concatenate(h_hat))
+        d.append(batch.d)
+    return ChannelBatch(h=np.concatenate(h), d=np.concatenate(d),
+                        layout=est.layout)
+
+
+def _estimates(batch):
+    """The (n, K, L, N) per-UE channel estimates that a batch's directions
+    stand for: scale[k, l] d[:, unit_of[k], l]."""
+    layout = batch.layout
+    return layout.scale[:, :, None] * batch.d[:, layout.unit_of]
+
+
+def _per_ue_batch(h, d):
+    """A batch whose directions are its per-UE estimates d."""
+    return ChannelBatch(h=h, d=d, layout=DirectionLayout.per_ue(
+        *h.shape[1:3]))
 
 
 def _se_parameters(batch, w, cfg):
     """(a, B) of a whole batch, added to the sums as one tile."""
-    n_real, K, L = batch.h.shape[:3]
-    return estimate_se_parameters(batch, w,
-                                  MomentSums(K, L, n_real)).finish(cfg)
+    sums = MomentSums(batch.layout, batch.h.shape[0])
+    return estimate_se_parameters(batch, w, sums).finish(cfg)
 
 
 @pytest.fixture(scope="session")
 def tiled():
     return SimpleNamespace(channels=_tiled_channels,
                            front_end=_tiled_front_end,
+                           estimates=_estimates,
+                           per_ue_batch=_per_ue_batch,
                            se_parameters=_se_parameters)
 
 
@@ -192,6 +207,9 @@ def _oneshot_sample_channels(stats, n_real, seed):
 
 
 def _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_seed):
+    """The drop's whole ChannelBatch. When every filter is c_kl I with
+    c_kl > 0, its directions are the used pilots' signals and UE k's scale
+    at AP l is c_kl; otherwise they are the per-UE estimates."""
     n_real, K, L, N = h.shape
     tau_p, p_ul, sigma2 = cfg.tau_p, cfg.p_ul, cfg.noise_power
     rng = np.random.default_rng(noise_seed)
@@ -207,41 +225,49 @@ def _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_seed):
             psi[t] = psi[t] + tau_p * p_ul * stats.R[i]
     pilot_of = np.asarray(pilots.pilot_of, dtype=int)
     filters = amp * stats.R @ np.linalg.inv(psi)[pilot_of]
+    c = filters[..., 0, 0].real
+    if np.all(c > 0.0) and np.array_equal(filters,
+                                          c[..., None, None] * np.eye(N)):
+        used, unit_of = np.unique(pilot_of, return_inverse=True)
+        return ChannelBatch(h=h, d=y[:, used],
+                            layout=DirectionLayout(unit_of=unit_of, scale=c))
     h_hat = np.empty(h.shape, dtype=complex)
     np.matmul(y[:, pilot_of].transpose(1, 2, 0, 3),
               np.swapaxes(filters, -1, -2), out=h_hat.transpose(1, 2, 0, 3))
-    return h_hat
+    return _per_ue_batch(h, h_hat)
 
 
-def _oneshot_moments(h, w):
-    """(a, B) from the untiled 64-realization chunk loop."""
+def _oneshot_moments(h, w, unit_of=None):
+    """(a, B) from the untiled 64-realization chunk loop; w holds one
+    precoder per direction, UE k's is w[:, unit_of[k]] (k by default)."""
     n_real, K, L, N = h.shape
+    J = w.shape[1]
+    unit_of = np.arange(K) if unit_of is None else unit_of
     s_acc = np.zeros((K, L), dtype=complex)
-    b_acc = np.zeros((K, K, L, L))
+    b_acc = np.zeros((K, J, L, L))
     for start in range(0, n_real, 64):
         hc = h[start:start + 64].conj().transpose(0, 2, 1, 3)
         wc = w[start:start + 64].transpose(0, 2, 3, 1)
         g = np.matmul(hc, wc)
-        s_acc += np.diagonal(g, axis1=2, axis2=3).sum(axis=0).T
+        s_acc += g[:, :, np.arange(K), unit_of].sum(axis=0).T
         gv = np.ascontiguousarray(g.transpose(2, 3, 1, 0)).view(float)
         b_acc += np.matmul(gv, np.swapaxes(gv, -1, -2))
-    return np.abs(s_acc / n_real), b_acc / n_real
+    return np.abs(s_acc / n_real), np.take(b_acc, unit_of, axis=1) / n_real
 
 
 def _oneshot_sample(cfg, aps, master_seed, namespace, index, precoder,
                     n_real):
-    """`build_sample`'s drop through the one-shot front end: (h, h_hat,
+    """`build_sample`'s drop through the one-shot front end: (batch,
     params), params without the residue diagnostic."""
     drop_s, chan_s, noise_s = sample_seeds(master_seed, namespace, index)
     stats = build_statistics(cfg, drop_scenario(cfg, drop_s, aps))
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     h = _oneshot_sample_channels(stats, n_real, chan_s)
-    h_hat = _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_s)
-    w = compute_precoders(ChannelBatch(h=h, h_hat=h_hat), precoder, cfg.p_ul,
-                          cfg.noise_power)
-    a, B = _oneshot_moments(h, w)
-    return h, h_hat, SEParameters(a=a, B=B, sigma2=cfg.noise_power,
-                                  prelog=cfg.prelog, n_real=n_real)
+    batch = _oneshot_mmse_estimate(h, stats, pilots, cfg, noise_s)
+    w = compute_precoders(batch, precoder, cfg.p_ul, cfg.noise_power)
+    a, B = _oneshot_moments(h, w, batch.layout.unit_of)
+    return batch, SEParameters(a=a, B=B, sigma2=cfg.noise_power,
+                               prelog=cfg.prelog, n_real=n_real)
 
 
 @pytest.fixture(scope="session")

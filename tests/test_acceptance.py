@@ -239,6 +239,7 @@ def test_criterion_05_estimator_statistics(tiled):
     pil = assign_pilots(stats.beta, cfg.tau_p)
     n_real = 100_000
     batch = tiled.front_end(stats, pil, cfg, n_real, 602, 603)
+    h_hat = tiled.estimates(batch)
     amp2 = cfg.tau_p * cfg.p_ul
     worst = 0.0
     for k in range(cfg.K):
@@ -248,7 +249,7 @@ def test_criterion_05_estimator_statistics(tiled):
                 psi = psi + amp2 * stats.R[i, l]
             expected = amp2 * stats.R[k, l] @ np.linalg.inv(psi) \
                 @ stats.R[k, l]
-            hh = batch.h_hat[:, k, l, :]
+            hh = h_hat[:, k, l, :]
             sample_cov = hh.T @ hh.conj() / n_real
             err = np.linalg.norm(sample_cov - expected) \
                 / np.linalg.norm(expected)

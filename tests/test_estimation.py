@@ -86,7 +86,8 @@ def test_psi_matches_model(tiled):
     dh = (h2 - h)[:, 0, 0, :] + (h2 - h)[:, 1, 0, :]
     for k, R in ((0, R0), (1, R1)):
         expected = dh @ (q * R @ np.linalg.inv(psi)).T
-        got = b2.h_hat[:, k, 0, :] - b1.h_hat[:, k, 0, :]
+        got = (tiled.estimates(b2)[:, k, 0, :]
+               - tiled.estimates(b1)[:, k, 0, :])
         assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
@@ -102,7 +103,7 @@ def test_estimate_covariance_orthogonal_pilots(tiled):
     for k, R in ((0, HANDY_R), (1, 0.7 * np.eye(2))):
         psi = q * R + cfg.noise_power * np.eye(2)
         expected = q * R @ np.linalg.inv(psi) @ R
-        cov = sample_cov(batch.h_hat[:, k, 0, :])
+        cov = sample_cov(tiled.estimates(batch)[:, k, 0, :])
         err = np.linalg.norm(cov - expected) / np.linalg.norm(expected)
         assert err < 0.05
 
@@ -116,7 +117,7 @@ def test_estimate_covariance_with_contamination(tiled):
     q = cfg.tau_p * cfg.p_ul
     psi = q * (R0 + R1) + cfg.noise_power * np.eye(2)
     expected = q * R0 @ np.linalg.inv(psi) @ R0
-    cov = sample_cov(batch.h_hat[:, 0, 0, :])
+    cov = sample_cov(tiled.estimates(batch)[:, 0, 0, :])
     err = np.linalg.norm(cov - expected) / np.linalg.norm(expected)
     assert err < 0.05
 
@@ -127,7 +128,7 @@ def test_estimate_error_orthogonality(tiled):
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     batch = tiled.front_end(stats, pilots, cfg, 40000, 12, 13)
-    est = batch.h_hat[:, 0, 0, :]
+    est = tiled.estimates(batch)[:, 0, 0, :]
     err = batch.h[:, 0, 0, :] - est
     cross = est.conj().T @ err / est.shape[0]
     assert np.linalg.norm(cross) < 0.05 * np.linalg.norm(HANDY_R)
@@ -143,10 +144,11 @@ def test_scalar_channel_closed_form(tiled):
     batch = tiled.front_end(stats, pilots, cfg, 60000, 14, 15)
     q = cfg.tau_p * cfg.p_ul
     c = q * beta ** 2 / (q * beta + cfg.noise_power)
-    var = float(np.mean(np.abs(batch.h_hat[:, 0, 0, 0]) ** 2))
+    h_hat = tiled.estimates(batch)
+    var = float(np.mean(np.abs(h_hat[:, 0, 0, 0]) ** 2))
     assert var == pytest.approx(c, rel=0.03)
     resid = float(np.mean(np.abs(batch.h[:, 0, 0, 0]
-                                 - batch.h_hat[:, 0, 0, 0]) ** 2))
+                                 - h_hat[:, 0, 0, 0]) ** 2))
     assert resid == pytest.approx(beta - c, rel=0.05)
 
 
@@ -157,8 +159,9 @@ def test_sharers_with_proportional_R_get_collinear_estimates(tiled):
     stats = stats_from_R([[R0], [2.0 * R0]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     batch = tiled.front_end(stats, pilots, cfg, 256, 16, 17)
-    assert np.allclose(batch.h_hat[:, 1, 0, :],
-                       2.0 * batch.h_hat[:, 0, 0, :], rtol=1e-10)
+    h_hat = tiled.estimates(batch)
+    assert np.allclose(h_hat[:, 1, 0, :], 2.0 * h_hat[:, 0, 0, :],
+                       rtol=1e-10)
 
 
 def test_noise_seed_changes_estimates_only(tiled):
@@ -169,8 +172,8 @@ def test_noise_seed_changes_estimates_only(tiled):
     b2 = tiled.front_end(stats, pilots, cfg, 128, 18, 20)
     b3 = tiled.front_end(stats, pilots, cfg, 128, 18, 19)
     assert np.array_equal(b1.h, b2.h)
-    assert not np.array_equal(b1.h_hat, b2.h_hat)
-    assert np.array_equal(b1.h_hat, b3.h_hat)
+    assert not np.array_equal(b1.d, b2.d)
+    assert np.array_equal(b1.d, b3.d)
     assert b1.h.shape[0] == 128
 
 
@@ -244,7 +247,7 @@ def test_batched_estimation_matches_reference_loops(tiled, make):
     assert np.array_equal(batch.h,
                           reference_sample_channels(stats, 150, seed=22))
     ref = reference_mmse_estimate(batch.h, stats, pilots, cfg, noise_seed=23)
-    assert np.allclose(batch.h_hat, ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(tiled.estimates(batch), ref, rtol=1e-12, atol=0.0)
 
 
 def test_tile_rule():
@@ -271,7 +274,7 @@ def test_tiled_stages_give_the_oneshot_bytes(monkeypatch, oneshot, make,
     cfg, stats = make()
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     h_ref = oneshot.sample_channels(stats, n_real, 24)
-    h_hat_ref = oneshot.mmse_estimate(h_ref, stats, pilots, cfg, 25)
+    ref = oneshot.mmse_estimate(h_ref, stats, pilots, cfg, 25)
     row_bytes = h_ref[0].nbytes
     # tiles of 64, 128 and 192 realizations, then one tile
     for chunks in (1, 2, 3, None):
@@ -288,7 +291,9 @@ def test_tiled_stages_give_the_oneshot_bytes(monkeypatch, oneshot, make,
             assert np.array_equal(h, h_ref[tile])
             batch = mmse_estimate(h, est, tile)
             assert batch.h is h
-            assert np.array_equal(batch.h_hat, h_hat_ref[tile])
+            assert np.array_equal(batch.d, ref.d[tile])
+        assert np.array_equal(est.layout.unit_of, ref.layout.unit_of)
+        assert np.array_equal(est.layout.scale, ref.layout.scale)
 
 
 def test_tiles_reuse_two_buffers_and_leave_none_behind(monkeypatch):

@@ -185,6 +185,8 @@ def per_realization_terms(cfg, index, n_real, mus):
     for tile in draw.tiles:
         batch = mmse_estimate(sample_channels(draw, tile), est, tile)
         w = compute_precoders(batch, "mr", cfg.p_ul, cfg.noise_power)
+        # UE i's precoder is its direction's
+        w = w[:, batch.layout.unit_of]
         g = np.einsum("rkln,riln->rkil", batch.h.conj(), w)
         for j, mu in enumerate(mus):
             signal[j, tile] = np.einsum("rkkl,kl->rk", g, mu).real

@@ -90,3 +90,36 @@ def test_assignment_is_deterministic():
     b = assign_pilots(beta, 3)
     assert np.array_equal(a.pilot_of, b.pilot_of)
     assert a.groups == b.groups
+
+
+def loop_assign_pilots(beta, tau_p):
+    """The greedy rule as a plain loop: each later UE sums, pilot by
+    pilot, the gains of all earlier UEs at its master AP."""
+    K = beta.shape[0]
+    pilot_of = np.zeros(K, dtype=int)
+    n_orth = min(tau_p, K)
+    pilot_of[:n_orth] = np.arange(n_orth)
+    for k in range(n_orth, K):
+        master = int(np.argmax(beta[k]))
+        load = np.zeros(tau_p)
+        for i in range(k):
+            load[pilot_of[i]] += beta[i, master]
+        pilot_of[k] = int(np.argmin(load))
+    return pilot_of
+
+
+def test_assignment_matches_the_plain_loop():
+    # random sizes, and gains drawn from a few integers so that master
+    # APs and pilot loads tie
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        K = int(rng.integers(1, 40))
+        L = int(rng.integers(1, 8))
+        tau_p = int(rng.integers(1, 12))
+        if case % 2:
+            beta = rng.integers(0, 3, size=(K, L)).astype(float)
+            beta[rng.integers(0, K)] = beta[0]
+        else:
+            beta = rng.lognormal(-20.0, 3.0, size=(K, L))
+        assert np.array_equal(assign_pilots(beta, tau_p).pilot_of,
+                              loop_assign_pilots(beta, tau_p)), case

@@ -21,7 +21,7 @@ from cfpower import estimation, pipeline, se
 from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
 from cfpower.errors import DataFormatError
-from cfpower.estimation import ChannelBatch
+from cfpower.estimation import ChannelBatch, DirectionLayout
 from cfpower.network import ChannelStatistics, place_aps
 from cfpower.pipeline import TEST_NAMESPACE, build_sample
 from cfpower.pilots import assign_pilots
@@ -91,7 +91,7 @@ def test_estimator_matches_naive_loops(tiled, n_real):
     h, w = random_batch(n_real)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    params = tiled.se_parameters(ChannelBatch(h=h, h_hat=w), w, cfg)
+    params = tiled.se_parameters(tiled.per_ue_batch(h, w), w, cfg)
     a_ref, b_ref = naive_estimates(h, w)
     assert np.allclose(params.a, a_ref, rtol=1e-12, atol=1e-15)
     assert np.allclose(params.B, b_ref, rtol=1e-12, atol=1e-15)
@@ -99,27 +99,33 @@ def test_estimator_matches_naive_loops(tiled, n_real):
 
 
 def test_estimator_input_guards():
+    layout = DirectionLayout.per_ue(2, 2)
     with pytest.raises(ValueError, match="100"):
-        MomentSums(2, 2, 99)
+        MomentSums(layout, 99)
     h, w = random_batch(128)
     cfg = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w)
+    batch = ChannelBatch(h=h, d=w, layout=layout)
     with pytest.raises(ValueError, match="shape"):
-        estimate_se_parameters(batch, w[:, :1], MomentSums(2, 2, 128))
+        estimate_se_parameters(batch, w[:, :1], MomentSums(layout, 128))
     # extra realizations are not sliced away
     with pytest.raises(ValueError, match="shape"):
         estimate_se_parameters(batch, np.concatenate([w, w[:5]]),
-                               MomentSums(2, 2, 128))
+                               MomentSums(layout, 128))
+    # the sums expand B by their own layout, so a tile must carry it
+    with pytest.raises(ValueError, match="layout"):
+        estimate_se_parameters(batch, w, MomentSums(
+            DirectionLayout.per_ue(2, 2), 128))
     # more realizations than the sums expect, or a tile after a partial
     # chunk, would change the chunking
     with pytest.raises(ValueError, match="chunks"):
-        estimate_se_parameters(batch, w, MomentSums(2, 2, 127))
-    sums = estimate_se_parameters(ChannelBatch(h=h[:100], h_hat=w[:100]),
-                                  w[:100], MomentSums(2, 2, 128))
+        estimate_se_parameters(batch, w, MomentSums(layout, 127))
+    sums = estimate_se_parameters(
+        ChannelBatch(h=h[:100], d=w[:100], layout=layout), w[:100],
+        MomentSums(layout, 128))
     with pytest.raises(ValueError, match="chunks"):
-        estimate_se_parameters(ChannelBatch(h=h[100:], h_hat=w[100:]),
-                               w[100:], sums)
+        estimate_se_parameters(
+            ChannelBatch(h=h[100:], d=w[100:], layout=layout), w[100:], sums)
     # the estimate needs every realization
     with pytest.raises(ValueError, match="100 of 128"):
         sums.finish(cfg)
@@ -133,11 +139,13 @@ def test_estimator_takes_precoders_per_tile(oneshot):
         a_ref, b_ref = oneshot.moments(h, w)
         # tiles of 64 and 192 realizations, then one tile
         for step in (se._CHUNK, 3 * se._CHUNK, n_real):
-            sums = MomentSums(2, 2, n_real)
+            layout = DirectionLayout.per_ue(2, 2)
+            sums = MomentSums(layout, n_real)
             for start in range(0, n_real, step):
                 tile = slice(start, start + step)
                 estimate_se_parameters(
-                    ChannelBatch(h=h[tile], h_hat=w[tile]), w[tile], sums)
+                    ChannelBatch(h=h[tile], d=w[tile], layout=layout),
+                    w[tile], sums)
             params = sums.finish(cfg)
             assert np.array_equal(params.a, a_ref)
             assert np.array_equal(params.B, b_ref)
@@ -164,16 +172,19 @@ def test_tiled_build_sample_gives_the_oneshot_bytes(
     cfg = resolve_config(preset).replace(correlation_model=correlation)
     aps = place_aps(cfg, cfg.seed)
     index = 2
-    h, h_hat, ref = oneshot.sample(cfg, aps, cfg.seed, TEST_NAMESPACE, index,
-                                   precoder, n_real)
+    batch_ref, ref = oneshot.sample(cfg, aps, cfg.seed, TEST_NAMESPACE,
+                                    index, precoder, n_real)
+    h = batch_ref.h
     seen = []
     reduce_tile = pipeline.estimate_se_parameters
 
     def spy(batch, w, sums):
         # the channel draw reuses its buffer, so the spy keeps copies
-        seen.append((batch.h.copy(), batch.h_hat.copy()))
+        seen.append((batch.h.copy(), batch.d))
+        layouts.append(batch.layout)
         return reduce_tile(batch, w, sums)
     monkeypatch.setattr(pipeline, "estimate_se_parameters", spy)
+    layouts = []
     row_bytes = h[0].nbytes
     sizes = set()
     # 64-realization tiles, 192-realization tiles, one tile
@@ -186,12 +197,59 @@ def test_tiled_build_sample_gives_the_oneshot_bytes(
         assert [t.shape[0] for t, _ in seen] == \
             [t.stop - t.start for t in tiles]
         assert np.array_equal(np.concatenate([t for t, _ in seen]), h)
-        assert np.array_equal(np.concatenate([t for _, t in seen]), h_hat)
+        assert np.array_equal(np.concatenate([t for _, t in seen]),
+                              batch_ref.d)
+        # every tile carries the drop's one layout, the oracle's
+        assert all(lay is layouts[0] for lay in layouts)
+        assert np.array_equal(layouts[0].unit_of, batch_ref.layout.unit_of)
+        assert np.array_equal(layouts[0].scale, batch_ref.layout.scale)
         seen.clear()
+        layouts.clear()
         assert np.array_equal(sample.params.a, ref.a)
         assert np.array_equal(sample.params.B, ref.B)
         assert sample.params.digest() == ref.digest()
     assert len(sizes) == (2 if n_real <= 192 else 3)
+
+
+def relative_drift(params, ref):
+    """Largest |a - a_ref| / a_ref, and largest |B - B_ref| over the entry's
+    Cauchy-Schwarz bound sqrt(B_ref[k, i, l, l] B_ref[k, i, m, m])."""
+    da = np.max(np.abs(params.a - ref.a) / ref.a)
+    diag = np.diagonal(ref.B, axis1=2, axis2=3)
+    bound = np.sqrt(diag[..., :, None] * diag[..., None, :])
+    return da, np.max(np.abs(params.B - ref.B) / bound)
+
+
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+@pytest.mark.parametrize("preset,n_real", [("desk", 1000), ("large", 300)])
+def test_per_pilot_directions_give_the_per_ue_moments(monkeypatch, preset,
+                                                      n_real, precoder):
+    # uncorrelated fading makes every MMSE filter c_kl I, so the front end
+    # precodes one direction per pilot; forced onto one direction per UE it
+    # must give the same (a, B) up to roundoff
+    cfg = resolve_config(preset)
+    aps = place_aps(cfg, cfg.seed)
+    n_dirs = []
+    precode = pipeline.compute_precoders
+
+    def spy(batch, *args):
+        n_dirs.append(batch.d.shape[1])
+        return precode(batch, *args)
+    monkeypatch.setattr(pipeline, "compute_precoders", spy)
+    samples = [build_sample(cfg, aps, cfg.seed, TEST_NAMESPACE, 1, precoder,
+                            n_real)]
+    monkeypatch.setattr(estimation, "_scalar_filters", lambda filters: None)
+    samples.append(build_sample(cfg, aps, cfg.seed, TEST_NAMESPACE, 1,
+                                precoder, n_real))
+    per_pilot, per_ue = (s.params for s in samples)
+    assert set(n_dirs) == {cfg.tau_p, cfg.K}
+    # the solver views B as (K, K*L*L), which copies unless it is C-ordered
+    assert per_pilot.B.flags.c_contiguous and per_ue.B.flags.c_contiguous
+    assert max(relative_drift(per_pilot, per_ue)) <= 1e-10
+    # pilot-sharing UEs have one precoder, so their B columns are one
+    for group in assign_pilots(samples[0].beta, cfg.tau_p).groups:
+        for i in group[1:]:
+            assert np.array_equal(per_pilot.B[:, i], per_pilot.B[:, group[0]])
 
 
 def test_rotation_warning_fires_only_when_rotated(tiled, caplog):
@@ -202,7 +260,7 @@ def test_rotation_warning_fires_only_when_rotated(tiled, caplog):
     w[:] = h / np.linalg.norm(h, axis=-1, keepdims=True)
     net = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
                         ap_placement="uniform-random")
-    batch = ChannelBatch(h=h, h_hat=w)
+    batch = tiled.per_ue_batch(h, w)
     with caplog.at_level(logging.WARNING, logger="cfpower.se"):
         clean = tiled.se_parameters(batch, w, net)
     assert not any("residue" in r.message for r in caplog.records)
