@@ -7,7 +7,7 @@ urban-microcell defaults below.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .container import json_kind_ok
 from .errors import ConfigError
@@ -70,9 +70,6 @@ class NetworkConfig:
     @property
     def prelog(self) -> float:
         return self.tau_d / self.tau_c
-
-    def replace(self, **kw) -> "NetworkConfig":
-        return replace(self, **kw)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

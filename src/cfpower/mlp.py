@@ -86,12 +86,9 @@ def build_model(kind: str, K: int, unit_id: int = 0, member_aps=None,
         layers.append(DenseLayer(W=W, b=np.zeros(n_out), activation=act))
     if member_aps is None:
         member_aps = (unit_id,)
-    model = MlpModel(kind=kind, unit_id=unit_id,
-                     member_aps=tuple(int(a) for a in member_aps),
-                     layers=layers)
-    expected = sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
-    assert model.n_parameters() == expected, "layer wiring is inconsistent"
-    return model
+    return MlpModel(kind=kind, unit_id=unit_id,
+                    member_aps=tuple(int(a) for a in member_aps),
+                    layers=layers)
 
 
 def _act(z, name):
@@ -179,6 +176,12 @@ class TrainConfig:
     drop_epoch: int = 40          # 0-based epoch of the LR_DROP_FACTOR drop
     validation_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch size must be >= 1")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError("validation fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ class Scenario:
     ap_positions: np.ndarray   # (L, 2)
     ue_positions: np.ndarray   # (K, 2)
     distances: np.ndarray      # (K, L)
-    area_m: float
 
 
 def place_aps(cfg: NetworkConfig, seed) -> np.ndarray:
@@ -97,8 +96,7 @@ def drop_scenario(cfg: NetworkConfig, seed, ap_positions) -> Scenario:
         raise ValueError(f"expected ({cfg.L}, 2) AP positions, got {ap.shape}")
     d2 = wrap_displacements(ue, ap, cfg.area_m)[1]
     dist = np.maximum(np.sqrt(d2), MIN_DISTANCE_M)
-    return Scenario(ap_positions=ap, ue_positions=ue, distances=dist,
-                    area_m=cfg.area_m)
+    return Scenario(ap_positions=ap, ue_positions=ue, distances=dist)
 
 
 @dataclass(frozen=True)

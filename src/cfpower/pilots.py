@@ -18,7 +18,6 @@ class PilotAssignment:
 
     pilot_of: np.ndarray     # (K,) int, pilot index in [0, tau_p)
     groups: tuple            # tuple of tuples: UE indices sharing each pilot
-    tau_p: int
 
 
 def assign_pilots(beta: np.ndarray, tau_p: int) -> PilotAssignment:
@@ -42,4 +41,4 @@ def assign_pilots(beta: np.ndarray, tau_p: int) -> PilotAssignment:
         tuple(int(i) for i in np.flatnonzero(pilot_of == t))
         for t in range(tau_p)
     )
-    return PilotAssignment(pilot_of=pilot_of, groups=groups, tau_p=tau_p)
+    return PilotAssignment(pilot_of=pilot_of, groups=groups)

@@ -34,10 +34,10 @@ from .mlp import (MODEL_KINDS, TrainConfig, build_model, train,
                   validation_split)
 from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
-from .precoding import compute_precoders
+from .precoding import PRECODERS, compute_precoders
 from .scaling import apply_scaler, fit_scaler
-from .se import (MAGIC as SE_MAGIC, MomentSums, SEParameters, compute_se,
-                 estimate_se_parameters)
+from .se import (MAGIC as SE_MAGIC, MIN_N_REAL, MomentSums, SEParameters,
+                 compute_se, estimate_se_parameters)
 from .wmmse import SolverConfig, WmmseResult, wmmse_solve
 
 log = logging.getLogger(__name__)
@@ -96,7 +96,13 @@ def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                  n_real: int = DEFAULT_N_REAL,
                  max_degenerate_frac: float = DEFAULT_MAX_DEGENERATE_FRAC
                  ) -> DatasetFile:
-    """Generate (or resume) a labeled dataset of optimizer solutions."""
+    """Generate (or resume) a labeled dataset of optimizer solutions; a
+    rejected precoder or realization count leaves the file untouched."""
+    if precoder not in PRECODERS:
+        raise ValueError(f"unknown precoding scheme {precoder!r}")
+    if n_real < MIN_N_REAL:
+        raise ValueError(f"need at least {MIN_N_REAL} realizations for "
+                         "stable estimates")
     master = cfg.seed if seed is None else int(seed)
     solver_cfg = SolverConfig(objective=objective)
     header = DatasetHeader(config=cfg, objective=objective, precoder=precoder,
@@ -319,8 +325,11 @@ class EvalReport:
 
 
 def _distinct(strategies):
-    """The strategies as a list; a name given twice raises ValueError."""
+    """The strategies as a list; none at all, or a name given twice, raises
+    ValueError."""
     strategies = list(strategies)
+    if not strategies:
+        raise ValueError("no strategies given")
     if len(set(strategies)) != len(strategies):
         raise ValueError(f"strategy named twice in {strategies}")
     return strategies
@@ -348,6 +357,8 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
                  n_real: int = DEFAULT_N_REAL,
                  models_dir=None) -> EvalReport:
     """Evaluate strategies on identical held-out drops and SE parameters."""
+    if n_drops < 1:
+        raise ValueError("need at least one evaluation drop")
     master = cfg.seed if seed is None else int(seed)
     strategies = _distinct(strategies)
     models = {}
@@ -380,7 +391,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
         if (drop + 1) % 50 == 0:
             log.info("evaluated %d / %d drops", drop + 1, n_drops)
     report = EvalReport(strategies=strategies, se=se,
-                        alloc_seconds={s: seconds[s] / max(n_drops, 1)
+                        alloc_seconds={s: seconds[s] / n_drops
                                        for s in strategies},
                         digests=digests,
                         solver={s: _solver_summary(runs)
@@ -467,6 +478,8 @@ def cmd_bench(cfg: NetworkConfig, strategies,
     so learned timing covers building features from beta, scaling, forward
     passes and post-processing. The noop strategy measures harness overhead.
     """
+    if n_repeats < 1:
+        raise ValueError("need at least one timed repeat")
     master = cfg.seed if seed is None else int(seed)
     strategies = _distinct(strategies)
     models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)

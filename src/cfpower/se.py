@@ -9,6 +9,8 @@ where a_kl is the modulus of the mean signal coefficient E{h_kl^H w_kl} and
 B_ki collects the second moments Re E{h_kl^H w_il w_im^H h_km}. Both are
 Monte-Carlo estimates over channel realizations; everything downstream
 (optimizer, heuristics, learned allocators) consumes only (a, B, sigma2).
+The bound needs that mean real and nonnegative, which MR and RZF on MMSE
+estimates give by construction (see `MomentSums.finish`).
 
 The Monte-Carlo reduction runs over fixed 64-realization chunks in
 realization order, on the precoders of the tile's J directions
@@ -44,9 +46,8 @@ row-major in (k, i, l, m)).
 """
 
 import hashlib
-import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +55,11 @@ from .config import NetworkConfig
 from .errors import DataFormatError, NumericalError
 from .estimation import _CHUNK, ChannelBatch, DirectionLayout
 
-log = logging.getLogger(__name__)
-
 MAGIC = b"CFSEP001"
 _HEADER = struct.Struct("<8sIIQdd")
+
+# the fewest realizations a drop's (a, B) is estimated from
+MIN_N_REAL = 100
 
 # tolerated relative slack on the per-AP power budget
 BUDGET_SLACK = 1e-9
@@ -83,11 +85,6 @@ class PowerAllocation:
             raise ValueError(
                 f"per-AP power {worst:.6g} exceeds budget {self.p_max:.6g}")
 
-    @property
-    def rho(self) -> np.ndarray:
-        """Allocated powers in watts, rho = mu^2."""
-        return self.mu ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class SEParameters:
@@ -98,7 +95,6 @@ class SEParameters:
     sigma2: float
     prelog: float
     n_real: int
-    imag_residue: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         # read-only views: a consumer that writes into the estimate raises
@@ -109,8 +105,7 @@ class SEParameters:
             object.__setattr__(self, name, view)
 
     def __eq__(self, other):
-        # byte identity over the serialized payload; the residue is a
-        # diagnostic and deliberately excluded
+        # byte identity over the serialized payload
         if not isinstance(other, SEParameters):
             return NotImplemented
         return self.to_bytes() == other.to_bytes()
@@ -168,49 +163,33 @@ class MomentSums:
     in."""
 
     def __init__(self, layout: DirectionLayout, n_real: int):
-        if n_real < 100:
-            raise ValueError(
-                "need at least 100 realizations for stable estimates")
+        if n_real < MIN_N_REAL:
+            raise ValueError(f"need at least {MIN_N_REAL} realizations for "
+                             "stable estimates")
         (K, L), J = layout.scale.shape, layout.weight.shape[0]
         self.layout = layout
         self.n_real = n_real
         self.n_seen = 0
         self.signal = np.zeros((K, L), dtype=complex)
-        self.imag_sq = np.zeros((K, L))
         # the sums of B_kj per direction j; UE i's B_ki is B_k,unit_of[i]
         self.second = np.zeros((K, J, L, L))
 
     def finish(self, cfg: NetworkConfig) -> SEParameters:
-        """a_kl = |mean g[k, u(k), l]|, B_ki[l, m] = Re mean(g[k,u(i),l]
-        conj g[k,u(i),m]) with u the layout's unit_of, and the
-        imaginary-residue diagnostic."""
+        """a_kl = |mean g[k, u(k), l]| and B_ki[l, m] = Re mean(g[k,u(i),l]
+        conj g[k,u(i),m]), with u the layout's unit_of. The modulus is the
+        mean itself: MR and RZF on MMSE estimates make each realization's
+        h_hat^H w real and nonnegative, and E{e^H w} = 0 for the estimation
+        error e; `tests/test_se.py` checks this per realization."""
         n_real = self.n_real
         if self.n_seen != n_real:
             raise ValueError(f"sums hold {self.n_seen} of {n_real} "
                              "realizations")
-        mean_sig = self.signal / n_real
-        a = np.abs(mean_sig)
+        a = np.abs(self.signal / n_real)
         # take, not fancy indexing, keeps B C-contiguous, so the solver's
         # (K, K*L*L) views of it do not copy
         B = np.take(self.second, self.layout.unit_of, axis=1) / n_real
-        # per-entry ratios are recorded. The warning asks whether the
-        # imaginary means are Monte-Carlo noise: without a rotation error,
-        # each squared mean over its squared standard error is about
-        # chi-square(1), so their sum T over the M entries with spread
-        # stays near M
-        ratio = np.abs(mean_sig.imag) / np.maximum(a, 1e-300)
-        worst = float(ratio.max()) if a.size else 0.0
-        se2 = (self.imag_sq / n_real - mean_sig.imag ** 2) / (n_real - 1)
-        spread = se2 > 0.0
-        t_stat = float(np.sum(mean_sig.imag[spread] ** 2 / se2[spread]))
-        n_dof = int(spread.sum())
-        if t_stat > n_dof + 6.0 * np.sqrt(2.0 * n_dof):
-            log.warning("imaginary residue of %.3g squared standard errors "
-                        "over %d signal means; rotation convention may be "
-                        "off for this precoder", t_stat, n_dof)
         return SEParameters(a=a, B=B, sigma2=cfg.noise_power,
-                            prelog=cfg.prelog, n_real=n_real,
-                            imag_residue=worst)
+                            prelog=cfg.prelog, n_real=n_real)
 
 
 def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,
@@ -240,9 +219,7 @@ def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,
         hc = h[start:start + _CHUNK].conj().transpose(0, 2, 1, 3)
         wc = w[start:start + _CHUNK].transpose(0, 2, 3, 1)
         g = np.matmul(hc, wc)
-        g_kk = g[:, :, ks, unit_of]
-        sums.signal += g_kk.sum(axis=0).T
-        sums.imag_sq += (g_kk.imag ** 2).sum(axis=0).T
+        sums.signal += g[:, :, ks, unit_of].sum(axis=0).T
         # the float view interleaves Re and Im along the realization axis,
         # so one real Gram product per (k, j) gives Re(G_kj^H G_kj); one k
         # at a time, the copy stays in cache

@@ -258,7 +258,7 @@ def _oneshot_moments(h, w, unit_of=None):
 def _oneshot_sample(cfg, aps, master_seed, namespace, index, precoder,
                     n_real):
     """`build_sample`'s drop through the one-shot front end: (batch,
-    params), params without the residue diagnostic."""
+    params)."""
     drop_s, chan_s, noise_s = sample_seeds(master_seed, namespace, index)
     stats = build_statistics(cfg, drop_scenario(cfg, drop_s, aps))
     pilots = assign_pilots(stats.beta, cfg.tau_p)

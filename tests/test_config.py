@@ -1,5 +1,7 @@
 """Config file parsing, validation, and preset contents."""
 
+from dataclasses import replace
+
 import pytest
 
 from cfpower.config import NetworkConfig, config_from_dict, load_config, \
@@ -102,7 +104,7 @@ def test_config_from_dict_unknown_key():
 
 
 def test_replace_returns_new_config(desk_cfg):
-    other = desk_cfg.replace(K=8)
+    other = replace(desk_cfg, K=8)
     assert other.K == 8
     assert desk_cfg.K == 6
     assert other.L == desk_cfg.L

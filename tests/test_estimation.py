@@ -12,6 +12,8 @@ loops that share the random draw order, and at several tile sizes against
 the one-shot front end in `conftest.py`.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_psi_matches_model(tiled):
     # under one noise seed differ by the filter applied to the change of
     # the group's channels alone: the noise cancels and Psi is pinned;
     # sigma2 is raised so that its share of Psi is visible
-    cfg = _one_link_cfg(tau_p=1).replace(noise_power=0.3)
+    cfg = replace(_one_link_cfg(tau_p=1), noise_power=0.3)
     R0 = HANDY_R
     R1 = 0.5 * np.eye(2, dtype=complex)
     stats = stats_from_R([[R0], [R1]])
@@ -96,7 +98,7 @@ def test_estimate_covariance_orthogonal_pilots(tiled):
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     # gains of order one dwarf the -124 dB noise, so scale sigma2 up to
     # make the estimation error visible
-    cfg = cfg.replace(noise_power=0.3)
+    cfg = replace(cfg, noise_power=0.3)
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     batch = tiled.front_end(stats, pilots, cfg, 40000, 8, 9)
     q = cfg.tau_p * cfg.p_ul
@@ -109,7 +111,7 @@ def test_estimate_covariance_orthogonal_pilots(tiled):
 
 
 def test_estimate_covariance_with_contamination(tiled):
-    cfg = _one_link_cfg(tau_p=1).replace(noise_power=0.3)
+    cfg = replace(_one_link_cfg(tau_p=1), noise_power=0.3)
     R0, R1 = HANDY_R, 0.6 * np.eye(2, dtype=complex)
     stats = stats_from_R([[R0], [R1]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
@@ -124,7 +126,7 @@ def test_estimate_covariance_with_contamination(tiled):
 
 def test_estimate_error_orthogonality(tiled):
     # E{h_hat (h - h_hat)^H} = 0 is the defining property of MMSE
-    cfg = _one_link_cfg(tau_p=2).replace(noise_power=0.3)
+    cfg = replace(_one_link_cfg(tau_p=2), noise_power=0.3)
     stats = stats_from_R([[HANDY_R], [0.7 * np.eye(2)]])
     pilots = assign_pilots(stats.beta, cfg.tau_p)
     batch = tiled.front_end(stats, pilots, cfg, 40000, 12, 13)
@@ -218,7 +220,8 @@ def reference_mmse_estimate(h, stats, pilots, cfg, noise_seed):
 
 
 def _desk_stats(correlation_model):
-    cfg = resolve_config("desk").replace(correlation_model=correlation_model)
+    cfg = replace(resolve_config("desk"),
+                  correlation_model=correlation_model)
     stats = build_statistics(cfg, drop_scenario(cfg, 21, place_aps(cfg, 21)))
     return cfg, stats
 

@@ -62,7 +62,7 @@ def test_heuristic_allocation_saturates_budgets(assert_budget):
     rng = np.random.default_rng(0)
     beta = rng.lognormal(mean=-20.0, size=(5, 4))
     alloc = heuristic_allocation(beta, V, 0.8)
-    per_ap = alloc.rho.sum(axis=0)
+    per_ap = (alloc.mu ** 2).sum(axis=0)
     assert np.allclose(per_ap, 0.8, rtol=1e-12)
     assert_budget(alloc.mu, 0.8)
 
@@ -71,7 +71,7 @@ def test_equal_power_allocation(assert_budget):
     alloc = equal_power(K=5, L=3, p_max=0.2)
     assert alloc.mu.shape == (5, 3)
     assert np.allclose(alloc.mu, np.sqrt(0.2 / 5))
-    assert np.allclose(alloc.rho.sum(axis=0), 0.2, rtol=1e-12)
+    assert np.allclose((alloc.mu ** 2).sum(axis=0), 0.2, rtol=1e-12)
     assert_budget(alloc.mu, 0.2)
 
 

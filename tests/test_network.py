@@ -8,6 +8,7 @@ reference kept here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def test_local_scattering_matches_quadrature():
 
 
 def test_local_scattering_structure(desk_cfg):
-    cfg = desk_cfg.replace(correlation_model="local-scattering")
+    cfg = replace(desk_cfg, correlation_model="local-scattering")
     stats = build_statistics(cfg, drop_scenario(cfg, 2, place_aps(cfg, 2)))
     K, L, N = cfg.K, cfg.L, cfg.N
     for k in range(K):
@@ -314,4 +315,4 @@ def test_local_scattering_clips_only_indefinite_links():
 def test_scenario_is_frozen(desk_cfg):
     scen = drop_scenario(desk_cfg, 1, place_aps(desk_cfg, 1))
     with pytest.raises(AttributeError):
-        scen.area_m = 0.0
+        scen.distances = None

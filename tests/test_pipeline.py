@@ -155,6 +155,23 @@ def test_generate_rejects_mismatched_resume(tmp_path, desk_cfg):
         gen(desk_cfg, path, n=4)
 
 
+def test_generate_checks_its_input_before_touching_the_file(tmp_path,
+                                                            desk_cfg):
+    path = tmp_path / "d.cfds"
+    with pytest.raises(ValueError, match="zf"):
+        cmd_generate(desk_cfg, 1, "sumse", "zf", path, n_real=N_REAL)
+    with pytest.raises(ValueError, match="realizations"):
+        cmd_generate(desk_cfg, 1, "sumse", "rzf", path, n_real=50)
+    assert not path.exists()
+    # nor is a torn record cut by a call that is then rejected
+    gen(desk_cfg, path, n=1)
+    torn = path.read_bytes() + b"\0" * 7
+    path.write_bytes(torn)
+    with pytest.raises(ValueError, match="zf"):
+        cmd_generate(desk_cfg, 1, "sumse", "zf", path, n_real=N_REAL)
+    assert path.read_bytes() == torn
+
+
 def test_generate_degeneracy_guard(tmp_path, desk_cfg, monkeypatch):
     # one outer iteration with an unreachable tolerance never converges
     monkeypatch.setattr(wmmse, "_MAX_OUTER", 1)
@@ -739,6 +756,62 @@ def test_cli_strategy_named_twice_is_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "usage error" in err and "twice" in err
     assert not (tmp_path / "rep").exists()
+
+
+def test_cli_generate_rejection_leaves_no_file(tmp_path, capsys):
+    command = ["generate", "--config", "desk", "--samples", "1",
+               "--out", str(tmp_path / "x.cfds")]
+    assert main(command + ["--realizations", "50"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # so the corrected rerun starts a fresh dataset
+    assert main(command + ["--realizations", str(N_REAL)]) == 0
+
+
+DROPS = ["--config", "desk", "--realizations", str(N_REAL)]
+TRAIN = ["train", "--dataset", "DATASET", "--kind", "ddnn", "--out",
+         "models"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["bench", "--strategies", "noop", "--repeats", "0", "--out", "b.csv"]
+     + DROPS, "repeat"),
+    (["evaluate", "--samples", "0", "--strategies", "equal", "--out", "rep"]
+     + DROPS, "drop"),
+    (["evaluate", "--samples", "1", "--strategies", ",", "--out", "rep"]
+     + DROPS, "no strategies"),
+    (["bench", "--strategies", "", "--out", "b.csv"] + DROPS,
+     "no strategies"),
+    (TRAIN + ["--epochs", "0"], "epochs"),
+    (TRAIN + ["--batch-size", "0"], "batch size"),
+    (TRAIN + ["--val-fraction", "1"], "validation fraction"),
+    (TRAIN + ["--val-fraction", "-0.1"], "validation fraction"),
+])
+def test_cli_argument_errors_write_nothing(tmp_path, capsys, monkeypatch,
+                                           small_dataset, command, message):
+    def no_drops(*args, **kwargs):
+        raise AssertionError("a drop was built for a rejected command")
+    monkeypatch.setattr("cfpower.pipeline.build_sample", no_drops)
+    monkeypatch.chdir(tmp_path)
+    command = [str(small_dataset) if arg == "DATASET" else arg
+               for arg in command]
+    assert main(command) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_training_divergence_is_an_error_exit(tmp_path, capsys,
+                                                  small_dataset):
+    out = tmp_path / "models"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--dataset", str(small_dataset), "--kind",
+                     "ddnn", "--epochs", "2", "--batch-size", "4", "--lr",
+                     "1e300", "--out", str(out)])
+    assert code == 2
+    assert "error: non-finite" in capsys.readouterr().err
+    assert not any(name.endswith(pipeline.MODEL_SUFFIX)
+                   for name in os.listdir(out))
 
 
 def test_cli_degeneracy_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """Hardening-bound SE estimation and evaluation.
 
-Two independent oracles anchor the Monte-Carlo estimator. First, a scalar
+Independent oracles anchor the Monte-Carlo estimator. First, a scalar
 maximum-ratio case where both coefficients are known in closed form: with a
 CN(0, c) estimate the signal coefficient is the Rayleigh mean sqrt(pi c / 4)
 and the second moment collapses to the full channel gain beta. The frozen
@@ -9,10 +9,12 @@ the desk preset's pilot and noise numbers. Second, a naive double-loop
 estimator recomputes (a, B) entry by entry on small batches and must agree
 to machine precision. Third, the running sums that `build_sample` adds its
 tiles to must give the bytes of the one-shot front end in `conftest.py`,
-whatever the tile size.
+whatever the tile size. Fourth, every realization's h_hat^H w must be real
+and nonnegative, the phase convention that lets a be the modulus of the
+mean; the reduction itself does not check it.
 """
 
-import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
 from cfpower.errors import DataFormatError
 from cfpower.estimation import ChannelBatch, DirectionLayout
-from cfpower.network import ChannelStatistics, place_aps
-from cfpower.pipeline import TEST_NAMESPACE, build_sample
+from cfpower.network import (ChannelStatistics, build_statistics,
+                             drop_scenario, place_aps)
+from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
 from cfpower.pilots import assign_pilots
 from cfpower.precoding import compute_precoders
 from cfpower.se import (BUDGET_SLACK, MomentSums, PowerAllocation,
@@ -46,8 +49,6 @@ def test_rayleigh_mean_oracle(tiled):
     assert params.a[0, 0] == pytest.approx(A_RAYLEIGH, rel=0.01)
     # E|h^H w|^2 equals beta: the estimate contributes c, the error beta - c
     assert params.B[0, 0, 0, 0] == pytest.approx(BETA_200M, rel=0.01)
-    # strong single entry: the recorded residue must be deep under the gate
-    assert params.imag_residue < 0.01
     assert params.sigma2 == cfg.noise_power
     assert params.prelog == cfg.prelog
 
@@ -169,7 +170,7 @@ FRONT_END_CASES = [
                          FRONT_END_CASES)
 def test_tiled_build_sample_gives_the_oneshot_bytes(
         monkeypatch, oneshot, preset, correlation, precoder, n_real):
-    cfg = resolve_config(preset).replace(correlation_model=correlation)
+    cfg = replace(resolve_config(preset), correlation_model=correlation)
     aps = place_aps(cfg, cfg.seed)
     index = 2
     batch_ref, ref = oneshot.sample(cfg, aps, cfg.seed, TEST_NAMESPACE,
@@ -252,57 +253,42 @@ def test_per_pilot_directions_give_the_per_ue_moments(monkeypatch, preset,
             assert np.array_equal(per_pilot.B[:, i], per_pilot.B[:, group[0]])
 
 
-def test_rotation_warning_fires_only_when_rotated(tiled, caplog):
-    cfg, _ = None, None
-    h, w = random_batch(512, seed=3)
-    # force means away from zero so the clean case has no residue issue
-    h = h + 2.0
-    w[:] = h / np.linalg.norm(h, axis=-1, keepdims=True)
-    net = NetworkConfig(L=2, K=2, N=2, area_m=300.0, tau_p=2,
-                        ap_placement="uniform-random")
-    batch = tiled.per_ue_batch(h, w)
-    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        clean = tiled.se_parameters(batch, w, net)
-    assert not any("residue" in r.message for r in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        rotated = tiled.se_parameters(batch, np.exp(0.3j) * w, net)
-    assert any("residue" in r.message for r in caplog.records)
+def phase_faults(h_hat, w, unit_of):
+    """Entries of h_hat_kl^H w_u(k),l, per realization, that are not real
+    and nonnegative: |Im| above 1e-8 |Re|, or Re below zero."""
+    z = np.einsum("rkln,rkln->rkl", h_hat.conj(), w[:, unit_of])
+    return int(np.sum((np.abs(z.imag) > 1e-8 * np.abs(z.real))
+                      | (z.real < 0.0)))
+
+
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+@pytest.mark.parametrize("correlation", ["uncorrelated", "local-scattering"])
+@pytest.mark.parametrize("preset", ["desk", "large"])
+def test_precoders_give_real_nonnegative_signals(tiled, preset, correlation,
+                                                 precoder):
+    # a_kl = |E{h_kl^H w_kl}| is the bound's signal term only when the mean
+    # is real and nonnegative. MR and RZF on MMSE estimates make every
+    # realization's h_hat^H w so, and E{e^H w} = 0 for the error e
+    cfg = replace(resolve_config(preset), correlation_model=correlation)
+    drop_s, chan_s, noise_s = sample_seeds(cfg.seed, TEST_NAMESPACE, 0)
+    stats = build_statistics(cfg, drop_scenario(cfg, drop_s,
+                                                place_aps(cfg, cfg.seed)))
+    pilots = assign_pilots(stats.beta, cfg.tau_p)
+    batch = tiled.front_end(stats, pilots, cfg, 200, chan_s, noise_s)
+    w = compute_precoders(batch, precoder, cfg.p_ul, cfg.noise_power)
+    h_hat, unit_of = tiled.estimates(batch), batch.layout.unit_of
+    assert phase_faults(h_hat, w, unit_of) == 0
+    # the check sees a small rotation, and one AP's precoders negated,
+    # which |mean| would hide
+    rotated = np.exp(0.01j) * w
+    assert phase_faults(h_hat, rotated, unit_of) > 0
+    negated = w.copy()
+    negated[:, :, 0] *= -1.0
+    assert phase_faults(h_hat, negated, unit_of) > 0
     # a global phase moves neither the modulus nor the second moments
-    assert np.allclose(rotated.a, clean.a, rtol=1e-12)
-    assert np.allclose(rotated.B, clean.B, rtol=1e-12)
-    assert rotated.imag_residue > 0.25
-
-
-def test_shipped_preset_build_stays_below_residue_gate(desk_cfg, caplog):
-    aps = place_aps(desk_cfg, desk_cfg.seed)
-    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, 3,
-                     "rzf", 1000)
-    assert not any("residue" in r.message for r in caplog.records)
-
-
-@pytest.mark.parametrize("index", [0, 1])
-def test_residue_gate_follows_realization_count(desk_cfg, caplog, index):
-    # plain MR on these drops leaves a global residue of 0.015-0.019 at
-    # 200 realizations: Monte-Carlo noise, inside the gate once it scales
-    # with the standard error of the mean
-    aps = place_aps(desk_cfg, desk_cfg.seed)
-    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        build_sample(desk_cfg, aps, desk_cfg.seed, TEST_NAMESPACE, index,
-                     "mr", 200)
-    assert not any("residue" in r.message for r in caplog.records)
-
-
-def test_rzf_training_set_at_200_realizations_has_no_residue_warning(
-        desk_cfg, caplog, tmp_path):
-    # RZF at 200 realizations leaves global residues of up to 0.04 of the
-    # signal mean on these drops: Monte-Carlo noise, not a rotation
-    from cfpower.pipeline import cmd_generate
-    with caplog.at_level(logging.WARNING, logger="cfpower.se"):
-        cmd_generate(desk_cfg, 20, "sumse", "rzf", tmp_path / "train.cfds",
-                     n_real=200)
-    assert not any("residue" in r.message for r in caplog.records)
+    clean = tiled.se_parameters(batch, w, cfg)
+    turned = tiled.se_parameters(batch, rotated, cfg)
+    assert max(relative_drift(turned, clean)) <= 1e-12
 
 
 def loop_sinr_terms(params, mu):
@@ -398,7 +384,7 @@ def test_allocation_validation():
     with pytest.raises(ValueError, match="budget"):
         PowerAllocation(mu=np.array([[outside]]), p_max=1.0)
     alloc = PowerAllocation(mu=np.array([[0.5, 0.3]]), p_max=1.0)
-    assert np.allclose(alloc.rho, [[0.25, 0.09]])
+    assert np.allclose(alloc.mu ** 2, [[0.25, 0.09]])
 
 
 def test_serialization_roundtrip(tmp_path, synthetic_params):
@@ -410,7 +396,7 @@ def test_serialization_roundtrip(tmp_path, synthetic_params):
     assert again.sigma2 == params.sigma2
     assert again.prelog == params.prelog
     assert again.n_real == params.n_real
-    # residue is a diagnostic, excluded from identity and bytes
+    # identity is byte identity
     assert again == params
     assert again.to_bytes() == blob
     assert again.digest() == params.digest()
