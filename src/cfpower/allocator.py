@@ -41,17 +41,16 @@ layer_sizes, activations, scaler median/iqr or null), then all weights as
 raw float64: per layer, W row-major then b.
 """
 
-import json
 import logging
 import os
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import NetworkConfig
-from .container import check_fields, json_kind_ok, read_json_header
+from .container import (check_fields, json_kind_ok, pack_json_header,
+                        read_json_header)
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
 from .mlp import (ACTIVATIONS, MODEL_KINDS, DenseLayer, MlpModel, forward,
@@ -164,8 +163,7 @@ def stack_models(models, n_models=None) -> ModelGroup:
         n_models = len(models)
     views = []
     for model in models:
-        plan = ([model.n_inputs] + [l.W.shape[0] for l in model.layers],
-                [l.activation for l in model.layers])
+        plan = model.plan
         if not views:
             kind, (sizes, acts) = model.kind, plan
             layers = [DenseLayer(W=np.empty((n_models, n_out, n_in)),
@@ -263,23 +261,15 @@ def predict_allocation(models: ModelGroup, beta: np.ndarray,
 
 def save_model(model: MlpModel, path):
     """Write the self-describing binary container (byte-stable)."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": model.kind,
-        "unit_id": model.unit_id,
+    sizes, acts = model.plan
+    scaler = model.scaler
+    head = pack_json_header(MAGIC, FORMAT_VERSION, {
+        "kind": model.kind, "unit_id": model.unit_id,
         "member_aps": list(model.member_aps),
-        "layer_sizes": [model.layers[0].W.shape[1]]
-                       + [l.W.shape[0] for l in model.layers],
-        "activations": [l.activation for l in model.layers],
-        "scaler_median": (None if model.scaler is None
-                          else model.scaler.median.tolist()),
-        "scaler_iqr": (None if model.scaler is None
-                       else model.scaler.iqr.tolist()),
-    }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        "layer_sizes": sizes, "activations": acts,
+        "scaler_median": None if scaler is None else scaler.median.tolist(),
+        "scaler_iqr": None if scaler is None else scaler.iqr.tolist()})
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         # one array at a time, straight from its buffer when it is already
         # contiguous little-endian float64

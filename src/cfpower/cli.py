@@ -63,6 +63,11 @@ def resolve_config(name_or_path: str) -> NetworkConfig:
     return load_config(name_or_path)
 
 
+def _strategy_list(text: str):
+    """The names of a comma list, empty entries dropped."""
+    return [s for s in text.split(",") if s]
+
+
 def _add_common(p):
     p.add_argument("--config", required=True,
                    help="config file path or preset name (large, desk)")
@@ -107,7 +112,7 @@ def build_parser() -> _Parser:
     e.add_argument("--samples", type=int, default=200,
                    help="number of evaluation drops")
     e.add_argument("--precoder", choices=PRECODERS, default="rzf")
-    e.add_argument("--strategies",
+    e.add_argument("--strategies", type=_strategy_list,
                    default="wmmse-sumse,heuristic,equal",
                    help="comma list from: " + ",".join(pipeline.STRATEGIES))
     e.add_argument("--realizations", type=int,
@@ -118,7 +123,7 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="time each allocation strategy")
     _add_common(b)
-    b.add_argument("--strategies",
+    b.add_argument("--strategies", type=_strategy_list,
                    default="wmmse,ddnn,ddnn-si,cdnn,heuristic,equal,noop")
     b.add_argument("--repeats", type=int, default=pipeline.DEFAULT_REPEATS)
     b.add_argument("--realizations", type=int,
@@ -154,13 +159,12 @@ def _run(args) -> int:
         return EXIT_OK
     if args.command == "evaluate":
         cfg = resolve_config(args.config)
-        strategies = [s for s in args.strategies.split(",") if s]
-        report = pipeline.cmd_evaluate(cfg, strategies, args.samples,
+        report = pipeline.cmd_evaluate(cfg, args.strategies, args.samples,
                                        args.precoder, out_dir=args.out,
                                        seed=args.seed,
                                        n_real=args.realizations,
                                        models_dir=args.models)
-        for strat in strategies:
+        for strat in args.strategies:
             line = (f"{strat}: mean total SE "
                     f"{report.mean_total_se(strat):.3f} bit/s/Hz")
             solver = report.solver.get(strat)
@@ -174,10 +178,9 @@ def _run(args) -> int:
         return EXIT_OK
     if args.command == "bench":
         cfg = resolve_config(args.config)
-        strategies = [s for s in args.strategies.split(",") if s]
-        results = pipeline.cmd_bench(cfg, strategies, n_repeats=args.repeats,
-                                     out_path=args.out, seed=args.seed,
-                                     n_real=args.realizations,
+        results = pipeline.cmd_bench(cfg, args.strategies,
+                                     n_repeats=args.repeats, out_path=args.out,
+                                     seed=args.seed, n_real=args.realizations,
                                      models_dir=args.models,
                                      cluster_size=args.cluster_size)
         for strat, row in results.items():

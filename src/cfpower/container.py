@@ -1,7 +1,8 @@
 """Framing shared by the JSON-headed binary containers (CFDSET01, CFMLP001).
 
 Both start with an 8-byte magic, a uint32 header length and a UTF-8 JSON
-object holding at least format_version. `json_kind_ok` is the one rule for
+object holding at least format_version; `pack_json_header` writes that
+framing and `read_json_header` parses it. `json_kind_ok` is the one rule for
 which parsed JSON values count as an int, a float or another type; config
 dictionaries are checked with it too.
 """
@@ -23,6 +24,13 @@ def json_kind_ok(value, kind) -> bool:
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return isinstance(value, kind)
+
+
+def pack_json_header(magic: bytes, version: int, fields: dict) -> bytes:
+    """The bytes read_json_header parses: magic, length, sorted-key JSON."""
+    head = json.dumps({"format_version": version, **fields}, sort_keys=True,
+                      separators=(",", ":")).encode()
+    return magic + struct.pack("<I", len(head)) + head
 
 
 def read_json_header(blob: bytes, magic: bytes, version: int, what: str):

@@ -13,16 +13,14 @@ remaining records bit for bit. Readers reject a torn trailing record; only
 generation's resume path cuts one (`read_layout` measures it).
 """
 
-import json
 import os
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .config import NetworkConfig, config_from_dict
-from .container import check_fields, read_json_header
+from .container import check_fields, pack_json_header, read_json_header
 from .errors import ConfigError, DataFormatError
 
 MAGIC = b"CFDSET01"
@@ -88,22 +86,13 @@ class DatasetHeader:
     master_seed: int
 
     def to_bytes(self) -> bytes:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "config": self.config.to_dict(),
-            "objective": self.objective,
-            "precoder": self.precoder,
-            "n_samples": self.n_samples,
-            "n_real": self.n_real,
-            "master_seed": self.master_seed,
-        }
-        head = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode()
-        return MAGIC + struct.pack("<I", len(head)) + head
+        return pack_json_header(MAGIC, FORMAT_VERSION, {
+            **self.__dict__, "config": self.config.to_dict()})
 
 
-_HEADER_FIELDS = {"config": dict, "objective": str, "precoder": str,
-                  "n_samples": int, "n_real": int, "master_seed": int}
+# the header's JSON kinds, read off the fields; the config is a JSON object
+_HEADER_FIELDS = {**{f.name: f.type for f in fields(DatasetHeader)},
+                  "config": dict}
 
 
 def _parse_header(blob: bytes):
@@ -113,13 +102,8 @@ def _parse_header(blob: bytes):
         config = config_from_dict(payload["config"])
     except ConfigError as exc:
         raise DataFormatError(f"bad dataset config: {exc}") from exc
-    header = DatasetHeader(config=config,
-                           objective=payload["objective"],
-                           precoder=payload["precoder"],
-                           n_samples=payload["n_samples"],
-                           n_real=payload["n_real"],
-                           master_seed=payload["master_seed"])
-    return header, start
+    return DatasetHeader(**{**{key: payload[key] for key in _HEADER_FIELDS},
+                            "config": config}), start
 
 
 def read_layout(path):

@@ -18,25 +18,24 @@ import numpy as np
 from .se import PowerAllocation
 
 
-def _check_beta(beta):
+def _fractional(beta, v, p_max, axis):
+    """sqrt(P) * beta^v over its sum along `axis`: rho1 (axis 0) or rho2
+    (axis 1)."""
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
-    return beta
+    num = beta ** v
+    return np.sqrt(p_max) * num / num.sum(axis=axis, keepdims=True)
 
 
 def fractional_coefficients(beta, v, p_max):
     """Per-AP normalized coefficients rho1, shape (K, L)."""
-    beta = _check_beta(beta)
-    num = beta ** v
-    return np.sqrt(p_max) * num / num.sum(axis=0, keepdims=True)
+    return _fractional(beta, v, p_max, axis=0)
 
 
 def side_info_ratios(beta, v, p_max):
     """Per-UE normalized ratios rho2, shape (K, L)."""
-    beta = _check_beta(beta)
-    num = beta ** v
-    return np.sqrt(p_max) * num / num.sum(axis=1, keepdims=True)
+    return _fractional(beta, v, p_max, axis=1)
 
 
 def heuristic_allocation(beta, v, p_max) -> PowerAllocation:

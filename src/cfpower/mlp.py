@@ -68,6 +68,12 @@ class MlpModel:
     def n_inputs(self):
         return self.layers[0].W.shape[1]
 
+    @property
+    def plan(self):
+        """(sizes, activations) in `layer_plan`'s form."""
+        return ([self.n_inputs] + [l.W.shape[0] for l in self.layers],
+                [l.activation for l in self.layers])
+
     def n_parameters(self) -> int:
         return int(sum(layer.W.size + layer.b.size for layer in self.layers))
 
@@ -75,8 +81,6 @@ class MlpModel:
 def build_model(kind: str, K: int, unit_id: int = 0, member_aps=None,
                 cluster_size: int = 1, seed=0) -> MlpModel:
     """Fresh model with uniform fan-in-scaled weights and zero biases."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
     sizes, acts = layer_plan(kind, K, cluster_size)
     rng = np.random.default_rng(seed)
     layers = []
@@ -247,6 +251,8 @@ def validation_split(n: int, fraction: float, seed: int):
     return perm[n_val:], perm[:n_val]
 
 
+# train's finite checks report divergence; numpy's warnings would repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: MlpModel, X: np.ndarray, Y: np.ndarray,
           cfg: Optional[TrainConfig] = None, val=None) -> TrainResult:
     """Adam-train the model in place on pre-scaled features.

@@ -54,6 +54,19 @@ DEFAULT_REPEATS = 5
 MODEL_SUFFIX = ".cfmlp"
 
 
+def _master_seed(cfg: NetworkConfig, seed) -> int:
+    """The master seed a command runs under: `seed`, or the config's."""
+    return cfg.seed if seed is None else int(seed)
+
+
+def _write_csv(path, header, rows):
+    """One CSV file: the header row, then each row of the iterable `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def sample_seeds(master_seed: int, namespace: int, index: int):
     """Independent (drop, channel, noise) seeds for one sample."""
     ss = np.random.SeedSequence((master_seed, namespace, index))
@@ -97,13 +110,16 @@ def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                  max_degenerate_frac: float = DEFAULT_MAX_DEGENERATE_FRAC
                  ) -> DatasetFile:
     """Generate (or resume) a labeled dataset of optimizer solutions; a
-    rejected precoder or realization count leaves the file untouched."""
+    rejected sample count, precoder or realization count leaves the file
+    untouched."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoding scheme {precoder!r}")
     if n_real < MIN_N_REAL:
         raise ValueError(f"need at least {MIN_N_REAL} realizations for "
                          "stable estimates")
-    master = cfg.seed if seed is None else int(seed)
+    master = _master_seed(cfg, seed)
     solver_cfg = SolverConfig(objective=objective)
     header = DatasetHeader(config=cfg, objective=objective, precoder=precoder,
                            n_samples=n_samples, n_real=n_real,
@@ -226,7 +242,6 @@ def cmd_train(dataset_path, kind: str, out_dir,
     train_idx, val_idx = validation_split(n, train_cfg.validation_fraction,
                                           train_cfg.seed)
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for unit, members in enumerate(layout):
         seed = np.random.SeedSequence(
@@ -238,17 +253,15 @@ def cmd_train(dataset_path, kind: str, out_dir,
         Xs = apply_scaler(model.scaler, X)
         val = (Xs[val_idx], Y[val_idx]) if val_idx.size else None
         result = train(model, Xs[train_idx], Y[train_idx], train_cfg, val=val)
+        # made only now, so a run that fails on its first unit leaves none
+        os.makedirs(out_dir, exist_ok=True)
         path = _model_path(out_dir, kind, unit)
         save_model(model, path)
         paths.append(path)
-        loss_path = os.path.join(
-            out_dir, f"loss-{kind}-{unit:03d}.csv")
-        with open(loss_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_mse", "val_mse"])
-            for ep in range(train_cfg.epochs):
-                writer.writerow([ep, repr(float(result.train_loss[ep])),
-                                 repr(float(result.val_loss[ep]))])
+        _write_csv(os.path.join(out_dir, f"loss-{kind}-{unit:03d}.csv"),
+                   ["epoch", "train_mse", "val_mse"],
+                   ([ep, repr(float(t)), repr(float(v))] for ep, (t, v)
+                    in enumerate(zip(result.train_loss, result.val_loss))))
         log.info("trained %s (final val mse %.3g)", path,
                  result.val_loss[-1])
     return paths
@@ -287,40 +300,32 @@ class EvalReport:
     def write_csvs(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         per_ue = os.path.join(out_dir, "per_ue_se.csv")
-        with open(per_ue, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["drop", "strategy", "ue", "se"])
-            for strat in self.strategies:
-                se = self.se[strat]
-                for d in range(se.shape[0]):
-                    for k in range(se.shape[1]):
-                        writer.writerow([d, strat, k, repr(float(se[d, k]))])
+        _write_csv(per_ue, ["drop", "strategy", "ue", "se"],
+                   ([d, strat, k, repr(float(se))]
+                    for strat in self.strategies
+                    for d, row in enumerate(self.se[strat])
+                    for k, se in enumerate(row)))
         cdf_path = os.path.join(out_dir, "cdf.csv")
-        with open(cdf_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "se", "cdf"])
-            for strat in self.strategies:
-                values, cum = self.cdf(strat)
-                for se_val, c in zip(values, cum):
-                    writer.writerow([strat, repr(float(se_val)),
-                                     repr(float(c))])
+        _write_csv(cdf_path, ["strategy", "se", "cdf"],
+                   ([strat, repr(float(se)), repr(float(c))]
+                    for strat in self.strategies
+                    for se, c in zip(*self.cdf(strat))))
+
+        def summary_row(strat):
+            # the solver columns stay empty for strategies without one
+            solver = self.solver.get(strat, {})
+            return ([strat, repr(self.mean_total_se(strat)),
+                     repr(self.mean_min_se(strat)),
+                     repr(self.percentile_se(strat, 10.0)),
+                     repr(float(self.alloc_seconds[strat]))]
+                    + [repr(solver[c]) if c in solver else ""
+                       for c in _SOLVER_COLUMNS])
+
         summary = os.path.join(out_dir, "summary.csv")
-        with open(summary, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "mean_total_se", "mean_min_se",
+        _write_csv(summary, ["strategy", "mean_total_se", "mean_min_se",
                              "p10_se", "mean_alloc_seconds"]
-                            + list(_SOLVER_COLUMNS))
-            for strat in self.strategies:
-                # the solver columns stay empty for strategies without one
-                solver = self.solver.get(strat, {})
-                writer.writerow([
-                    strat,
-                    repr(self.mean_total_se(strat)),
-                    repr(self.mean_min_se(strat)),
-                    repr(self.percentile_se(strat, 10.0)),
-                    repr(float(self.alloc_seconds[strat])),
-                ] + [repr(solver[c]) if c in solver else ""
-                     for c in _SOLVER_COLUMNS])
+                   + list(_SOLVER_COLUMNS),
+                   map(summary_row, self.strategies))
         return [per_ue, cdf_path, summary]
 
 
@@ -359,7 +364,7 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
     """Evaluate strategies on identical held-out drops and SE parameters."""
     if n_drops < 1:
         raise ValueError("need at least one evaluation drop")
-    master = cfg.seed if seed is None else int(seed)
+    master = _master_seed(cfg, seed)
     strategies = _distinct(strategies)
     models = {}
     for strat in strategies:
@@ -433,13 +438,12 @@ def cmd_inspect(path) -> dict:
                 "solver": _solver_summary(list(ds))}
     if magic == MODEL_MAGIC:
         model = load_model(path)
+        sizes, acts = model.plan
         return {"type": "model", "kind": model.kind,
                 "unit_id": model.unit_id,
                 "member_aps": list(model.member_aps),
                 "n_parameters": model.n_parameters(),
-                "layer_sizes": [model.n_inputs]
-                               + [l.W.shape[0] for l in model.layers],
-                "activations": [l.activation for l in model.layers],
+                "layer_sizes": sizes, "activations": acts,
                 "has_scaler": model.scaler is not None}
     if magic == SE_MAGIC:
         params = SEParameters.load(path)
@@ -480,7 +484,7 @@ def cmd_bench(cfg: NetworkConfig, strategies,
     """
     if n_repeats < 1:
         raise ValueError("need at least one timed repeat")
-    master = cfg.seed if seed is None else int(seed)
+    master = _master_seed(cfg, seed)
     strategies = _distinct(strategies)
     models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)
               for s in strategies if s in MODEL_KINDS}
@@ -513,11 +517,8 @@ def cmd_bench(cfg: NetworkConfig, strategies,
                 (time.perf_counter() - t0) / n_repeats
         results[strat] = row
     if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy"]
-                            + [f"{o}-{p}" for o, p in columns])
-            for strat in strategies:
-                writer.writerow([strat] + [repr(results[strat][f"{o}-{p}"])
-                                           for o, p in columns])
+        names = [f"{o}-{p}" for o, p in columns]
+        _write_csv(out_path, ["strategy"] + names,
+                   ([strat] + [repr(results[strat][n]) for n in names]
+                    for strat in strategies))
     return results

@@ -12,6 +12,9 @@ quadratic subproblem in the square-root powers mu (K x L):
                          s.t. sum_k mu_kl^2 <= P for every AP l
   with                   C_i = sum_k omega_k v_k^2 B_ki,  q_i = omega_i v_i a_i
 
+The table `_OBJECTIVES` holds each objective's weight omega(e) and utility
+of the rates r_k = log2(1 + SINR_k): sum_k r_k (sum-SE), sum_k ln r_k (PF).
+
 The subproblem equals the weighted-MSE objective up to an additive constant,
 so exact subproblem solutions make the utility nondecreasing. The loop
 starts from equal power, mu_kl = sqrt(P / K). Iteration stops when the
@@ -26,7 +29,7 @@ _RELAX:
 
   x-update   X = (C_i + rho I)^-1 (q_i + rho (Z - U)_i)
   relax      Xh = alpha X + (1 - alpha) Z
-  z-update   Z' = projection of Xh + U onto the per-AP balls
+  z-update   Z' = project_per_ap(Xh + U), onto the per-AP balls
   u-update   U' = Xh + U - Z'
 
 ADMM starts cold at rho = _RHO. The primal residual stays X - Z'.
@@ -64,7 +67,12 @@ from .se import PowerAllocation, SEParameters, effective_sinr, sinr_terms
 
 log = logging.getLogger(__name__)
 
-OBJECTIVES = ("sumse", "pf")
+# objective -> (weight omega of the clamped MSE e, utility of the rates)
+_OBJECTIVES = {
+    "sumse": (lambda e: 1.0 / e, np.sum),
+    "pf": (lambda e: -1.0 / (e * np.log(e)), lambda r: np.sum(np.log(r))),
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 
 E_CLAMP = 1e-12
 
@@ -85,13 +93,20 @@ _EPS_OUTER = 1e-4
 _MAX_OUTER = 500
 
 
+def _objective(name: str):
+    """The (weight, utility) pair of an objective; ValueError if unknown."""
+    try:
+        return _OBJECTIVES[name]
+    except KeyError:
+        raise ValueError(f"unknown objective {name!r}") from None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     objective: str = "sumse"
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+        _objective(self.objective)
 
 
 class AuxiliaryUpdate(NamedTuple):
@@ -109,16 +124,14 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
     count is reported so the caller can track degenerate UEs. `terms` is
     sinr_terms(params, mu) when the caller already has it.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
+    weight, _ = _objective(objective)
     sig, interf = sinr_terms(params, mu) if terms is None else terms
     den = interf + params.sigma2
     v = sig / den
     e_raw = 1.0 - sig ** 2 / den
     e = np.clip(e_raw, E_CLAMP, 1.0 - E_CLAMP)
     clamped = int(np.sum(e != e_raw))
-    omega = 1.0 / e if objective == "sumse" else -1.0 / (e * np.log(e))
-    return AuxiliaryUpdate(v=v, e=e, omega=omega, clamped=clamped)
+    return AuxiliaryUpdate(v=v, e=e, omega=weight(e), clamped=clamped)
 
 
 def _plus_diagonal(C, shift):
@@ -148,9 +161,8 @@ def _subproblem(params, omega, v):
 
 def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
     """Project each AP column onto the ball of radius sqrt(p_max)."""
-    norms = np.sqrt((X * X).sum(axis=0))
-    scale = np.minimum(1.0, np.sqrt(p_max) / np.maximum(norms, 1e-300))
-    return X * scale[None, :]
+    norms = np.sqrt(np.add.reduce(X * X, axis=0))
+    return X * np.minimum(1.0, math.sqrt(p_max) / np.maximum(norms, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -195,9 +207,7 @@ def _admm(q, C, p_max, x0, state):
         X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
         # over-relaxed z- and u-updates run on alpha X + (1 - alpha) Z
         Xu = _RELAX * X + (1.0 - _RELAX) * Z + U
-        # projection of each AP column onto the ball of radius sqrt(p_max)
-        norms = np.sqrt(np.add.reduce(Xu * Xu, axis=0))
-        Z_new = Xu * np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+        Z_new = project_per_ap(Xu, p_max)
         r_norm = _norm(X - Z_new)
         U = Xu - Z_new
         balance = it % 10 == 0
@@ -245,14 +255,10 @@ def utility(params: SEParameters, mu: np.ndarray, objective: str,
     by a constant and does not move the optimizer. `terms` is
     sinr_terms(params, mu) when the caller already has it.
     """
+    _, of_rates = _objective(objective)
     sinr = effective_sinr(params, mu, terms)
     with np.errstate(divide="ignore"):
-        rates = np.log2(1.0 + sinr)
-        if objective == "sumse":
-            return float(np.sum(rates))
-        if objective == "pf":
-            return float(np.sum(np.log(rates)))
-    raise ValueError(f"unknown objective {objective!r}")
+        return float(of_rates(np.log2(1.0 + sinr)))
 
 
 @dataclass(frozen=True)

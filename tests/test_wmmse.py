@@ -92,10 +92,14 @@ def test_auxiliary_clamps_and_reports():
     assert np.isfinite(aux.omega[0])
 
 
-def test_auxiliary_rejects_unknown_objective(synthetic_params):
+def test_unknown_objective_is_rejected_everywhere(synthetic_params):
     params = synthetic_params(K=2, L=2, seed=2)
-    with pytest.raises(ValueError):
-        update_auxiliaries(params, np.zeros((2, 2)), "maxmin")
+    mu = np.full((2, 2), 0.5)
+    for call in (lambda: SolverConfig(objective="maxmin"),
+                 lambda: update_auxiliaries(params, mu, "maxmin"),
+                 lambda: utility(params, mu, "maxmin")):
+        with pytest.raises(ValueError, match="unknown objective 'maxmin'"):
+            call()
 
 
 def test_subproblem_matrices_match_loops(synthetic_params,
@@ -168,6 +172,8 @@ def test_project_per_ap():
     assert np.allclose(P[:, 0], [0.6, 0.8])
     assert np.allclose(P[:, 1], X[:, 1])
     assert np.allclose(project_per_ap(P, 1.0), P)
+    # a budget other than 1 tells the radius sqrt(p_max) from p_max
+    assert np.allclose(project_per_ap(X, p_max=4.0)[:, 0], [1.2, 1.6])
 
 
 def diagonal_params(d, a_row):
@@ -402,11 +408,6 @@ def test_beta_keyword_leaves_the_solve_unchanged(desk_sample, desk_cfg,
             == [getattr(plain, c) for c in counters])
     start = equal_power(desk_cfg.K, desk_cfg.L, P).mu
     assert plain.trace[0] == utility(sample.params, start, objective)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(objective="maxmin")
 
 
 def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
