@@ -92,11 +92,10 @@ def test_auxiliary_clamps_and_reports():
     assert np.isfinite(aux.omega[0])
 
 
-def test_unknown_objective_is_rejected_everywhere(synthetic_params):
+def test_auxiliary_rejects_unknown_objective(synthetic_params):
     params = synthetic_params(K=2, L=2, seed=2)
     mu = np.full((2, 2), 0.5)
-    for call in (lambda: SolverConfig(objective="maxmin"),
-                 lambda: update_auxiliaries(params, mu, "maxmin"),
+    for call in (lambda: update_auxiliaries(params, mu, "maxmin"),
                  lambda: utility(params, mu, "maxmin")):
         with pytest.raises(ValueError, match="unknown objective 'maxmin'"):
             call()
@@ -408,6 +407,11 @@ def test_beta_keyword_leaves_the_solve_unchanged(desk_sample, desk_cfg,
             == [getattr(plain, c) for c in counters])
     start = equal_power(desk_cfg.K, desk_cfg.L, P).mu
     assert plain.trace[0] == utility(sample.params, start, objective)
+
+
+def test_solver_config_validation():
+    with pytest.raises(ValueError, match="unknown objective 'maxmin'"):
+        SolverConfig(objective="maxmin")
 
 
 def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
