@@ -171,7 +171,9 @@ def _run(args) -> int:
             if solver is not None:
                 line += (f", {solver['converged']}/{args.samples} converged,"
                          f" outer steps p50 {solver['n_outer_p50']:g} p90 "
-                         f"{solver['n_outer_p90']:g}, "
+                         f"{solver['n_outer_p90']:g}, ADMM iterations per "
+                         "subproblem p50 "
+                         f"{solver['admm_iters_per_subproblem_p50']:.1f}, "
                          f"{solver['subproblem_exhausted']} subproblems "
                          "exhausted")
             print(line)
@@ -215,7 +217,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, FileNotFoundError,
+            FileExistsError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CfPowerError as exc:

@@ -212,6 +212,17 @@ def _group_for(models_dir, kind: str, cfg: NetworkConfig):
     return group
 
 
+def _check_can_make_dir(path):
+    """Raises FileExistsError if `path` is a file and NotADirectoryError if
+    a parent of it is, before any work that would end in os.makedirs."""
+    target = existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        error = FileExistsError if existing == target else NotADirectoryError
+        raise error(f"{existing} exists and is not a directory")
+
+
 def cmd_train(dataset_path, kind: str, out_dir,
               train_cfg: Optional[TrainConfig] = None,
               cluster_size: int = DEFAULT_CLUSTER_SIZE):
@@ -224,6 +235,7 @@ def cmd_train(dataset_path, kind: str, out_dir,
     """
     if train_cfg is None:
         train_cfg = TrainConfig()
+    _check_can_make_dir(out_dir)
     ds = DatasetFile.open(dataset_path)
     if len(ds) == 0:
         raise DataFormatError(f"{dataset_path}: dataset holds no samples")
@@ -409,19 +421,24 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
 def _solver_summary(records):
     """WMMSE diagnostics of dataset records or of `WmmseResult`s,
     summarised. A record flags a drop with any exhausted subproblem, where
-    a result counts the subproblems."""
+    a result counts the subproblems. Only results give ADMM iterations per
+    subproblem: a record does not store them."""
     if not records:
         return None
     n_outer = np.array([r.n_outer for r in records])
-    return {"converged": sum(bool(r.converged) for r in records),
-            "converged_frac": float(np.mean([r.converged for r in records])),
-            "n_outer_p50": float(np.percentile(n_outer, 50)),
-            "n_outer_p90": float(np.percentile(n_outer, 90)),
-            "n_outer_max": int(n_outer.max()),
-            "subproblem_exhausted": sum(r.subproblem_exhausted
-                                        for r in records),
-            "clamp_events": sum(r.clamp_events for r in records),
-            "sign_flips": sum(r.sign_flips for r in records)}
+    summary = {
+        "converged": sum(bool(r.converged) for r in records),
+        "converged_frac": float(np.mean([r.converged for r in records])),
+        "n_outer_p50": float(np.percentile(n_outer, 50)),
+        "n_outer_p90": float(np.percentile(n_outer, 90)),
+        "n_outer_max": int(n_outer.max()),
+        "subproblem_exhausted": sum(r.subproblem_exhausted for r in records),
+        "clamp_events": sum(r.clamp_events for r in records),
+        "sign_flips": sum(r.sign_flips for r in records)}
+    if isinstance(records[0], WmmseResult):
+        summary["admm_iters_per_subproblem_p50"] = float(np.percentile(
+            [r.admm_iters / r.n_outer for r in records], 50))
+    return summary
 
 
 def cmd_inspect(path) -> dict:

@@ -243,8 +243,9 @@ def _sinr(params: SEParameters, mu: np.ndarray, terms=None) -> tuple:
     """Hardening-bound SINR per UE and its denominator; `terms` is
     sinr_terms(params, mu) when the caller already has it."""
     sig, interf = sinr_terms(params, mu) if terms is None else terms
-    den = interf - sig ** 2 + params.sigma2
-    return sig ** 2 / den, den
+    sig2 = sig * sig
+    den = interf - sig2 + params.sigma2
+    return sig2 / den, den
 
 
 def effective_sinr(params: SEParameters, mu: np.ndarray,

@@ -32,11 +32,20 @@ _RELAX:
   z-update   Z' = project_per_ap(Xh + U), onto the per-AP balls
   u-update   U' = Xh + U - Z'
 
-ADMM starts cold at rho = _RHO. The primal residual stays X - Z'.
-Iteration stops when both residuals pass the absolute-plus-relative
-thresholds at _EPS_INNER, or after _MAX_ADMM_ITERS iterations; the norms
-behind them are taken only when the primal residual has passed a cheap
-upper bound on its threshold.
+The first subproblem starts ADMM cold at rho = _RHO, the second from the
+first one's end state (Z, U, rho). Every later one starts from a linear
+prediction of the last two end states (warm starts as in Boyd et al.,
+2011, extrapolated):
+
+  Z0 = project_per_ap(2 Z_t - Z_t-1),   U0 = 2 U_t - U_t-1 rho_t-1 / rho_t,
+  rho0 = rho_t
+
+so the unscaled dual rho U moves on a line even when residual balancing
+has moved rho. Only the start changes: each subproblem is still solved to
+_EPS_INNER. The primal residual stays X - Z'. Iteration stops when both
+residuals pass the absolute-plus-relative thresholds at _EPS_INNER, or
+after _MAX_ADMM_ITERS iterations; the norms behind them are taken only
+when the primal residual has passed a cheap upper bound on its threshold.
 Negative entries of a solution are flipped to their positive counterparts
 afterwards (the balls are sign-symmetric, so feasibility is preserved). The
 test-suite checks ADMM against a long-run projected-gradient oracle of its
@@ -46,12 +55,12 @@ on every iteration. Normalized objective comparisons there use
 
 Each outer step forms the C_i once and checks them for corrupt (indefinite)
 inputs with one batched Cholesky factorization of C_i shifted by a small
-multiple of their largest diagonal entry. ADMM builds its x-update operator
-(C_i + rho I)^-1 as one batched inverse and rebuilds it only when residual
-balancing moves rho; no eigendecomposition is taken, and the test suite's
-oracles work on the same C. SINR terms come from se.sinr_terms, once per
-mu: the utility that ends an outer step and the auxiliary update that
-starts the next share them.
+multiple of their largest diagonal entry. ADMM builds its x-update operators
+(C_i + rho I)^-1 q_i and rho (C_i + rho I)^-1 from one batched inverse and
+rebuilds them only when residual balancing moves rho; no eigendecomposition
+is taken, and the test suite's oracles work on the same C. SINR terms come
+from se.sinr_terms, once per mu: the utility that ends an outer step and
+the auxiliary update that starts the next share them.
 """
 
 import logging
@@ -69,8 +78,9 @@ log = logging.getLogger(__name__)
 
 # objective -> (weight omega of the clamped MSE e, utility of the rates)
 _OBJECTIVES = {
-    "sumse": (lambda e: 1.0 / e, np.sum),
-    "pf": (lambda e: -1.0 / (e * np.log(e)), lambda r: np.sum(np.log(r))),
+    "sumse": (lambda e: 1.0 / e, np.add.reduce),
+    "pf": (lambda e: -1.0 / (e * np.log(e)),
+           lambda r: np.add.reduce(np.log(r))),
 }
 OBJECTIVES = tuple(_OBJECTIVES)
 
@@ -126,11 +136,11 @@ def update_auxiliaries(params: SEParameters, mu: np.ndarray,
     """
     weight, _ = _objective(objective)
     sig, interf = sinr_terms(params, mu) if terms is None else terms
-    den = interf + params.sigma2
-    v = sig / den
-    e_raw = 1.0 - sig ** 2 / den
-    e = np.clip(e_raw, E_CLAMP, 1.0 - E_CLAMP)
-    clamped = int(np.sum(e != e_raw))
+    v = sig / (interf + params.sigma2)
+    # e = 1 - sig^2 / den = 1 - v sig
+    e_raw = 1.0 - v * sig
+    e = np.minimum(np.maximum(e_raw, E_CLAMP), 1.0 - E_CLAMP)
+    clamped = int(np.count_nonzero(e != e_raw))
     return AuxiliaryUpdate(v=v, e=e, omega=weight(e), clamped=clamped)
 
 
@@ -145,7 +155,8 @@ def _subproblem(params, omega, v):
     """q and the symmetrized C, checked to be PSD up to the floor."""
     # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
     K, L = params.a.shape
-    C = ((omega * v ** 2) @ params.B.reshape(K, -1)).reshape(K, L, L)
+    w = omega * v
+    C = ((w * v) @ params.B.reshape(K, -1)).reshape(K, L, L)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
     # C + |floor| * scale * I is positive definite iff no eigenvalue of C
     # lies below floor * scale
@@ -155,14 +166,17 @@ def _subproblem(params, omega, v):
     except np.linalg.LinAlgError:
         raise NumericalError(
             "subproblem matrix is indefinite beyond tolerance") from None
-    q = (omega * v)[:, None] * params.a
+    q = w[:, None] * params.a
     return q, C
 
 
 def project_per_ap(X: np.ndarray, p_max: float) -> np.ndarray:
-    """Project each AP column onto the ball of radius sqrt(p_max)."""
+    """Project each AP column onto the ball of radius sqrt(p_max) > 0."""
+    # radius / max(norm, radius) is 1 inside the ball, radius / norm outside;
+    # reduced over axis 0, X may carry trailing unit axes
+    radius = math.sqrt(p_max)
     norms = np.sqrt(np.add.reduce(X * X, axis=0))
-    return X * np.minimum(1.0, math.sqrt(p_max) / np.maximum(norms, 1e-300))
+    return X * (radius / np.maximum(norms, radius))
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,9 @@ def _norm(x):
 def _admm(q, C, p_max, x0, state):
     """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None.
 
+    The iterates run as (K, L, 1) stacks of columns, the layout of the
+    batched x-update: X = (C + rho I)^-1 q + rho (C + rho I)^-1 (Z - U),
+    whose two operators are formed once per penalty.
     The stopping norms are taken lazily. While the primal residual r
     exceeds an upper bound on eps_pri, the primal test fails without
     them: after projection ||Z|| <= sqrt(L) * radius, and ||X|| <= ||Z|| + r.
@@ -191,6 +208,7 @@ def _admm(q, C, p_max, x0, state):
     if state is None:
         state = (project_per_ap(x0, p_max), np.zeros_like(x0), _RHO)
     Z, U, rho = state
+    Z, U = Z[:, :, None], U[:, :, None]
     eps = _EPS_INNER
     sqrt_n = np.sqrt(q.size)
     radius = np.sqrt(p_max)
@@ -201,10 +219,12 @@ def _admm(q, C, p_max, x0, state):
     inv_rho = None
     for it in range(1, _MAX_ADMM_ITERS + 1):
         if rho != inv_rho:
-            # x-update operator (C + rho I)^-1, one batched inverse
+            # x-update operators from one batched inverse of C + rho I
             inv = np.linalg.inv(_plus_diagonal(C, rho))
+            inv_q = inv @ q[:, :, None]
+            rho_inv = rho * inv
             inv_rho = rho
-        X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
+        X = inv_q + rho_inv @ (Z - U)
         # over-relaxed z- and u-updates run on alpha X + (1 - alpha) Z
         Xu = _RELAX * X + (1.0 - _RELAX) * Z + U
         Z_new = project_per_ap(Xu, p_max)
@@ -225,7 +245,24 @@ def _admm(q, C, p_max, x0, state):
             factor = 2.0 if r_norm > s_norm else 0.5
             rho *= factor
             U /= factor
+    Z, U = Z[:, :, 0], U[:, :, 0]
     return Z, it, converged, (Z, U, rho)
+
+
+def _predicted_start(state, previous, p_max):
+    """ADMM's next start, extrapolated from its last two end states.
+
+    Z0 = project_per_ap(2 Z_t - Z_t-1) and U0 = 2 U_t - U_t-1 rho_t-1 / rho_t:
+    the scaled dual U is rescaled so that the unscaled dual rho U moves
+    linearly when rho has changed. With no state before the last, the last
+    state is passed on as it is.
+    """
+    if previous is None:
+        return state
+    Z, U, rho = state
+    Z1, U1, rho1 = previous
+    return (project_per_ap(2.0 * Z - Z1, p_max),
+            2.0 * U - (rho1 / rho) * U1, rho)
 
 
 def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
@@ -244,7 +281,8 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
         mu0 = np.zeros_like(q)
     x, n_iters, converged, state = _admm(q, C, p_max, mu0, state)
     return SubproblemResult(mu_raw=x, n_iters=n_iters, converged=converged,
-                            n_flipped=int(np.sum(x < 0.0)), state=state)
+                            n_flipped=int(np.count_nonzero(x < 0.0)),
+                            state=state)
 
 
 def utility(params: SEParameters, mu: np.ndarray, objective: str,
@@ -253,12 +291,12 @@ def utility(params: SEParameters, mu: np.ndarray, objective: str,
 
     Expressed without the prelog factor, which shifts or scales the utility
     by a constant and does not move the optimizer. `terms` is
-    sinr_terms(params, mu) when the caller already has it.
+    sinr_terms(params, mu) when the caller already has it. Under PF a zero
+    rate gives -inf with numpy's divide warning, which `wmmse_solve`
+    silences once per solve.
     """
     _, of_rates = _objective(objective)
-    sinr = effective_sinr(params, mu, terms)
-    with np.errstate(divide="ignore"):
-        return float(of_rates(np.log2(1.0 + sinr)))
+    return float(of_rates(np.log2(1.0 + effective_sinr(params, mu, terms))))
 
 
 @dataclass(frozen=True)
@@ -306,34 +344,38 @@ def wmmse_solve(params: SEParameters, p_max: float,
         raise ValueError("PF requires a strictly positive SINR per UE at init")
 
     def max_violation(m):
-        per_ap = np.sum(m ** 2, axis=0)
+        per_ap = np.add.reduce(m * m, axis=0)
         return float(max(0.0, (per_ap.max() - p_max) / p_max))
 
-    trace = [utility(params, mu, cfg.objective, terms)]
-    violations = [max_violation(mu)]
     clamp_events = exhausted = admm_iters = sign_flips = 0
     converged = False
     n_outer = 0
-    state = None
-    for n_outer in range(1, _MAX_OUTER + 1):
-        aux = update_auxiliaries(params, mu, cfg.objective, terms)
-        clamp_events += aux.clamped
-        result = solve_subproblem(params, aux.omega, aux.v, p_max, mu0=mu,
-                                  state=state)
-        state = result.state
-        exhausted += int(not result.converged)
-        admm_iters += result.n_iters
-        sign_flips += result.n_flipped
-        mu = result.mu_raw
-        terms = sinr_terms(params, mu)
-        trace.append(utility(params, mu, cfg.objective, terms))
-        violations.append(max_violation(mu))
-        if (trace[-1] - trace[-2]) ** 2 < _EPS_OUTER:
-            converged = True
-            break
+    # ADMM's end states of the last two subproblems
+    state = previous = None
+    # a zero rate is a utility of -inf under PF, not a warning
+    with np.errstate(divide="ignore"):
+        trace = [utility(params, mu, cfg.objective, terms)]
+        violations = [max_violation(mu)]
+        for n_outer in range(1, _MAX_OUTER + 1):
+            aux = update_auxiliaries(params, mu, cfg.objective, terms)
+            clamp_events += aux.clamped
+            result = solve_subproblem(
+                params, aux.omega, aux.v, p_max, mu0=mu,
+                state=_predicted_start(state, previous, p_max))
+            previous, state = state, result.state
+            exhausted += int(not result.converged)
+            admm_iters += result.n_iters
+            sign_flips += result.n_flipped
+            mu = result.mu_raw
+            terms = sinr_terms(params, mu)
+            trace.append(utility(params, mu, cfg.objective, terms))
+            violations.append(max_violation(mu))
+            if (trace[-1] - trace[-2]) ** 2 < _EPS_OUTER:
+                converged = True
+                break
     if not converged:
         log.warning("outer loop exhausted %d iterations", _MAX_OUTER)
-    final_flips = int(np.sum(mu < 0.0))
+    final_flips = int(np.count_nonzero(mu < 0.0))
     alloc = PowerAllocation(mu=np.abs(mu), p_max=p_max)
     return WmmseResult(alloc=alloc, trace=np.asarray(trace),
                        violations=np.asarray(violations),

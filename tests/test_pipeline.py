@@ -535,6 +535,8 @@ def test_evaluate_reports_solver_convergence(tmp_path, desk_cfg):
         assert info["n_outer_p90"] == float(np.percentile(n_outer, 90))
         assert info["subproblem_exhausted"] == \
             sum(r.subproblem_exhausted for r in runs)
+        assert info["admm_iters_per_subproblem_p50"] == float(np.percentile(
+            [r.admm_iters / r.n_outer for r in runs], 50))
         assert np.array_equal(report.se[strat], np.stack(
             [compute_se(s.params, r.alloc) for s, r in zip(samples, runs)]))
     with open(tmp_path / "summary.csv", newline="") as fh:
@@ -824,6 +826,24 @@ def test_cli_training_divergence_is_an_error_exit(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/models"])
+def test_cli_train_into_a_file_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                               desk_cfg, out):
+    dataset = tmp_path / "d.cfds"
+    gen(desk_cfg, dataset, n=10)
+    (tmp_path / "file").write_bytes(b"kept")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a unit was trained for a rejected --out")
+    monkeypatch.setattr(pipeline, "train", no_training)
+    code = main(["train", "--dataset", str(dataset), "--kind", "ddnn",
+                 "--epochs", "2", "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "not a directory" in err
+    assert (tmp_path / "file").read_bytes() == b"kept"
+
+
 def test_cli_degeneracy_exit_code(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverDegeneracyError("9 of 10 optimizer runs failed")
@@ -896,6 +916,7 @@ def test_cli_full_walkthrough(tmp_path, capsys):
     assert "heuristic: mean total SE" in out
     # the solver's line carries its convergence summary, the others none
     assert "2/2 converged, outer steps p50" in out
+    assert "ADMM iterations per subproblem p50" in out
     assert out.count("converged") == 1
     assert os.path.exists(report / "summary.csv")
 

@@ -14,6 +14,8 @@ import pytest
 
 from cfpower import se, wmmse
 from cfpower.heuristics import equal_power
+from cfpower.network import place_aps
+from cfpower.pipeline import TEST_NAMESPACE, build_sample
 from cfpower.se import PowerAllocation, SEParameters, effective_sinr
 from cfpower.wmmse import (E_CLAMP, AuxiliaryUpdate, SolverConfig,
                            SubproblemResult, project_per_ap,
@@ -429,10 +431,77 @@ def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
     assert result.admm_iters == sum(calls) > result.n_outer
 
 
-# (n_outer, admm_iters) of desk drop 0 with every subproblem warm-started
-# from the previous one; starting ADMM cold gives other counts
-WARM_START_COUNTS = {("mr", "sumse"): (13, 226), ("mr", "pf"): (11, 131),
-                     ("rzf", "sumse"): (5, 111), ("rzf", "pf"): (9, 138)}
+def test_predicted_start_extrapolates_within_budget():
+    rng = np.random.default_rng(64)
+    p_max = 0.5
+    Z1, Z2 = (project_per_ap(0.25 * rng.standard_normal((5, 3)), p_max)
+              for _ in range(2))
+    U1, U2 = rng.standard_normal((2, 5, 3))
+    # residual balancing moved rho between the two solves
+    rho1, rho2 = 0.5, 2.0
+    Z0, U0, rho0 = wmmse._predicted_start((Z2, U2, rho2), (Z1, U1, rho1),
+                                          p_max)
+    assert rho0 == rho2
+    line = 2.0 * Z2 - Z1
+    outside = np.sum(line ** 2, axis=0) > p_max
+    assert outside.any() and not outside.all()
+    assert np.all(np.sum(Z0 ** 2, axis=0) <= p_max * (1.0 + 1e-12))
+    assert np.array_equal(Z0[:, ~outside], line[:, ~outside])
+    # the unscaled dual rho U moves on the line through its last two values
+    assert np.allclose(rho0 * U0, 2.0 * rho2 * U2 - rho1 * U1,
+                       rtol=1e-12, atol=1e-12)
+    # with no state before the last, the last is passed on as it is
+    last = (Z2, U2, rho2)
+    assert wmmse._predicted_start(last, None, p_max) is last
+    assert wmmse._predicted_start(None, None, p_max) is None
+
+
+def solves_with_and_without_prediction(monkeypatch, params, p_max, cfg):
+    """(predicted, plain): wmmse_solve with its predicted ADMM starts, and
+    with each subproblem started from the previous one's end state."""
+    predicted = wmmse_solve(params, p_max, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(wmmse, "_predicted_start",
+                      lambda state, previous, p_max: state)
+        plain = wmmse_solve(params, p_max, cfg)
+    return predicted, plain
+
+
+def assert_same_endpoint(predicted, plain):
+    assert predicted.converged == plain.converged
+    assert predicted.subproblem_exhausted == plain.subproblem_exhausted == 0
+    # normalized: a PF utility can sit near zero
+    assert norm_close(predicted.utility, plain.utility, 1e-5)
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+@pytest.mark.parametrize("precoder", ["mr", "rzf"])
+def test_predicted_starts_keep_the_desk_endpoint(desk_sample, desk_cfg,
+                                                 monkeypatch, precoder,
+                                                 objective):
+    for index in (0, 1):
+        assert_same_endpoint(*solves_with_and_without_prediction(
+            monkeypatch, desk_sample(precoder, index).params,
+            desk_cfg.p_max_dl, SolverConfig(objective=objective)))
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+def test_predicted_starts_save_admm_iterations_at_large(large_cfg,
+                                                        monkeypatch,
+                                                        objective):
+    sample = build_sample(large_cfg, place_aps(large_cfg, large_cfg.seed),
+                          large_cfg.seed, TEST_NAMESPACE, 0, "mr", 100)
+    predicted, plain = solves_with_and_without_prediction(
+        monkeypatch, sample.params, large_cfg.p_max_dl,
+        SolverConfig(objective=objective))
+    assert_same_endpoint(predicted, plain)
+    assert predicted.admm_iters < plain.admm_iters
+
+
+# (n_outer, admm_iters) of desk drop 0 with every subproblem started from
+# the prediction of the two before; other starts give other counts
+WARM_START_COUNTS = {("mr", "sumse"): (13, 212), ("mr", "pf"): (11, 121),
+                     ("rzf", "sumse"): (5, 112), ("rzf", "pf"): (9, 124)}
 
 
 @pytest.mark.parametrize("objective", ["sumse", "pf"])
@@ -447,11 +516,19 @@ def test_outer_loop_passes_admm_state_on(desk_sample, desk_cfg, monkeypatch,
         return result
 
     monkeypatch.setattr(wmmse, "solve_subproblem", recording)
-    result = wmmse_solve(desk_sample(precoder).params, desk_cfg.p_max_dl,
+    p_max = desk_cfg.p_max_dl
+    result = wmmse_solve(desk_sample(precoder).params, p_max,
                          SolverConfig(objective=objective))
+    assert len(calls) > 2
     assert calls[0][0] is None
-    for (_, previous), (state, _) in zip(calls, calls[1:]):
-        assert state is previous.state
+    assert calls[1][0] is calls[0][1].state
+    for (_, before), (_, last), (state, _) in zip(calls, calls[1:],
+                                                   calls[2:]):
+        (Z1, U1, rho1), (Z2, U2, rho2) = before.state, last.state
+        Z0, U0, rho0 = state
+        assert np.array_equal(Z0, project_per_ap(2.0 * Z2 - Z1, p_max))
+        assert np.array_equal(U0, 2.0 * U2 - (rho1 / rho2) * U1)
+        assert rho0 == rho2
     assert (result.n_outer, result.admm_iters) \
         == WARM_START_COUNTS[precoder, objective]
 
@@ -520,6 +597,7 @@ def eager_admm(q, C, p_max, x0, state):
     if state is None:
         state = (project_per_ap(x0, p_max), np.zeros_like(x0), wmmse._RHO)
     Z, U, rho = state
+    Z, U = Z[:, :, None], U[:, :, None]
     eps = wmmse._EPS_INNER
     sqrt_n = np.sqrt(q.size)
     eye = np.eye(C.shape[-1])
@@ -528,8 +606,10 @@ def eager_admm(q, C, p_max, x0, state):
     for it in range(1, wmmse._MAX_ADMM_ITERS + 1):
         if rho != inv_rho:
             inv = np.linalg.inv(C + rho * eye)
+            inv_q = inv @ q[:, :, None]
+            rho_inv = rho * inv
             inv_rho = rho
-        X = np.matmul(inv, (q + rho * (Z - U))[:, :, None])[:, :, 0]
+        X = inv_q + rho_inv @ (Z - U)
         Xu = wmmse._RELAX * X + (1.0 - wmmse._RELAX) * Z + U
         Z_new = project_per_ap(Xu, p_max)
         r_norm = float(np.linalg.norm(X - Z_new))
@@ -546,6 +626,7 @@ def eager_admm(q, C, p_max, x0, state):
             factor = 2.0 if r_norm > s_norm else 0.5
             rho *= factor
             U /= factor
+    Z, U = Z[:, :, 0], U[:, :, 0]
     return Z, it, converged, (Z, U, rho)
 
 
@@ -587,7 +668,9 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
 
 # Reference implementation of the outer step as first written: the SINR
 # terms as 3-operand einsums, C decomposed once for its PSD clip and again
-# inside ADMM, whose x-update runs through two einsums per iteration.
+# inside ADMM, whose x-update runs through two einsums per iteration. Its
+# ADMM states take and give the package's (Z, U, rho) order, so the outer
+# loop starts each reference subproblem from its own prediction.
 
 def ref_sinr_terms(params, mu):
     sig = np.einsum("kl,kl->k", params.a, mu)
@@ -642,7 +725,7 @@ def ref_admm(C, q, p_max, x0, state):
         Z = ref_project_per_ap(x0, p_max)
         U = np.zeros_like(Z)
     else:
-        rho, Z, U = state[0], state[1].copy(), state[2].copy()
+        Z, U, rho = state[0].copy(), state[1].copy(), state[2]
     eps = wmmse._EPS_INNER
     sqrt_n = np.sqrt(K * L)
     converged = False
@@ -670,7 +753,7 @@ def ref_admm(C, q, p_max, x0, state):
             elif s_norm > 10.0 * r_norm:
                 rho *= 0.5
                 U *= 2.0
-    return Z, it, converged, (rho, Z, U)
+    return Z, it, converged, (Z, U, rho)
 
 
 def ref_solve_subproblem(params, omega, v, p_max, mu0, state):
