@@ -259,16 +259,22 @@ def predict_allocation(models: ModelGroup, beta: np.ndarray,
     return predict_from_features(models, rows, cfg.K, cfg.L, cfg.p_max_dl)
 
 
+# the model header's keys, in the writer's order, with their JSON kinds
+_HEADER_FIELDS = {"kind": str, "unit_id": int, "member_aps": list,
+                  "layer_sizes": list, "activations": list,
+                  "scaler_median": (list, type(None)),
+                  "scaler_iqr": (list, type(None))}
+
+
 def save_model(model: MlpModel, path):
     """Write the self-describing binary container (byte-stable)."""
     sizes, acts = model.plan
     scaler = model.scaler
-    head = pack_json_header(MAGIC, FORMAT_VERSION, {
-        "kind": model.kind, "unit_id": model.unit_id,
-        "member_aps": list(model.member_aps),
-        "layer_sizes": sizes, "activations": acts,
-        "scaler_median": None if scaler is None else scaler.median.tolist(),
-        "scaler_iqr": None if scaler is None else scaler.iqr.tolist()})
+    values = (model.kind, model.unit_id, list(model.member_aps), sizes, acts,
+              None if scaler is None else scaler.median.tolist(),
+              None if scaler is None else scaler.iqr.tolist())
+    head = pack_json_header(MAGIC, FORMAT_VERSION,
+                            dict(zip(_HEADER_FIELDS, values, strict=True)))
     with open(path, "wb") as fh:
         fh.write(head)
         # one array at a time, straight from its buffer when it is already
@@ -276,12 +282,6 @@ def save_model(model: MlpModel, path):
         for layer in model.layers:
             for arr in (layer.W, layer.b):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
-
-
-_HEADER_FIELDS = {"kind": str, "unit_id": int, "member_aps": list,
-                  "layer_sizes": list, "activations": list,
-                  "scaler_median": (list, type(None)),
-                  "scaler_iqr": (list, type(None))}
 
 
 def _parse_model(blob: bytes) -> MlpModel:

@@ -20,7 +20,11 @@ u(i) = unit_of[i]. Per chunk, g[k, j] = h_k^H w_j is one batched (K, N) @
 real Gram product per (k, j) pair; B_ki is then B_k,u(i). When every
 estimate is a positive multiple of its pilot signal (uncorrelated fading),
 J is the number of used pilots and pilot-sharing UEs share one column of g;
-otherwise J = K and u is the identity. Summation order is fixed by the
+otherwise J = K and u is the identity. The estimate keeps u as
+`SEParameters.unit_of`, so the solver can form its subproblem matrices once
+per direction; B's columns of one direction are equal bit for bit, which
+`SEParameters` checks. The container below does not store u: a loaded
+estimate has the identity layout. Summation order is fixed by the
 chunk size and by the BLAS kernels, so the same batch on the same BLAS
 build and CPU gives the same bytes. Dataset bytes and SE digests may
 differ between BLAS builds or CPUs. As measured on one x86_64 OpenBLAS
@@ -47,7 +51,7 @@ row-major in (k, i, l, m)).
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,21 +92,48 @@ class PowerAllocation:
 
 @dataclass(frozen=True, eq=False)
 class SEParameters:
-    """Monte-Carlo estimates of the hardening-bound coefficients."""
+    """Monte-Carlo estimates of the hardening-bound coefficients.
+
+    unit_of[i] is the direction of UE i's B column and reps[j] the first UE
+    of direction j: B_ki = B_k,reps[unit_of[i]] for every k. It is the drop's
+    `DirectionLayout.unit_of` (J = 10 directions for K = 20 UEs at `large`)
+    and defaults to the identity (J = K). The solver forms its subproblem
+    matrices once per direction. unit_of is not part of the container, so
+    `from_bytes`, `to_bytes`, `digest` and `==` ignore it; a loaded estimate
+    has the identity layout.
+    """
 
     a: np.ndarray        # (K, L) nonnegative signal coefficients
     B: np.ndarray        # (K, K, L, L) interference second moments
     sigma2: float
     prelog: float
     n_real: int
+    unit_of: np.ndarray = None   # (K,) int onto range(J); None: identity
+    reps: np.ndarray = field(init=False, repr=False)   # (J,) first UEs
 
     def __post_init__(self):
+        K = np.shape(self.a)[0]
+        if self.unit_of is None:
+            object.__setattr__(self, "unit_of", np.arange(K))
         # read-only views: a consumer that writes into the estimate raises
         # at once instead of skewing every later use of it
-        for name in ("a", "B"):
+        for name in ("a", "B", "unit_of"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        unit_of = self.unit_of
+        if unit_of.shape != (K,) or unit_of.dtype.kind not in "iu":
+            raise ValueError("unit_of must hold one integer direction per UE")
+        dirs, reps = np.unique(unit_of, return_index=True)
+        if not np.array_equal(dirs, np.arange(len(dirs))):
+            raise ValueError("unit_of must map onto range(J)")
+        # every B column must equal its direction's first, bit for bit, so
+        # that a NaN estimate still reaches the solver's own checks
+        bits = self.B.view(np.int64)
+        if len(reps) < K and not np.array_equal(
+                bits.take(reps[unit_of], axis=1), bits):
+            raise ValueError("B columns differ within a direction")
+        object.__setattr__(self, "reps", reps)
 
     def __eq__(self, other):
         # byte identity over the serialized payload
@@ -189,7 +220,8 @@ class MomentSums:
         # (K, K*L*L) views of it do not copy
         B = np.take(self.second, self.layout.unit_of, axis=1) / n_real
         return SEParameters(a=a, B=B, sigma2=cfg.noise_power,
-                            prelog=cfg.prelog, n_real=n_real)
+                            prelog=cfg.prelog, n_real=n_real,
+                            unit_of=self.layout.unit_of)
 
 
 def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,

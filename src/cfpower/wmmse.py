@@ -53,12 +53,17 @@ own, and the lazy stopping test against an eager loop that takes every norm
 on every iteration. Normalized objective comparisons there use
 |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
-Each outer step forms the C_i once and checks them for corrupt (indefinite)
-inputs with one batched Cholesky factorization of C_i shifted by a small
-multiple of their largest diagonal entry. ADMM builds its x-update operators
-(C_i + rho I)^-1 q_i and rho (C_i + rho I)^-1 from one batched inverse and
-rebuilds them only when residual balancing moves rho; no eigendecomposition
-is taken, and the test suite's oracles work on the same C. SINR terms come
+C_i depends on i only through the direction u(i) = params.unit_of[i] of
+B's column i (B_ki = B_k,u(i)), so there are J distinct C_i: 10 for the
+20 UEs at `large`, 3 for 6 at `desk`, K when the layout is the identity.
+Each outer step forms the K C_i with one GEMV, keeps the J of the first UE
+of each direction (`params.reps`) and checks those for corrupt
+(indefinite) inputs with one batched Cholesky factorization of C shifted
+by a small multiple of their largest diagonal entry. ADMM builds its
+x-update operators (C_i + rho I)^-1 q_i and rho (C_i + rho I)^-1 from one
+batched inverse of the J matrices, gathered per UE, and rebuilds them only
+when residual balancing moves rho; no eigendecomposition is taken, and the
+test suite's oracles work on the same C, expanded per UE. SINR terms come
 from se.sinr_terms, once per mu: the utility that ends an outer step and
 the auxiliary update that starts the next share them.
 """
@@ -152,11 +157,13 @@ def _plus_diagonal(C, shift):
 
 
 def _subproblem(params, omega, v):
-    """q and the symmetrized C, checked to be PSD up to the floor."""
-    # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L)
+    """q and the symmetrized C of each direction, checked to be PSD up to
+    the floor; UE i's matrix is C[params.unit_of[i]]."""
+    # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L), then
+    # one block per direction, C_i being equal within a direction
     K, L = params.a.shape
     w = omega * v
-    C = ((w * v) @ params.B.reshape(K, -1)).reshape(K, L, L)
+    C = ((w * v) @ params.B.reshape(K, -1)).reshape(K, L, L)[params.reps]
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
     # C + |floor| * scale * I is positive definite iff no eigenvalue of C
     # lies below floor * scale
@@ -193,12 +200,14 @@ def _norm(x):
     return math.sqrt(np.vdot(x, x))
 
 
-def _admm(q, C, p_max, x0, state):
+def _admm(q, C, unit_of, p_max, x0, state):
     """Scaled-dual ADMM; `state` is the (Z, U, rho) warm start or None.
 
     The iterates run as (K, L, 1) stacks of columns, the layout of the
     batched x-update: X = (C + rho I)^-1 q + rho (C + rho I)^-1 (Z - U),
-    whose two operators are formed once per penalty.
+    whose two operators are formed once per penalty. C holds one matrix
+    per direction; its inverses are taken once each and gathered per UE
+    by unit_of.
     The stopping norms are taken lazily. While the primal residual r
     exceeds an upper bound on eps_pri, the primal test fails without
     them: after projection ||Z|| <= sqrt(L) * radius, and ||X|| <= ||Z|| + r.
@@ -220,7 +229,7 @@ def _admm(q, C, p_max, x0, state):
     for it in range(1, _MAX_ADMM_ITERS + 1):
         if rho != inv_rho:
             # x-update operators from one batched inverse of C + rho I
-            inv = np.linalg.inv(_plus_diagonal(C, rho))
+            inv = np.linalg.inv(_plus_diagonal(C, rho))[unit_of]
             inv_q = inv @ q[:, :, None]
             rho_inv = rho * inv
             inv_rho = rho
@@ -279,7 +288,8 @@ def solve_subproblem(params: SEParameters, omega: np.ndarray, v: np.ndarray,
     q, C = _subproblem(params, omega, v)
     if mu0 is None:
         mu0 = np.zeros_like(q)
-    x, n_iters, converged, state = _admm(q, C, p_max, mu0, state)
+    x, n_iters, converged, state = _admm(q, C, params.unit_of, p_max, mu0,
+                                         state)
     return SubproblemResult(mu_raw=x, n_iters=n_iters, converged=converged,
                             n_flipped=int(np.count_nonzero(x < 0.0)),
                             state=state)

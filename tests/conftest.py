@@ -85,13 +85,15 @@ def assert_budget():
 
 
 def _subproblem_matrices(params, omega, v):
-    """Quadratic forms (C, q) of the subproblem, C symmetrized.
+    """Quadratic forms (C, q) of the subproblem, C symmetrized, one C_i per
+    UE.
 
-    Both come from `wmmse._subproblem`, the C that ADMM works with;
+    Both come from `wmmse._subproblem`, the C that ADMM works with, whose
+    one matrix per direction is expanded here by `params.unit_of`;
     indefinite inputs raise there.
     """
     q, C = _subproblem(params, omega, v)
-    return C, q
+    return C[params.unit_of], q
 
 
 @pytest.fixture(scope="session")

@@ -244,6 +244,8 @@ def test_per_pilot_directions_give_the_per_ue_moments(monkeypatch, preset,
                                 precoder, n_real))
     per_pilot, per_ue = (s.params for s in samples)
     assert set(n_dirs) == {cfg.tau_p, cfg.K}
+    assert len(per_pilot.reps) == cfg.tau_p
+    assert np.array_equal(per_ue.unit_of, np.arange(cfg.K))
     # the solver views B as (K, K*L*L), which copies unless it is C-ordered
     assert per_pilot.B.flags.c_contiguous and per_ue.B.flags.c_contiguous
     assert max(relative_drift(per_pilot, per_ue)) <= 1e-10
@@ -414,6 +416,40 @@ def test_serialization_rejects_corruption(synthetic_params):
         SEParameters.from_bytes(blob[:-8])
     with pytest.raises(DataFormatError, match="truncated"):
         SEParameters.from_bytes(blob[:10])
+
+
+def test_unit_of_names_the_equal_b_columns(desk_sample):
+    params = desk_sample("rzf").params
+    K, unit_of = params.K, params.unit_of
+    # desk's six UEs share three pilots: three directions, each named by
+    # its first UE
+    assert np.array_equal(unit_of[params.reps], np.arange(3))
+    for i in range(K):
+        assert np.array_equal(params.B[:, i],
+                              params.B[:, params.reps[unit_of[i]]])
+    assert not unit_of.flags.writeable
+    shifted = replace(params, unit_of=(unit_of + 1) % 3)
+    for j in range(3):
+        assert shifted.reps[j] == np.flatnonzero(shifted.unit_of == j)[0]
+    # the container leaves unit_of out: identity by default and on load
+    plain = replace(params, unit_of=None)
+    loaded = SEParameters.from_bytes(params.to_bytes())
+    for other in (plain, loaded):
+        assert np.array_equal(other.unit_of, np.arange(K))
+        assert np.array_equal(other.reps, np.arange(K))
+        assert other == params and other.digest() == params.digest()
+    # a NaN estimate is left to the solver's own checks
+    B = params.B.copy()
+    B[0] = np.nan
+    assert np.array_equal(replace(params, B=B).reps, params.reps)
+    for bad, message in [
+            (unit_of[:-1], "one integer direction per UE"),
+            (unit_of.astype(float), "one integer direction per UE"),
+            (np.where(unit_of == 2, 3, unit_of), "onto range"),
+            (np.roll(unit_of, 1), "differ within a direction"),
+            (np.zeros(K, dtype=int), "differ within a direction")]:
+        with pytest.raises(ValueError, match=message):
+            replace(params, unit_of=bad)
 
 
 def test_se_parameters_are_read_only(desk_sample):

@@ -7,6 +7,7 @@ case. Normalized objective comparisons follow
 |f - f_ref| <= tol * max(1, |f_ref|).
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -23,6 +24,9 @@ from cfpower.wmmse import (E_CLAMP, AuxiliaryUpdate, SolverConfig,
                            wmmse_solve)
 
 OMEGA_PF_HALF = 2.8853900817779268     # mpmath: -1 / (0.5 ln 0.5)
+# the WmmseResult counters that two runs of the same solve must share
+COUNTERS = ("converged", "n_outer", "admm_iters", "clamp_events",
+            "subproblem_exhausted", "sign_flips", "final_flips")
 
 
 def norm_close(f, f_ref, tol):
@@ -403,10 +407,8 @@ def test_beta_keyword_leaves_the_solve_unchanged(desk_sample, desk_cfg,
     assert np.array_equal(bench.trace, plain.trace)
     assert np.array_equal(bench.violations, plain.violations)
     assert np.array_equal(bench.alloc.mu, plain.alloc.mu)
-    counters = ("converged", "n_outer", "admm_iters", "clamp_events",
-                "subproblem_exhausted", "sign_flips", "final_flips")
-    assert ([getattr(bench, c) for c in counters]
-            == [getattr(plain, c) for c in counters])
+    assert ([getattr(bench, c) for c in COUNTERS]
+            == [getattr(plain, c) for c in COUNTERS])
     start = equal_power(desk_cfg.K, desk_cfg.L, P).mu
     assert plain.trace[0] == utility(sample.params, start, objective)
 
@@ -429,6 +431,68 @@ def test_admm_iters_counts_every_subproblem(desk_sample, desk_cfg,
     result = wmmse_solve(desk_sample("rzf").params, desk_cfg.p_max_dl)
     assert len(calls) == result.n_outer
     assert result.admm_iters == sum(calls) > result.n_outer
+
+
+def identity_layout(params):
+    """The same estimate with every UE its own direction (J = K)."""
+    return dataclasses.replace(params, unit_of=np.arange(params.K))
+
+
+def large_mr_params(large_cfg):
+    """Test-namespace `large` MR drop 0 at 100 realizations."""
+    return build_sample(large_cfg, place_aps(large_cfg, large_cfg.seed),
+                        large_cfg.seed, TEST_NAMESPACE, 0, "mr", 100).params
+
+
+@pytest.mark.parametrize("objective", ["sumse", "pf"])
+def test_direction_matrices_give_the_per_ue_bytes(desk_sample, desk_cfg,
+                                                  large_cfg, objective):
+    # one subproblem matrix per direction, gathered per UE, must solve
+    # exactly as one per UE does
+    cfg = SolverConfig(objective=objective)
+    drops = [(desk_sample(precoder, index).params, desk_cfg.p_max_dl)
+             for precoder in ("mr", "rzf") for index in (0, 1)]
+    drops += [(large_mr_params(large_cfg), large_cfg.p_max_dl)]
+    for params, p_max in drops:
+        J = len(params.reps)
+        assert J < params.K
+        plain = wmmse_solve(identity_layout(params), p_max, cfg)
+        # relabelled directions put the first UEs out of order
+        relabelled = dataclasses.replace(params,
+                                         unit_of=(params.unit_of + 1) % J)
+        for layout in (params, relabelled):
+            fast = wmmse_solve(layout, p_max, cfg)
+            assert fast.alloc.mu.tobytes() == plain.alloc.mu.tobytes()
+            assert fast.trace.tobytes() == plain.trace.tobytes()
+            assert fast.violations.tobytes() == plain.violations.tobytes()
+            assert ([getattr(fast, c) for c in COUNTERS]
+                    == [getattr(plain, c) for c in COUNTERS])
+
+
+def test_inverses_and_psd_checks_run_once_per_direction(
+        desk_sample, desk_cfg, large_cfg, monkeypatch):
+    batches = []
+
+    def recording(fn):
+        def wrapped(stack, *args, **kwargs):
+            batches.append(len(stack))
+            return fn(stack, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(wmmse.np.linalg, "inv",
+                        recording(wmmse.np.linalg.inv))
+    monkeypatch.setattr(wmmse.np.linalg, "cholesky",
+                        recording(wmmse.np.linalg.cholesky))
+    desk = desk_sample("mr").params
+    for params, p_max, size in [
+            (large_mr_params(large_cfg), large_cfg.p_max_dl, 10),
+            (desk, desk_cfg.p_max_dl, 3),
+            (identity_layout(desk), desk_cfg.p_max_dl, desk_cfg.K)]:
+        batches.clear()
+        result = wmmse_solve(params, p_max)
+        # one Cholesky per outer step, one inverse per subproblem at least
+        assert len(batches) >= 2 * result.n_outer
+        assert set(batches) == {size}
 
 
 def test_predicted_start_extrapolates_within_budget():
@@ -489,10 +553,8 @@ def test_predicted_starts_keep_the_desk_endpoint(desk_sample, desk_cfg,
 def test_predicted_starts_save_admm_iterations_at_large(large_cfg,
                                                         monkeypatch,
                                                         objective):
-    sample = build_sample(large_cfg, place_aps(large_cfg, large_cfg.seed),
-                          large_cfg.seed, TEST_NAMESPACE, 0, "mr", 100)
     predicted, plain = solves_with_and_without_prediction(
-        monkeypatch, sample.params, large_cfg.p_max_dl,
+        monkeypatch, large_mr_params(large_cfg), large_cfg.p_max_dl,
         SolverConfig(objective=objective))
     assert_same_endpoint(predicted, plain)
     assert predicted.admm_iters < plain.admm_iters
@@ -642,9 +704,11 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
                                           precoder, objective):
     admm, seen = wmmse._admm, []
 
-    def checked(*args):
-        lazy = admm(*args)
-        assert_same_admm(lazy, eager_admm(*args))
+    def checked(q, C, unit_of, *rest):
+        # the eager loop inverts every UE's C_i, expanded from C's
+        # one matrix per direction
+        lazy = admm(q, C, unit_of, *rest)
+        assert_same_admm(lazy, eager_admm(q, C[unit_of], *rest))
         seen.append(lazy[1])
         return lazy
 
@@ -659,10 +723,9 @@ def test_lazy_stopping_matches_eager_loop(desk_sample, desk_cfg, monkeypatch,
     aux = update_auxiliaries(sample.params, result.alloc.mu, objective)
     q, C = wmmse._subproblem(sample.params, aux.omega, aux.v)
     x0 = np.zeros_like(q)
-    args = (q, C, desk_cfg.p_max_dl, x0,
-            off_scale_state(x0, desk_cfg.p_max_dl))
-    lazy = admm(*args)
-    assert_same_admm(lazy, eager_admm(*args))
+    args = (desk_cfg.p_max_dl, x0, off_scale_state(x0, desk_cfg.p_max_dl))
+    lazy = admm(q, C, sample.params.unit_of, *args)
+    assert_same_admm(lazy, eager_admm(q, C[sample.params.unit_of], *args))
     assert lazy[2] and lazy[3][2] != 1e-3
 
 
