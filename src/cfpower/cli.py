@@ -217,8 +217,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DataFormatError, FileNotFoundError,
-            FileExistsError, NotADirectoryError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CfPowerError as exc:

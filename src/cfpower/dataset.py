@@ -33,7 +33,7 @@ class SampleRecord:
     beta: np.ndarray        # (K, L)
     pilot_of: np.ndarray    # (K,)
     mu: np.ndarray          # (K, L) optimizer output
-    digest: bytes           # sha256 of the SE parameter container
+    digest: bytes           # SEParameters.digest: sha256 of (a, B) bytes
     converged: bool
     subproblem_exhausted: bool
     n_outer: int
@@ -85,9 +85,11 @@ class DatasetHeader:
     n_real: int
     master_seed: int
 
+    def to_dict(self) -> dict:
+        return {**self.__dict__, "config": self.config.to_dict()}
+
     def to_bytes(self) -> bytes:
-        return pack_json_header(MAGIC, FORMAT_VERSION, {
-            **self.__dict__, "config": self.config.to_dict()})
+        return pack_json_header(MAGIC, FORMAT_VERSION, self.to_dict())
 
 
 # the header's JSON kinds, read off the fields; the config is a JSON object

@@ -10,7 +10,7 @@ class ConfigError(CfPowerError):
 
 
 class DataFormatError(CfPowerError):
-    """Corrupt or incompatible dataset / model / parameter container."""
+    """Corrupt or incompatible dataset or model container."""
 
 
 class SolverDegeneracyError(CfPowerError):

@@ -36,8 +36,8 @@ from .network import build_statistics, drop_scenario, place_aps
 from .pilots import assign_pilots
 from .precoding import PRECODERS, compute_precoders
 from .scaling import apply_scaler, fit_scaler
-from .se import (MAGIC as SE_MAGIC, MIN_N_REAL, MomentSums, SEParameters,
-                 compute_se, estimate_se_parameters)
+from .se import (MIN_N_REAL, MomentSums, SEParameters, compute_se,
+                 estimate_se_parameters)
 from .wmmse import SolverConfig, WmmseResult, wmmse_solve
 
 log = logging.getLogger(__name__)
@@ -376,6 +376,8 @@ def cmd_evaluate(cfg: NetworkConfig, strategies, n_drops: int, precoder: str,
     """Evaluate strategies on identical held-out drops and SE parameters."""
     if n_drops < 1:
         raise ValueError("need at least one evaluation drop")
+    if out_dir is not None:
+        _check_can_make_dir(out_dir)
     master = _master_seed(cfg, seed)
     strategies = _distinct(strategies)
     models = {}
@@ -442,16 +444,13 @@ def _solver_summary(records):
 
 
 def cmd_inspect(path) -> dict:
-    """Summarize any package container (dataset, model, SE parameters)."""
+    """Summarize a package container (dataset or model)."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == DATASET_MAGIC:
         ds = DatasetFile.open(path)
-        h = ds.header
-        return {"type": "dataset", "objective": h.objective,
-                "precoder": h.precoder, "n_samples_target": h.n_samples,
-                "n_samples_present": len(ds), "n_real": h.n_real,
-                "master_seed": h.master_seed, "config": h.config.to_dict(),
+        return {"type": "dataset", **ds.header.to_dict(),
+                "n_samples_present": len(ds),
                 "solver": _solver_summary(list(ds))}
     if magic == MODEL_MAGIC:
         model = load_model(path)
@@ -462,11 +461,6 @@ def cmd_inspect(path) -> dict:
                 "n_parameters": model.n_parameters(),
                 "layer_sizes": sizes, "activations": acts,
                 "has_scaler": model.scaler is not None}
-    if magic == SE_MAGIC:
-        params = SEParameters.load(path)
-        return {"type": "se-parameters", "K": params.K, "L": params.L,
-                "n_real": params.n_real, "prelog": params.prelog,
-                "sigma2": params.sigma2, "digest": params.digest()}
     raise DataFormatError(f"{path}: unrecognized container magic {magic!r}")
 
 
@@ -501,6 +495,13 @@ def cmd_bench(cfg: NetworkConfig, strategies,
     """
     if n_repeats < 1:
         raise ValueError("need at least one timed repeat")
+    if out_path is not None:
+        # a CSV that cannot be written fails before the timing, not after
+        parent = os.path.dirname(os.path.abspath(out_path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"{parent} is not a directory")
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(f"{out_path} is a directory")
     master = _master_seed(cfg, seed)
     strategies = _distinct(strategies)
     models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)

@@ -23,15 +23,14 @@ J is the number of used pilots and pilot-sharing UEs share one column of g;
 otherwise J = K and u is the identity. The estimate keeps u as
 `SEParameters.unit_of`, so the solver can form its subproblem matrices once
 per direction; B's columns of one direction are equal bit for bit, which
-`SEParameters` checks. The container below does not store u: a loaded
-estimate has the identity layout. Summation order is fixed by the
-chunk size and by the BLAS kernels, so the same batch on the same BLAS
-build and CPU gives the same bytes. Dataset bytes and SE digests may
-differ between BLAS builds or CPUs. As measured on one x86_64 OpenBLAS
-build, a `large` drop's digest was the same at 1 and 2 OpenBLAS threads.
-Another chunk size moves (a, B) in the last bits. The chunk bounds memory:
-its g is 3.3 MB at `large` (J = 10), where a full (n_real, K, J, L) g
-would be 51 MB.
+`SEParameters` checks. The digest below does not hash u. Summation order
+is fixed by the chunk size and by the BLAS kernels, so the same batch on
+the same BLAS build and CPU gives the same bytes. Dataset bytes and SE
+digests may differ between BLAS builds or CPUs. As measured on one x86_64
+OpenBLAS build, a `large` drop's digest was the same at 1 and 2 OpenBLAS
+threads. Another chunk size moves (a, B) in the last bits. The chunk bounds
+memory: its g is 3.3 MB at `large` (J = 10), where a full (n_real, K, J, L)
+g would be 51 MB.
 
 The chunks are walked in the front end's realization tiles
 (`estimation.realization_tiles`), which the tile size cannot reorder:
@@ -43,10 +42,10 @@ drop at 1000 realizations peaks at 25.6 MB under tracemalloc (1.25 x the
 20.5 MB a full `h` would take); the real halves of its two random draws
 are 15.4 MB of it.
 
-Binary container layout (little-endian): magic "CFSEP001", then
-K, L as uint32, n_real as uint64, prelog, sigma2 as float64, then the a
-payload (K*L float64, row-major) and the B payload (K*K*L*L float64,
-row-major in (k, i, l, m)).
+Digest layout: `SEParameters.digest` is the sha256 of these bytes
+(little-endian): "CFSEP001", then K, L as uint32, n_real as uint64, prelog,
+sigma2 as float64, then a (K*L float64, row-major) and B (K*K*L*L float64,
+row-major in (k, i, l, m)). Datasets and evaluation reports store it.
 """
 
 import hashlib
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import DataFormatError, NumericalError
+from .errors import NumericalError
 from .estimation import _CHUNK, ChannelBatch, DirectionLayout
 
 MAGIC = b"CFSEP001"
@@ -98,9 +97,7 @@ class SEParameters:
     of direction j: B_ki = B_k,reps[unit_of[i]] for every k. It is the drop's
     `DirectionLayout.unit_of` (J = 10 directions for K = 20 UEs at `large`)
     and defaults to the identity (J = K). The solver forms its subproblem
-    matrices once per direction. unit_of is not part of the container, so
-    `from_bytes`, `to_bytes`, `digest` and `==` ignore it; a loaded estimate
-    has the identity layout.
+    matrices once per direction. Only `to_bytes` and `digest` ignore it.
     """
 
     a: np.ndarray        # (K, L) nonnegative signal coefficients
@@ -135,12 +132,6 @@ class SEParameters:
             raise ValueError("B columns differ within a direction")
         object.__setattr__(self, "reps", reps)
 
-    def __eq__(self, other):
-        # byte identity over the serialized payload
-        if not isinstance(other, SEParameters):
-            return NotImplemented
-        return self.to_bytes() == other.to_bytes()
-
     @property
     def K(self):
         return self.a.shape[0]
@@ -155,33 +146,6 @@ class SEParameters:
         body_a = np.ascontiguousarray(self.a, dtype="<f8").tobytes()
         body_b = np.ascontiguousarray(self.B, dtype="<f8").tobytes()
         return head + body_a + body_b
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SEParameters":
-        if len(blob) < _HEADER.size:
-            raise DataFormatError("truncated SE parameter container")
-        magic, K, L, n_real, prelog, sigma2 = _HEADER.unpack_from(blob, 0)
-        if magic != MAGIC:
-            raise DataFormatError("bad magic for SE parameter container")
-        need = _HEADER.size + 8 * (K * L + K * K * L * L)
-        if len(blob) != need:
-            raise DataFormatError("SE parameter container has wrong size")
-        off = _HEADER.size
-        a = np.frombuffer(blob, dtype="<f8", count=K * L, offset=off)
-        off += 8 * K * L
-        B = np.frombuffer(blob, dtype="<f8", count=K * K * L * L, offset=off)
-        return cls(a=a.reshape(K, L).copy(),
-                   B=B.reshape(K, K, L, L).copy(),
-                   sigma2=sigma2, prelog=prelog, n_real=n_real)
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "SEParameters":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()

@@ -313,7 +313,6 @@ def utility(params: SEParameters, mu: np.ndarray, objective: str,
 class WmmseResult:
     alloc: PowerAllocation
     trace: np.ndarray          # utility at init and after each outer step
-    violations: np.ndarray     # max relative budget excess per trace entry
     converged: bool
     n_outer: int
     admm_iters: int            # subproblem iterations over all outer steps
@@ -353,10 +352,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
             effective_sinr(params, mu, terms) <= 0.0):
         raise ValueError("PF requires a strictly positive SINR per UE at init")
 
-    def max_violation(m):
-        per_ap = np.add.reduce(m * m, axis=0)
-        return float(max(0.0, (per_ap.max() - p_max) / p_max))
-
     clamp_events = exhausted = admm_iters = sign_flips = 0
     converged = False
     n_outer = 0
@@ -365,7 +360,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
     # a zero rate is a utility of -inf under PF, not a warning
     with np.errstate(divide="ignore"):
         trace = [utility(params, mu, cfg.objective, terms)]
-        violations = [max_violation(mu)]
         for n_outer in range(1, _MAX_OUTER + 1):
             aux = update_auxiliaries(params, mu, cfg.objective, terms)
             clamp_events += aux.clamped
@@ -379,7 +373,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
             mu = result.mu_raw
             terms = sinr_terms(params, mu)
             trace.append(utility(params, mu, cfg.objective, terms))
-            violations.append(max_violation(mu))
             if (trace[-1] - trace[-2]) ** 2 < _EPS_OUTER:
                 converged = True
                 break
@@ -388,7 +381,6 @@ def wmmse_solve(params: SEParameters, p_max: float,
     final_flips = int(np.count_nonzero(mu < 0.0))
     alloc = PowerAllocation(mu=np.abs(mu), p_max=p_max)
     return WmmseResult(alloc=alloc, trace=np.asarray(trace),
-                       violations=np.asarray(violations),
                        converged=converged, n_outer=n_outer,
                        admm_iters=admm_iters, clamp_events=clamp_events,
                        subproblem_exhausted=exhausted,

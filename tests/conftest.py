@@ -1,7 +1,8 @@
 """Shared fixtures: preset configs, cached drops, synthetic SE parameters,
 the WMMSE subproblem's quadratic forms and objective, its projected-gradient
-oracle, the package's tile-by-tile front end gathered into whole arrays, and
-the one-shot Monte-Carlo front end."""
+oracle, a WMMSE solve that records the budget excess of its iterates, the
+package's tile-by-tile front end gathered into whole arrays, and the
+one-shot Monte-Carlo front end."""
 
 from types import SimpleNamespace
 
@@ -9,15 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cfpower import wmmse
 from cfpower.cli import resolve_config
 from cfpower.estimation import (ChannelBatch, ChannelDraw, DirectionLayout,
                                 MmseEstimator, mmse_estimate, sample_channels)
+from cfpower.heuristics import equal_power
 from cfpower.network import build_statistics, drop_scenario, place_aps
 from cfpower.pilots import assign_pilots
 from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
 from cfpower.precoding import compute_precoders
 from cfpower.se import MomentSums, SEParameters, estimate_se_parameters
-from cfpower.wmmse import _subproblem, project_per_ap
+from cfpower.wmmse import (_subproblem, project_per_ap, solve_subproblem,
+                           wmmse_solve)
 
 # deterministic property-test runs, no wall-clock deadline on a busy box
 settings.register_profile("suite", max_examples=25, deadline=None,
@@ -82,6 +86,36 @@ def _assert_budget(mu, p_max, slack=1e-9):
 @pytest.fixture(scope="session")
 def assert_budget():
     return _assert_budget
+
+
+def _budget_excess(mu, p_max):
+    """Relative excess of mu's largest per-AP power over p_max, or 0."""
+    per_ap = np.add.reduce(mu * mu, axis=0)
+    return float(max(0.0, (per_ap.max() - p_max) / p_max))
+
+
+@pytest.fixture
+def solve_with_budget_excess(monkeypatch):
+    """wmmse_solve as (result, worst budget excess of its iterates).
+
+    The iterates are the mu behind each trace entry: the equal-power start
+    and the raw minimizer of every subproblem, recorded by wrapping
+    `wmmse.solve_subproblem`.
+    """
+    excess = []
+
+    def recording(params, omega, v, p_max, **kwargs):
+        result = solve_subproblem(params, omega, v, p_max, **kwargs)
+        excess.append(_budget_excess(result.mu_raw, p_max))
+        return result
+
+    monkeypatch.setattr(wmmse, "solve_subproblem", recording)
+
+    def solve(params, p_max, cfg=None):
+        start = equal_power(params.K, params.L, p_max).mu
+        excess[:] = [_budget_excess(start, p_max)]
+        return wmmse_solve(params, p_max, cfg), max(excess)
+    return solve
 
 
 def _subproblem_matrices(params, omega, v):

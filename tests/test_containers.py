@@ -1,6 +1,6 @@
 """Corrupt containers fail with DataFormatError and nothing else.
 
-Valid CFMLP001, CFDSET01 and CFSEP001 blobs are truncated, byte-flipped or
+Valid CFMLP001 and CFDSET01 blobs are truncated, byte-flipped or
 extended at random, then parsed the way the package reads them. A parse may
 succeed (a flipped weight is still a weight), but the only exception allowed
 to escape is DataFormatError. Hand-built blobs pin the escapes a
@@ -24,7 +24,6 @@ from cfpower.dataset import (DatasetFile, DatasetHeader, SampleRecord,
 from cfpower.errors import DataFormatError
 from cfpower.mlp import DenseLayer, MlpModel
 from cfpower.scaling import ScalerParams
-from cfpower.se import SEParameters
 
 CFG = NetworkConfig(L=2, K=2, N=1, area_m=100.0, tau_p=2,
                     ap_placement="uniform-random")
@@ -58,13 +57,6 @@ def _dataset_blob(path):
     return path.read_bytes()
 
 
-def _se_blob():
-    rng = np.random.default_rng(1)
-    return SEParameters(a=rng.uniform(size=(2, 2)),
-                        B=rng.uniform(size=(2, 2, 2, 2)), sigma2=1e-3,
-                        prelog=0.9, n_real=200).to_bytes()
-
-
 def _read_model(path):
     load_model(path)
 
@@ -77,19 +69,14 @@ def _read_dataset(path):
         ds.read(index)
 
 
-def _read_se(path):
-    SEParameters.load(path)
-
-
-READERS = {"model": _read_model, "dataset": _read_dataset, "se": _read_se}
+READERS = {"model": _read_model, "dataset": _read_dataset}
 
 
 @pytest.fixture(scope="module")
 def valid_blobs(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     return {"model": _model_blob(root / "m.cfmlp"),
-            "dataset": _dataset_blob(root / "d.cfds"),
-            "se": _se_blob()}
+            "dataset": _dataset_blob(root / "d.cfds")}
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +173,6 @@ def _model_head(**changes):
                         b"\x00" * record_size(2, 2))),
     ("dataset", _framed(b"CFDSET01", _dataset_head(config=[["K", 2]]))),
     ("dataset", _framed(b"CFDSET01", _dataset_head(n_samples="2"))),
-    ("se", b"CFSEP001" + b"\x00" * 3),
 ], ids=lambda v: None if isinstance(v, bytes) else v)
 def test_malformed_blobs_are_data_format_errors(tmp_path, kind, blob):
     path = tmp_path / "blob.bin"

@@ -682,11 +682,18 @@ def test_bench_runs_trained_models_through_predict_allocation(
         assert [r[0] for r in csv.reader(fh)] == ["strategy", "ddnn", "equal"]
 
 
-def test_inspect_all_containers(tmp_path, desk_cfg, small_dataset,
+def test_inspect_all_containers(tmp_path, capsys, desk_cfg, small_dataset,
                                 desk_sample):
+    # every header field under its own name, so a new field needs no edit
+    # in cmd_inspect
     info = cmd_inspect(small_dataset)
-    assert info["type"] == "dataset"
-    assert info["n_samples_present"] == 12
+    header = DatasetFile.open(small_dataset).header
+    names = [f.name for f in dataclasses.fields(DatasetHeader)]
+    assert list(info) == ["type", *names, "n_samples_present", "solver"]
+    for name in names:
+        value = getattr(header, name)
+        assert info[name] == (value.to_dict() if name == "config" else value)
+    assert info["n_samples"] == 12 == info["n_samples_present"]
     assert info["objective"] == "sumse"
     assert info["config"]["K"] == desk_cfg.K
 
@@ -698,13 +705,13 @@ def test_inspect_all_containers(tmp_path, desk_cfg, small_dataset,
     assert info["has_scaler"] is True
     assert info["layer_sizes"][0] == desk_cfg.K
 
-    params = desk_sample("rzf").params
-    se_path = tmp_path / "params.cfsep"
-    params.save(se_path)
-    info = cmd_inspect(se_path)
-    assert info["type"] == "se-parameters"
-    assert info["digest"] == params.digest()
-    assert (info["K"], info["L"]) == (desk_cfg.K, desk_cfg.L)
+    # the bytes an SE digest hashes open with CFSEP001 but are no container
+    snapshot = tmp_path / "params.cfsep"
+    snapshot.write_bytes(desk_sample("rzf").params.to_bytes())
+    assert main(["inspect", str(snapshot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "unrecognized container magic b'CFSEP001'" in err
 
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -842,6 +849,38 @@ def test_cli_train_into_a_file_is_a_data_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "not a directory" in err
     assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+EVALUATE = ["evaluate", "--samples", "60", "--strategies", "equal"]
+BENCH = ["bench", "--strategies", "noop", "--repeats", "1"]
+
+
+@pytest.mark.parametrize("command, out", [
+    (EVALUATE, "file"),
+    (EVALUATE, "file/rep"),
+    (BENCH, "missing/bench.csv"),
+    (BENCH, "file/bench.csv"),
+    (BENCH, "."),
+], ids=["evaluate-file", "evaluate-under-file", "bench-missing-dir",
+        "bench-under-file", "bench-dir"])
+def test_cli_unusable_out_fails_before_any_drop(tmp_path, capsys, monkeypatch,
+                                                command, out):
+    (tmp_path / "file").write_bytes(b"kept")
+
+    def no_drops(*args, **kwargs):
+        raise AssertionError("a drop was built for an unusable --out")
+    monkeypatch.setattr(pipeline, "build_sample", no_drops)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + DROPS + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+def test_cli_inspect_of_a_directory_is_a_data_error(tmp_path, capsys):
+    assert main(["inspect", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "directory" in err
 
 
 def test_cli_degeneracy_exit_code(tmp_path, capsys, monkeypatch):

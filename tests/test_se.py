@@ -22,7 +22,6 @@ import pytest
 from cfpower import estimation, pipeline, se
 from cfpower.cli import resolve_config
 from cfpower.config import NetworkConfig
-from cfpower.errors import DataFormatError
 from cfpower.estimation import ChannelBatch, DirectionLayout
 from cfpower.network import (ChannelStatistics, build_statistics,
                              drop_scenario, place_aps)
@@ -389,35 +388,6 @@ def test_allocation_validation():
     assert np.allclose(alloc.mu ** 2, [[0.25, 0.09]])
 
 
-def test_serialization_roundtrip(tmp_path, synthetic_params):
-    params = synthetic_params(K=3, L=2, seed=4, sigma2=0.7)
-    blob = params.to_bytes()
-    again = SEParameters.from_bytes(blob)
-    assert np.array_equal(again.a, params.a)
-    assert np.array_equal(again.B, params.B)
-    assert again.sigma2 == params.sigma2
-    assert again.prelog == params.prelog
-    assert again.n_real == params.n_real
-    # identity is byte identity
-    assert again == params
-    assert again.to_bytes() == blob
-    assert again.digest() == params.digest()
-    path = tmp_path / "params.cfsep"
-    params.save(path)
-    assert SEParameters.load(path) == params
-
-
-def test_serialization_rejects_corruption(synthetic_params):
-    params = synthetic_params(K=2, L=2, seed=5)
-    blob = params.to_bytes()
-    with pytest.raises(DataFormatError, match="magic"):
-        SEParameters.from_bytes(b"XXXXXXXX" + blob[8:])
-    with pytest.raises(DataFormatError, match="size"):
-        SEParameters.from_bytes(blob[:-8])
-    with pytest.raises(DataFormatError, match="truncated"):
-        SEParameters.from_bytes(blob[:10])
-
-
 def test_unit_of_names_the_equal_b_columns(desk_sample):
     params = desk_sample("rzf").params
     K, unit_of = params.K, params.unit_of
@@ -431,13 +401,11 @@ def test_unit_of_names_the_equal_b_columns(desk_sample):
     shifted = replace(params, unit_of=(unit_of + 1) % 3)
     for j in range(3):
         assert shifted.reps[j] == np.flatnonzero(shifted.unit_of == j)[0]
-    # the container leaves unit_of out: identity by default and on load
+    # the identity by default, and the digest leaves unit_of out
     plain = replace(params, unit_of=None)
-    loaded = SEParameters.from_bytes(params.to_bytes())
-    for other in (plain, loaded):
-        assert np.array_equal(other.unit_of, np.arange(K))
-        assert np.array_equal(other.reps, np.arange(K))
-        assert other == params and other.digest() == params.digest()
+    assert np.array_equal(plain.unit_of, np.arange(K))
+    assert np.array_equal(plain.reps, np.arange(K))
+    assert plain.digest() == params.digest()
     # a NaN estimate is left to the solver's own checks
     B = params.B.copy()
     B[0] = np.nan

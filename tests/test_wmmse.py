@@ -312,15 +312,15 @@ def test_warm_start_reuses_state(synthetic_params, admm_tolerance):
 
 @pytest.mark.parametrize("objective", ["sumse", "pf"])
 def test_outer_loop_on_real_sample(desk_sample, desk_cfg, assert_budget,
-                                   objective):
+                                   solve_with_budget_excess, objective):
     params = desk_sample("rzf").params
-    result = wmmse_solve(params, desk_cfg.p_max_dl,
-                         SolverConfig(objective=objective))
+    result, excess = solve_with_budget_excess(
+        params, desk_cfg.p_max_dl, SolverConfig(objective=objective))
     assert result.converged
     diffs = np.diff(result.trace)
     assert diffs.min() >= -10.0 * wmmse._EPS_INNER
     assert result.trace.shape == (result.n_outer + 1,)
-    assert np.all(result.violations <= 1e-9)
+    assert excess <= 1e-9
     assert_budget(result.alloc.mu, desk_cfg.p_max_dl)
     assert result.utility == result.trace[-1]
     # the end-of-run sign flip leaves the trace untouched; it perturbs the
@@ -405,7 +405,6 @@ def test_beta_keyword_leaves_the_solve_unchanged(desk_sample, desk_cfg,
     bench = wmmse_solve(sample.params, P, cfg, beta=sample.beta)
     plain = wmmse_solve(sample.params, P, cfg)
     assert np.array_equal(bench.trace, plain.trace)
-    assert np.array_equal(bench.violations, plain.violations)
     assert np.array_equal(bench.alloc.mu, plain.alloc.mu)
     assert ([getattr(bench, c) for c in COUNTERS]
             == [getattr(plain, c) for c in COUNTERS])
@@ -464,7 +463,6 @@ def test_direction_matrices_give_the_per_ue_bytes(desk_sample, desk_cfg,
             fast = wmmse_solve(layout, p_max, cfg)
             assert fast.alloc.mu.tobytes() == plain.alloc.mu.tobytes()
             assert fast.trace.tobytes() == plain.trace.tobytes()
-            assert fast.violations.tobytes() == plain.violations.tobytes()
             assert ([getattr(fast, c) for c in COUNTERS]
                     == [getattr(plain, c) for c in COUNTERS])
 
