@@ -10,16 +10,17 @@ unit). One rule maps a unit to its model's inputs and outputs:
            then the member APs' total transmit powers sum_k mu_kl^2 in watts
 
 Training labels follow the output rule exactly. The feature block of AP l
-depends on the kind (all on the dB scale, robust-scaled with the scaler
-stored in each model):
+joins, in order, the blocks that `mlp.MODEL_PLANS` names for the kind (all
+on the dB scale, robust-scaled with the scaler stored in each model), each
+K long and made by `_FEATURE_BLOCKS`:
 
-  ddnn     the K per-AP fractional coefficients of AP l
-  ddnn-si  those K coefficients plus the K per-UE ratios (side information
-           available centrally), concatenated
-  cdnn     the K raw large-scale gains of AP l
+  rho1     AP l's K per-AP fractional coefficients
+  rho2     the K per-UE ratios (side information available centrally)
+  beta     AP l's K raw large-scale gains
 
 so features, labels and outputs are gathers and scatters of per-AP tables
-on the layout.
+on the layout. The table's cluster flag picks the layout, and
+`mlp.layer_plan` holds the member rule for building and loading a model.
 
 Inference runs a kind's models as one `ModelGroup` (from `stack_models`,
 or from `pipeline.load_models`, which fills it while it reads the files).
@@ -53,7 +54,7 @@ from .container import (check_fields, json_kind_ok, pack_json_header,
                         read_json_header)
 from .errors import DataFormatError
 from .heuristics import fractional_coefficients, side_info_ratios
-from .mlp import (ACTIVATIONS, MODEL_KINDS, DenseLayer, MlpModel, forward,
+from .mlp import (ACTIVATIONS, MODEL_PLANS, DenseLayer, MlpModel, forward,
                   layer_plan)
 from .network import place_aps
 from .scaling import ScalerParams, apply_scaler
@@ -84,31 +85,29 @@ def cluster_partition(ap_positions: np.ndarray, cluster_size: int):
 
 
 def model_layout(kind: str, cfg: NetworkConfig, seed, cluster_size: int):
-    """(n_units, members) AP indices served by each model of a kind.
-
-    One unit per AP for the distributed kinds; for cdnn, the geographic
-    clusters of the APs placed under `seed`.
-    """
-    if kind in ("ddnn", "ddnn-si"):
-        return np.arange(cfg.L)[:, None]
-    if kind == "cdnn":
+    """(n_units, members) AP indices served by each model of a kind: one
+    unit per AP, or the geographic clusters of the APs placed under `seed`
+    when the kind serves a cluster."""
+    layer_plan(kind, cfg.K)    # rejects an unknown kind
+    *_, clustered = MODEL_PLANS[kind]
+    if clustered:
         return cluster_partition(place_aps(cfg, seed), cluster_size)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return np.arange(cfg.L)[:, None]
+
+
+# feature block name -> its (K, L) table from (beta, v_exponent, p_max_dl)
+_FEATURE_BLOCKS = {"rho1": fractional_coefficients, "rho2": side_info_ratios,
+                   "beta": lambda beta, v_exponent, p_max: beta}
 
 
 def _feature_table(kind: str, beta: np.ndarray,
                    cfg: NetworkConfig) -> np.ndarray:
     """(L, F) feature blocks in dB, one row per AP."""
-    if kind == "cdnn":
-        return to_db(beta).T
-    rho1 = to_db(fractional_coefficients(beta, cfg.v_exponent,
-                                         cfg.p_max_dl)).T
-    if kind == "ddnn":
-        return rho1
-    if kind == "ddnn-si":
-        rho2 = side_info_ratios(beta, cfg.v_exponent, cfg.p_max_dl)
-        return np.concatenate([rho1, to_db(rho2).T], axis=1)
-    raise ValueError(f"unknown model kind {kind!r}")
+    layer_plan(kind, cfg.K)    # rejects an unknown kind
+    inputs, *_ = MODEL_PLANS[kind]
+    return np.concatenate(
+        [to_db(_FEATURE_BLOCKS[name](beta, cfg.v_exponent, cfg.p_max_dl)).T
+         for name in inputs], axis=1)
 
 
 def features_for(kind: str, beta: np.ndarray, cfg: NetworkConfig,
@@ -294,12 +293,11 @@ def _parse_model(blob: bytes) -> MlpModel:
             or not all(json_kind_ok(i, int) for i in header["member_aps"])):
         raise DataFormatError("inconsistent model header")
     kind, aps = header["kind"], header["member_aps"]
-    if kind not in MODEL_KINDS:
-        raise DataFormatError(f"unknown model kind {kind!r}")
-    if not aps or (kind != "cdnn" and len(aps) != 1):
-        raise DataFormatError(f"{kind} model with {len(aps)} member APs")
-    # K follows from the output width: K outputs plus a total per member
-    plan, _ = layer_plan(kind, sizes[-1] // len(aps) - 1, len(aps))
+    # K + 1 outputs per member give K (layer_plan raises for no members)
+    try:
+        plan, _ = layer_plan(kind, sizes[-1] // (len(aps) or 1) - 1, len(aps))
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
     if (sizes[0], sizes[-1]) != (plan[0], plan[-1]):
         raise DataFormatError(
             f"layer sizes {sizes[0]} -> {sizes[-1]} do not fit a {kind} "

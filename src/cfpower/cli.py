@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bench", help="time each allocation strategy")
     _add_common(b)
     b.add_argument("--strategies", type=_strategy_list,
-                   default="wmmse,ddnn,ddnn-si,cdnn,heuristic,equal,noop")
+                   default=",".join(["wmmse", *MODEL_KINDS, "heuristic",
+                                     "equal", "noop"]))
     b.add_argument("--repeats", type=int, default=pipeline.DEFAULT_REPEATS)
     b.add_argument("--realizations", type=int,
                    default=pipeline.DEFAULT_N_REAL)

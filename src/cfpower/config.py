@@ -2,8 +2,8 @@
 
 The file format is intentionally primitive so configs can be written by hand
 and diffed: one `key = value` pair per line, `#` starts a comment, blank
-lines ignored. Unknown keys are rejected. Missing keys fall back to the
-urban-microcell defaults below.
+lines ignored. Unknown keys are rejected, and so is a number that is not
+finite. Missing keys fall back to the urban-microcell defaults below.
 """
 
 import math
@@ -41,6 +41,9 @@ class NetworkConfig:
     seed: int = 1                 # master seed for derived randomness
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.L < 1 or self.K < 1 or self.N < 1:
             raise ConfigError("L, K, N must be positive")
         if self.area_m <= 0:
@@ -106,7 +109,7 @@ def load_config(path) -> NetworkConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()

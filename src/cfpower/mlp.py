@@ -1,13 +1,11 @@
 """Small dense networks with hand-rolled backprop and Adam.
 
-Three fixed layouts map heuristic features to square-root power outputs.
-Every model emits, per AP it serves, K direction components plus one total
-transmit power estimate, all through a final relu so outputs are
-nonnegative:
-
-  ddnn     K   -> 32 -> 64 -> 32 -> K+1          linear,tanh,tanh,relu
-  ddnn-si  2K  -> 64 -> 128 -> 64 -> 32 -> K+1   linear,elu,tanh,tanh,relu
-  cdnn     cK  -> 128 -> 512 -> 256 -> 128 -> c(K+1)  linear,elu,tanh,tanh,relu
+Three fixed layouts, one per kind, map heuristic features to square-root
+power outputs. Every model emits, per AP it serves, K direction components
+plus one total transmit power estimate, all through a final relu so outputs
+are nonnegative. `MODEL_PLANS` is the single home of the layouts and
+`ACTIVATIONS` of the activations: every other list of kinds or activations
+in the package is derived from them.
 
 Training is floating-point deterministic: seeded uniform fan-in init,
 seeded shuffles, sequential minibatches. Adam runs with fixed constants,
@@ -28,25 +26,44 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .scaling import ScalerParams
 
-MODEL_KINDS = ("ddnn", "ddnn-si", "cdnn")
-ACTIVATIONS = ("linear", "tanh", "relu", "elu")
+# kind -> (feature blocks per member AP, as named in
+# `allocator._FEATURE_BLOCKS`, hidden widths, activations, serves a cluster)
+MODEL_PLANS = {
+    "ddnn": (("rho1",), (32, 64, 32), ("linear", "tanh", "tanh", "relu"),
+             False),
+    "ddnn-si": (("rho1", "rho2"), (64, 128, 64, 32),
+                ("linear", "elu", "tanh", "tanh", "relu"), False),
+    "cdnn": (("beta",), (128, 512, 256, 128),
+             ("linear", "elu", "tanh", "tanh", "relu"), True),
+}
+MODEL_KINDS = tuple(MODEL_PLANS)
+
+# name -> (activation of z, derivative at (z, a = activation(z))); a None
+# derivative is all ones, and the gradient skips its multiply
+ACTIVATIONS = {
+    "linear": (lambda z: z, None),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a ** 2),
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z, a: (z > 0.0).astype(float)),
+    "elu": (lambda z: np.where(z > 0.0, z, np.expm1(z)),
+            lambda z, a: np.where(z > 0.0, 1.0, a + 1.0)),
+}
 
 # the learning rate is multiplied by this from TrainConfig.drop_epoch on
 LR_DROP_FACTOR = 0.1
 
 
 def layer_plan(kind: str, K: int, cluster_size: int = 1):
-    """(sizes, activations) for a model kind at K UEs."""
-    if kind == "ddnn":
-        return [K, 32, 64, 32, K + 1], ["linear", "tanh", "tanh", "relu"]
-    if kind == "ddnn-si":
-        return ([2 * K, 64, 128, 64, 32, K + 1],
-                ["linear", "elu", "tanh", "tanh", "relu"])
-    if kind == "cdnn":
-        c = cluster_size
-        return ([c * K, 128, 512, 256, 128, c * (K + 1)],
-                ["linear", "elu", "tanh", "tanh", "relu"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    """(sizes, activations) for a model kind at K UEs with `cluster_size`
+    member APs, which must be 1 unless the kind serves a cluster: the one
+    ValueError for an unknown kind or a member count it does not take."""
+    if kind not in MODEL_PLANS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    inputs, hidden, acts, clustered = MODEL_PLANS[kind]
+    c = cluster_size
+    if c < 1 or (c != 1 and not clustered):
+        raise ValueError(f"{kind} model with {c} member APs")
+    return [len(inputs) * c * K, *hidden, c * (K + 1)], list(acts)
 
 
 @dataclass
@@ -80,42 +97,24 @@ class MlpModel:
 
 def build_model(kind: str, K: int, unit_id: int = 0, member_aps=None,
                 cluster_size: int = 1, seed=0) -> MlpModel:
-    """Fresh model with uniform fan-in-scaled weights and zero biases."""
-    sizes, acts = layer_plan(kind, K, cluster_size)
+    """Fresh model with uniform fan-in-scaled weights and zero biases,
+    serving `member_aps` (default: `unit_id` alone) on `layer_plan`'s plan
+    for that many members. A kind that serves a cluster raises ValueError
+    unless `cluster_size` is that count; the others ignore it."""
+    members = tuple(map(int, (unit_id,) if member_aps is None else member_aps))
+    sizes, acts = layer_plan(kind, K, len(members))
+    *_, clustered = MODEL_PLANS[kind]
+    if clustered and cluster_size != len(members):
+        raise ValueError(f"cluster size {cluster_size} differs from "
+                         f"{len(members)} member APs")
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out, act in zip(sizes[:-1], sizes[1:], acts):
         bound = 1.0 / np.sqrt(n_in)
         W = rng.uniform(-bound, bound, size=(n_out, n_in))
         layers.append(DenseLayer(W=W, b=np.zeros(n_out), activation=act))
-    if member_aps is None:
-        member_aps = (unit_id,)
-    return MlpModel(kind=kind, unit_id=unit_id,
-                    member_aps=tuple(int(a) for a in member_aps),
+    return MlpModel(kind=kind, unit_id=unit_id, member_aps=members,
                     layers=layers)
-
-
-def _act(z, name):
-    if name == "linear":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "elu":
-        return np.where(z > 0.0, z, np.expm1(z))
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(z, a, name):
-    """Activation derivative at z (a = _act(z)); linear layers skip it."""
-    if name == "tanh":
-        return 1.0 - a ** 2
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "elu":
-        return np.where(z > 0.0, 1.0, a + 1.0)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def _layer_outputs(layers, a):
@@ -124,7 +123,7 @@ def _layer_outputs(layers, a):
     for layer in layers:
         z = a @ np.swapaxes(layer.W, -1, -2)
         z += layer.b
-        a = _act(z, layer.activation)
+        a = ACTIVATIONS[layer.activation][0](z)
         pre.append(z)
         acts.append(a)
     return acts, pre
@@ -160,8 +159,8 @@ def loss_and_grads(model: MlpModel, X: np.ndarray, Y: np.ndarray):
         # release each layer's outputs once its delta is formed: held to
         # the end, they set training's memory peak
         z, a = pre.pop(), acts.pop()
-        if layer.activation != "linear":    # its derivative is all ones
-            delta *= _act_deriv(z, a, layer.activation)
+        if (derivative := ACTIVATIONS[layer.activation][1]) is not None:
+            delta *= derivative(z, a)
         del z, a
         gW = delta.T @ acts[idx]
         gb = delta.sum(axis=0)

@@ -38,14 +38,15 @@ from .precoding import PRECODERS, compute_precoders
 from .scaling import apply_scaler, fit_scaler
 from .se import (MIN_N_REAL, MomentSums, SEParameters, compute_se,
                  estimate_se_parameters)
-from .wmmse import SolverConfig, WmmseResult, wmmse_solve
+from .wmmse import OBJECTIVES, SolverConfig, WmmseResult, wmmse_solve
 
 log = logging.getLogger(__name__)
 
 TRAIN_NAMESPACE = 0x7472    # training-sample seed space
 TEST_NAMESPACE = 0x7465     # evaluation-drop seed space
 
-STRATEGIES = ("wmmse-sumse", "wmmse-pf", "heuristic", "equal") + MODEL_KINDS
+_WMMSE_STRATEGIES = {f"wmmse-{o}": o for o in OBJECTIVES}
+STRATEGIES = (*_WMMSE_STRATEGIES, "heuristic", "equal", *MODEL_KINDS)
 
 DEFAULT_N_REAL = 1000
 DEFAULT_MAX_DEGENERATE_FRAC = 0.25
@@ -110,10 +111,12 @@ def cmd_generate(cfg: NetworkConfig, n_samples: int, objective: str,
                  max_degenerate_frac: float = DEFAULT_MAX_DEGENERATE_FRAC
                  ) -> DatasetFile:
     """Generate (or resume) a labeled dataset of optimizer solutions; a
-    rejected sample count, precoder or realization count leaves the file
-    untouched."""
+    rejected sample count, precoder, realization count or degenerate
+    fraction leaves the file untouched."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if not 0.0 <= max_degenerate_frac <= 1.0:
+        raise ValueError("the max degenerate fraction must lie in [0, 1]")
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoding scheme {precoder!r}")
     if n_real < MIN_N_REAL:
@@ -355,8 +358,8 @@ def _distinct(strategies):
 def _allocator_for(strategy, cfg, models):
     """Returns a callable sample -> PowerAllocation for one strategy; a
     WMMSE strategy's callable returns the whole `WmmseResult`."""
-    if strategy in ("wmmse-sumse", "wmmse-pf"):
-        solver = SolverConfig(objective=strategy[len("wmmse-"):])
+    if strategy in _WMMSE_STRATEGIES:
+        solver = SolverConfig(objective=_WMMSE_STRATEGIES[strategy])
         return lambda s: wmmse_solve(s.params, cfg.p_max_dl, solver)
     if strategy == "heuristic":
         return lambda s: heuristic_allocation(s.beta, cfg.v_exponent,
@@ -506,7 +509,7 @@ def cmd_bench(cfg: NetworkConfig, strategies,
     strategies = _distinct(strategies)
     models = {s: _bench_models(cfg, s, cluster_size, models_dir, master)
               for s in strategies if s in MODEL_KINDS}
-    columns = [("sumse", "mr"), ("sumse", "rzf"), ("pf", "mr"), ("pf", "rzf")]
+    columns = [(o, p) for o in OBJECTIVES for p in PRECODERS]
 
     def allocator(strat, objective):
         if strat == "noop":
@@ -518,10 +521,10 @@ def cmd_bench(cfg: NetworkConfig, strategies,
         return _allocator_for(strat, cfg, models)
 
     tasks = {(s, o): allocator(s, o)
-             for s in strategies for o in ("sumse", "pf")}
+             for s in strategies for o in OBJECTIVES}
     aps = place_aps(cfg, master)
     samples = {p: build_sample(cfg, aps, master, TEST_NAMESPACE, 0, p, n_real)
-               for p in ("mr", "rzf")}
+               for p in PRECODERS}
     results = {}
     for strat in strategies:
         row = {}

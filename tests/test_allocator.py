@@ -20,7 +20,8 @@ from cfpower.allocator import (cluster_partition, features_for, labels_for,
                                save_model, stack_models, to_db)
 from cfpower.errors import DataFormatError
 from cfpower.heuristics import fractional_coefficients, side_info_ratios
-from cfpower.mlp import DenseLayer, MlpModel, build_model, forward
+from cfpower.mlp import (MODEL_KINDS, MODEL_PLANS, DenseLayer, MlpModel,
+                         build_model, forward, layer_plan)
 from cfpower.network import place_aps
 from cfpower.scaling import ScalerParams, apply_scaler, fit_scaler
 
@@ -436,6 +437,23 @@ def test_model_container_roundtrip(tmp_path):
     assert path.read_bytes() == other.read_bytes()
 
 
+@pytest.mark.parametrize("K", [1, 6, 20])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_buildable_model_loads_as_built(tmp_path, kind, K):
+    # one member AP unless the kind serves a cluster, then clusters of 1-4
+    *_, clustered = MODEL_PLANS[kind]
+    path, again = tmp_path / "m.bin", tmp_path / "again.bin"
+    for c in range(1, 5) if clustered else [1]:
+        model = build_model(kind, K, unit_id=c, member_aps=range(c, 2 * c),
+                            cluster_size=c, seed=c)
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.plan == model.plan == layer_plan(kind, K, c)
+        assert loaded.member_aps == model.member_aps == tuple(range(c, 2 * c))
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 def test_model_container_without_scaler(tmp_path):
     model = build_model("ddnn", K=3, seed=19)
     path = tmp_path / "m.bin"
@@ -454,7 +472,10 @@ def test_model_container_rejects_unknown_kind(tmp_path):
 
 def test_model_container_checks_widths_against_member_aps(tmp_path):
     path = tmp_path / "m.bin"
-    two_aps = build_model("ddnn", K=3, member_aps=(0, 1), seed=28)
+    # build_model refuses the member lists of this model and the last one,
+    # so both take the layers of a one-member model of their kind
+    two_aps = MlpModel(kind="ddnn", unit_id=0, member_aps=(0, 1),
+                       layers=build_model("ddnn", K=3, seed=28).layers)
     save_model(two_aps, path)
     with pytest.raises(DataFormatError, match="2 member APs"):
         load_model(path)
@@ -475,7 +496,8 @@ def test_model_container_checks_widths_against_member_aps(tmp_path):
     save_model(si, path)
     with pytest.raises(DataFormatError, match="layer sizes"):
         load_model(path)
-    empty = build_model("cdnn", K=3, member_aps=(), seed=31)
+    empty = MlpModel(kind="cdnn", unit_id=0, member_aps=(),
+                     layers=build_model("cdnn", K=3, seed=31).layers)
     save_model(empty, path)
     with pytest.raises(DataFormatError, match="0 member APs"):
         load_model(path)

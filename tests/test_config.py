@@ -1,6 +1,7 @@
 """Config file parsing, validation, and preset contents."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -96,6 +97,22 @@ def test_line_without_assignment(tmp_path):
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):
         NetworkConfig(**kw)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(NetworkConfig)
+                                  if f.type is float])
+def test_non_finite_numbers_rejected(tmp_path, name, value):
+    message = f"{name} must be finite"
+    with pytest.raises(ConfigError, match=message):
+        NetworkConfig(**{name: value})
+    # a dataset header's config and a text config go the same way
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({name: value})
+    path = tmp_path / "net.cfg"
+    path.write_text(f"{name} = {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_config_from_dict_unknown_key():

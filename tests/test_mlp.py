@@ -105,6 +105,16 @@ def test_layer_plan_shapes():
         build_model("cnn", K=20)
 
 
+def test_build_model_refuses_member_lists_a_load_would_reject():
+    with pytest.raises(ValueError, match="ddnn model with 2 member APs"):
+        build_model("ddnn", 6, member_aps=(1, 2))
+    with pytest.raises(ValueError, match="cluster size 4 differs"):
+        build_model("cdnn", 6, member_aps=(0, 1), cluster_size=4)
+    # the per-AP kinds ignore the cluster size
+    assert build_model("ddnn-si", 6, member_aps=(3,), cluster_size=4).plan \
+        == layer_plan("ddnn-si", 6)
+
+
 def test_gradients_ten_parameter_model():
     # (1*2 + 2) + (2*2 + 2) = 10 parameters
     model = tiny_model([1, 2, 2], ["elu", "tanh"], seed=0)
@@ -309,7 +319,9 @@ def test_explicit_validation_set():
 @pytest.mark.parametrize("kind", ["ddnn", "ddnn-si", "cdnn"])
 def test_in_place_adam_matches_reference(kind):
     K = 5
-    models = [build_model(kind, K, cluster_size=3, seed=30) for _ in range(2)]
+    members = (0, 1, 2) if kind == "cdnn" else None
+    models = [build_model(kind, K, member_aps=members, cluster_size=3,
+                          seed=30) for _ in range(2)]
     fast, ref = _Adam(models[0].layers), ReferenceAdam(models[1].layers)
     rng = np.random.default_rng(31)
     for step in range(25):

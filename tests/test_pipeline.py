@@ -804,6 +804,12 @@ TRAIN = ["train", "--dataset", "DATASET", "--kind", "ddnn", "--out",
     (TRAIN + ["--val-fraction", "-0.1"], "validation fraction"),
     (["generate", "--samples", "-1", "--out", "a.cfds"] + DROPS, "sample"),
     (["generate", "--samples", "0", "--out", "a.cfds"] + DROPS, "sample"),
+    (["generate", "--samples", "2", "--max-degenerate-frac", "-1", "--out",
+      "a.cfds"] + DROPS, "degenerate fraction"),
+    (["generate", "--samples", "2", "--max-degenerate-frac", "1.5", "--out",
+      "a.cfds"] + DROPS, "degenerate fraction"),
+    (["generate", "--samples", "2", "--max-degenerate-frac", "nan", "--out",
+      "a.cfds"] + DROPS, "degenerate fraction"),
 ])
 def test_cli_argument_errors_write_nothing(tmp_path, capsys, monkeypatch,
                                            small_dataset, command, message):
@@ -817,6 +823,32 @@ def test_cli_argument_errors_write_nothing(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "usage error" in err and message in err
     assert os.listdir(tmp_path) == []
+
+
+def test_bad_degenerate_fraction_leaves_a_torn_dataset_alone(tmp_path,
+                                                            desk_cfg):
+    path = tmp_path / "d.cfds"
+    DatasetFile.create(path, DatasetHeader(
+        config=desk_cfg, objective="sumse", precoder="rzf", n_samples=4,
+        n_real=N_REAL, master_seed=desk_cfg.seed))
+    with open(path, "ab") as fh:
+        fh.write(b"torn")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="degenerate fraction"):
+        gen(desk_cfg, path, max_degenerate_frac=-0.5)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("config", [b"area_m = nan\n", b"\xff\xfeL = 4\n"],
+                         ids=["nan", "not-utf-8"])
+def test_cli_unusable_config_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                             config):
+    (tmp_path / "net.cfg").write_bytes(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--config", "net.cfg", "--samples", "1",
+                 "--realizations", str(N_REAL), "--out", "d.cfds"]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert os.listdir(tmp_path) == ["net.cfg"]
 
 
 def test_cli_training_divergence_is_an_error_exit(tmp_path, capsys,
