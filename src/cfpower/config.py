@@ -46,6 +46,8 @@ class NetworkConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.L < 1 or self.K < 1 or self.N < 1:
             raise ConfigError("L, K, N must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.area_m <= 0:
             raise ConfigError("area_m must be positive")
         if not 1 <= self.tau_p <= self.tau_c:

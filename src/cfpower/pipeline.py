@@ -57,7 +57,10 @@ MODEL_SUFFIX = ".cfmlp"
 
 def _master_seed(cfg: NetworkConfig, seed) -> int:
     """The master seed a command runs under: `seed`, or the config's."""
-    return cfg.seed if seed is None else int(seed)
+    master = cfg.seed if seed is None else int(seed)
+    if master < 0:
+        raise ValueError("the seed must be >= 0")
+    return master
 
 
 def _write_csv(path, header, rows):

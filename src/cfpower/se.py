@@ -20,10 +20,10 @@ u(i) = unit_of[i]. Per chunk, g[k, j] = h_k^H w_j is one batched (K, N) @
 real Gram product per (k, j) pair; B_ki is then B_k,u(i). When every
 estimate is a positive multiple of its pilot signal (uncorrelated fading),
 J is the number of used pilots and pilot-sharing UEs share one column of g;
-otherwise J = K and u is the identity. The estimate keeps u as
-`SEParameters.unit_of`, so the solver can form its subproblem matrices once
-per direction; B's columns of one direction are equal bit for bit, which
-`SEParameters` checks. The digest below does not hash u. Summation order
+otherwise J = K and u is the identity. The estimate stores B once per
+direction, (K, J, L, L), and keeps u as `SEParameters.unit_of`: 0.41 MB at
+`large`, half the per-UE (K, K, L, L) array, which only the digest below
+expands; the digest does not hash u. Summation order
 is fixed by the chunk size and by the BLAS kernels, so the same batch on
 the same BLAS build and CPU gives the same bytes. Dataset bytes and SE
 digests may differ between BLAS builds or CPUs. As measured on one x86_64
@@ -44,8 +44,8 @@ are 15.4 MB of it.
 
 Digest layout: `SEParameters.digest` is the sha256 of these bytes
 (little-endian): "CFSEP001", then K, L as uint32, n_real as uint64, prelog,
-sigma2 as float64, then a (K*L float64, row-major) and B (K*K*L*L float64,
-row-major in (k, i, l, m)). Datasets and evaluation reports store it.
+sigma2 as float64, then a (K*L float64, row-major) and B per UE (K*K*L*L
+float64, row-major in (k, i, l, m)). Datasets and evaluation reports store it.
 """
 
 import hashlib
@@ -93,44 +93,43 @@ class PowerAllocation:
 class SEParameters:
     """Monte-Carlo estimates of the hardening-bound coefficients.
 
-    unit_of[i] is the direction of UE i's B column and reps[j] the first UE
-    of direction j: B_ki = B_k,reps[unit_of[i]] for every k. It is the drop's
-    `DirectionLayout.unit_of` (J = 10 directions for K = 20 UEs at `large`)
-    and defaults to the identity (J = K). The solver forms its subproblem
-    matrices once per direction. Only `to_bytes` and `digest` ignore it.
+    B holds one block per direction, B_ki = B[k, unit_of[i]], and member
+    is the (J, K) 0/1 matrix of unit_of[i] == j. unit_of is the drop's
+    `DirectionLayout.unit_of` (J = 10 for K = 20 UEs at `large`); its
+    default, the identity, makes B the per-UE (K, K, L, L) array. Only
+    `digest` sees B expanded per UE, and it ignores unit_of.
     """
 
     a: np.ndarray        # (K, L) nonnegative signal coefficients
-    B: np.ndarray        # (K, K, L, L) interference second moments
+    B: np.ndarray        # (K, J, L, L) interference second moments
     sigma2: float
     prelog: float
     n_real: int
     unit_of: np.ndarray = None   # (K,) int onto range(J); None: identity
-    reps: np.ndarray = field(init=False, repr=False)   # (J,) first UEs
+    member: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        K = np.shape(self.a)[0]
+        if np.ndim(self.a) != 2:
+            raise ValueError("a must be a K x L matrix")
+        K, L = np.shape(self.a)
         if self.unit_of is None:
             object.__setattr__(self, "unit_of", np.arange(K))
+        unit_of = np.asarray(self.unit_of)
+        if unit_of.shape != (K,) or unit_of.dtype.kind not in "iu":
+            raise ValueError("unit_of must hold one integer direction per UE")
+        J = len(set(unit_of.tolist()))
+        member = (np.arange(J)[:, None] == unit_of) * 1.0
+        if not member.any(axis=0).all():   # a UE in no direction < J
+            raise ValueError("unit_of must map onto range(J)")
+        if np.shape(self.B) != (K, J, L, L):
+            raise ValueError(f"B must be (K, J, L, L) = {(K, J, L, L)}")
+        object.__setattr__(self, "member", member)
         # read-only views: a consumer that writes into the estimate raises
         # at once instead of skewing every later use of it
-        for name in ("a", "B", "unit_of"):
+        for name in ("a", "B", "unit_of", "member"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        unit_of = self.unit_of
-        if unit_of.shape != (K,) or unit_of.dtype.kind not in "iu":
-            raise ValueError("unit_of must hold one integer direction per UE")
-        dirs, reps = np.unique(unit_of, return_index=True)
-        if not np.array_equal(dirs, np.arange(len(dirs))):
-            raise ValueError("unit_of must map onto range(J)")
-        # every B column must equal its direction's first, bit for bit, so
-        # that a NaN estimate still reaches the solver's own checks
-        bits = self.B.view(np.int64)
-        if len(reps) < K and not np.array_equal(
-                bits.take(reps[unit_of], axis=1), bits):
-            raise ValueError("B columns differ within a direction")
-        object.__setattr__(self, "reps", reps)
 
     @property
     def K(self):
@@ -140,15 +139,14 @@ class SEParameters:
     def L(self):
         return self.a.shape[1]
 
-    def to_bytes(self) -> bytes:
-        head = _HEADER.pack(MAGIC, self.K, self.L, self.n_real,
-                            self.prelog, self.sigma2)
-        body_a = np.ascontiguousarray(self.a, dtype="<f8").tobytes()
-        body_b = np.ascontiguousarray(self.B, dtype="<f8").tobytes()
-        return head + body_a + body_b
-
     def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """sha256 of the layout above; B goes in one per-UE row at a time."""
+        sha = hashlib.sha256(_HEADER.pack(MAGIC, self.K, self.L, self.n_real,
+                                          self.prelog, self.sigma2))
+        sha.update(np.ascontiguousarray(self.a, dtype="<f8"))
+        for row in self.B:
+            sha.update(row.take(self.unit_of, axis=0).astype("<f8"))
+        return sha.hexdigest()
 
 
 class MomentSums:
@@ -170,20 +168,17 @@ class MomentSums:
         self.second = np.zeros((K, J, L, L))
 
     def finish(self, cfg: NetworkConfig) -> SEParameters:
-        """a_kl = |mean g[k, u(k), l]| and B_ki[l, m] = Re mean(g[k,u(i),l]
-        conj g[k,u(i),m]), with u the layout's unit_of. The modulus is the
-        mean itself: MR and RZF on MMSE estimates make each realization's
+        """a_kl = |mean g[k, u(k), l]| and B[k, j, l, m] = Re mean(g[k,j,l]
+        conj g[k,j,m]), u being the layout's unit_of. The modulus is the mean
+        itself: MR and RZF on MMSE estimates make each realization's
         h_hat^H w real and nonnegative, and E{e^H w} = 0 for the estimation
         error e; `tests/test_se.py` checks this per realization."""
         n_real = self.n_real
         if self.n_seen != n_real:
             raise ValueError(f"sums hold {self.n_seen} of {n_real} "
                              "realizations")
-        a = np.abs(self.signal / n_real)
-        # take, not fancy indexing, keeps B C-contiguous, so the solver's
-        # (K, K*L*L) views of it do not copy
-        B = np.take(self.second, self.layout.unit_of, axis=1) / n_real
-        return SEParameters(a=a, B=B, sigma2=cfg.noise_power,
+        return SEParameters(a=np.abs(self.signal / n_real),
+                            B=self.second / n_real, sigma2=cfg.noise_power,
                             prelog=cfg.prelog, n_real=n_real,
                             unit_of=self.layout.unit_of)
 
@@ -230,9 +225,10 @@ def estimate_se_parameters(batch: ChannelBatch, w: np.ndarray,
 def sinr_terms(params: SEParameters, mu: np.ndarray) -> tuple:
     """Signal a_k^T mu_k and interference sum_i mu_i^T B_ki mu_i per UE."""
     signal = np.einsum("kl,kl->k", params.a, mu)
-    # one GEMV of B, as (K, K*L*L), on the flattened outer products mu_i mu_i^T
-    outer = mu[:, :, None] * mu[:, None, :]
-    return signal, params.B.reshape(params.K, -1) @ outer.ravel()
+    # outer products mu_i mu_i^T summed per direction, one GEMV of B
+    outer = (mu[:, :, None] * mu[:, None, :]).reshape(params.K, -1)
+    per_dir = params.member @ outer
+    return signal, params.B.reshape(params.K, -1) @ per_dir.ravel()
 
 
 def _sinr(params: SEParameters, mu: np.ndarray, terms=None) -> tuple:

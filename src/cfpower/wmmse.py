@@ -53,19 +53,19 @@ own, and the lazy stopping test against an eager loop that takes every norm
 on every iteration. Normalized objective comparisons there use
 |f(mu) - f(ref)| <= tol * max(1, |f(ref)|).
 
-C_i depends on i only through the direction u(i) = params.unit_of[i] of
-B's column i (B_ki = B_k,u(i)), so there are J distinct C_i: 10 for the
-20 UEs at `large`, 3 for 6 at `desk`, K when the layout is the identity.
-Each outer step forms the K C_i with one GEMV, keeps the J of the first UE
-of each direction (`params.reps`) and checks those for corrupt
-(indefinite) inputs with one batched Cholesky factorization of C shifted
-by a small multiple of their largest diagonal entry. ADMM builds its
-x-update operators (C_i + rho I)^-1 q_i and rho (C_i + rho I)^-1 from one
-batched inverse of the J matrices, gathered per UE, and rebuilds them only
-when residual balancing moves rho; no eigendecomposition is taken, and the
-test suite's oracles work on the same C, expanded per UE. SINR terms come
-from se.sinr_terms, once per mu: the utility that ends an outer step and
-the auxiliary update that starts the next share them.
+C_i depends on i only through the direction u(i) = params.unit_of[i] (B_ki
+= params.B[k, u(i)]), so there are J distinct C_i: 10 for the 20 UEs at
+`large`, 3 for 6 at `desk`, K when the layout is the identity. Each outer
+step forms the J matrices with one GEMV over B's (K, J*L*L) view and
+checks them for corrupt (indefinite) inputs with one batched Cholesky
+factorization of C shifted by a small multiple of their largest diagonal
+entry. ADMM builds its x-update operators (C_i + rho I)^-1 q_i and rho
+(C_i + rho I)^-1 from one batched inverse of the J matrices, gathered per
+UE, and rebuilds them only when residual balancing moves rho; no
+eigendecomposition is taken, and the test suite's oracles work on the same
+C, expanded per UE. SINR terms come from se.sinr_terms, once per mu: the
+utility that ends an outer step and the auxiliary update that starts the
+next share them.
 """
 
 import logging
@@ -159,11 +159,10 @@ def _plus_diagonal(C, shift):
 def _subproblem(params, omega, v):
     """q and the symmetrized C of each direction, checked to be PSD up to
     the floor; UE i's matrix is C[params.unit_of[i]]."""
-    # C_i = sum_k omega_k v_k^2 B_ki: one GEMV on B as (K, K*L*L), then
-    # one block per direction, C_i being equal within a direction
+    # C_j = sum_k omega_k v_k^2 B[k, j]: one GEMV on B as (K, J*L*L)
     K, L = params.a.shape
     w = omega * v
-    C = ((w * v) @ params.B.reshape(K, -1)).reshape(K, L, L)[params.reps]
+    C = ((w * v) @ params.B.reshape(K, -1)).reshape(-1, L, L)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
     # C + |floor| * scale * I is positive definite iff no eigenvalue of C
     # lies below floor * scale

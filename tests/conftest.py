@@ -2,7 +2,8 @@
 the WMMSE subproblem's quadratic forms and objective, its projected-gradient
 oracle, a WMMSE solve that records the budget excess of its iterates, the
 package's tile-by-tile front end gathered into whole arrays, and the
-one-shot Monte-Carlo front end."""
+one-shot Monte-Carlo front end. `per_ue_B`, imported by the test modules,
+expands an estimate's B per UE for oracles that index it as B_ki."""
 
 from types import SimpleNamespace
 
@@ -53,6 +54,11 @@ def desk_sample(desk_cfg):
         return cache[key]
 
     return get
+
+
+def per_ue_B(params):
+    """params.B expanded per UE: (K, K, L, L), B_ki = B[k, unit_of[i]]."""
+    return np.take(params.B, params.unit_of, axis=1)
 
 
 def _synthetic(K, L, seed, sigma2=1.0, prelog=1.0, scale=1.0):

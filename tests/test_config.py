@@ -93,6 +93,7 @@ def test_line_without_assignment(tmp_path):
     {"correlation_model": "rayleigh"},
     {"ap_placement": "hexagon"},
     {"L": 5, "ap_placement": "grid"},
+    {"seed": -1},
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):

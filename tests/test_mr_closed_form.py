@@ -44,6 +44,7 @@ from cfpower.pipeline import TEST_NAMESPACE, build_sample, sample_seeds
 from cfpower.precoding import compute_precoders
 from cfpower.se import SEParameters, compute_se
 from cfpower.wmmse import wmmse_solve
+from conftest import per_ue_B
 
 
 def closed_form(beta, pilot_of, cfg, pilot_sharing=True):
@@ -87,7 +88,7 @@ def z_scores(params, a, B, m4):
     # E[(Re g_l conj g_m)^2] <= E|g_l|^2 E|g_m|^2 (l != m), E|g_l|^4 (l = m)
     second = d[..., :, None] * d[..., None, :]
     second[..., np.arange(L), np.arange(L)] = m4
-    return za, (params.B - B) / np.sqrt(second / n)
+    return za, (per_ue_B(params) - B) / np.sqrt(second / n)
 
 
 def within_bounds(z, n_independent):

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfpower import pipeline, wmmse
+from cfpower import pipeline, se, wmmse
 from cfpower.allocator import load_model, model_layout, save_model
 from cfpower.cli import main, resolve_config
 from cfpower.config import load_config
@@ -682,8 +682,7 @@ def test_bench_runs_trained_models_through_predict_allocation(
         assert [r[0] for r in csv.reader(fh)] == ["strategy", "ddnn", "equal"]
 
 
-def test_inspect_all_containers(tmp_path, capsys, desk_cfg, small_dataset,
-                                desk_sample):
+def test_inspect_all_containers(tmp_path, capsys, desk_cfg, small_dataset):
     # every header field under its own name, so a new field needs no edit
     # in cmd_inspect
     info = cmd_inspect(small_dataset)
@@ -707,7 +706,7 @@ def test_inspect_all_containers(tmp_path, capsys, desk_cfg, small_dataset,
 
     # the bytes an SE digest hashes open with CFSEP001 but are no container
     snapshot = tmp_path / "params.cfsep"
-    snapshot.write_bytes(desk_sample("rzf").params.to_bytes())
+    snapshot.write_bytes(se.MAGIC + bytes(32))
     assert main(["inspect", str(snapshot)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
@@ -784,6 +783,18 @@ def test_cli_generate_rejection_leaves_no_file(tmp_path, capsys):
     assert main(command + ["--realizations", str(N_REAL)]) == 0
 
 
+def test_cli_negative_seed_leaves_no_file(tmp_path, capsys):
+    # the seed is checked before the dataset's header is written
+    command = ["generate", "--config", "desk", "--samples", "1",
+               "--realizations", str(N_REAL), "--out",
+               str(tmp_path / "x.cfds")]
+    assert main(command + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "seed must be >= 0" in err
+    assert os.listdir(tmp_path) == []
+    assert main(command + ["--seed", "1"]) == 0
+
+
 DROPS = ["--config", "desk", "--realizations", str(N_REAL)]
 TRAIN = ["train", "--dataset", "DATASET", "--kind", "ddnn", "--out",
          "models"]
@@ -810,6 +821,10 @@ TRAIN = ["train", "--dataset", "DATASET", "--kind", "ddnn", "--out",
       "a.cfds"] + DROPS, "degenerate fraction"),
     (["generate", "--samples", "2", "--max-degenerate-frac", "nan", "--out",
       "a.cfds"] + DROPS, "degenerate fraction"),
+    (["evaluate", "--samples", "1", "--strategies", "equal", "--seed", "-2",
+      "--out", "rep"] + DROPS, "seed"),
+    (["bench", "--strategies", "equal", "--seed", "-2", "--out", "b.csv"]
+     + DROPS, "seed"),
 ])
 def test_cli_argument_errors_write_nothing(tmp_path, capsys, monkeypatch,
                                            small_dataset, command, message):
@@ -839,8 +854,9 @@ def test_bad_degenerate_fraction_leaves_a_torn_dataset_alone(tmp_path,
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("config", [b"area_m = nan\n", b"\xff\xfeL = 4\n"],
-                         ids=["nan", "not-utf-8"])
+@pytest.mark.parametrize("config", [b"area_m = nan\n", b"\xff\xfeL = 4\n",
+                                    b"seed = -3\n"],
+                         ids=["nan", "not-utf-8", "negative-seed"])
 def test_cli_unusable_config_is_a_data_error(tmp_path, capsys, monkeypatch,
                                              config):
     (tmp_path / "net.cfg").write_bytes(config)

@@ -14,6 +14,8 @@ and nonnegative, the phase convention that lets a be the modulus of the
 mean; the reduction itself does not check it.
 """
 
+import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +33,7 @@ from cfpower.precoding import compute_precoders
 from cfpower.se import (BUDGET_SLACK, MomentSums, PowerAllocation,
                         SEParameters, compute_se, effective_sinr,
                         estimate_se_parameters)
+from conftest import per_ue_B
 
 BETA_200M = 3.2005153607261727e-12
 C_200M = 2.2624427929150797e-12          # tau_p p beta^2 / (tau_p p beta + s2)
@@ -206,7 +209,7 @@ def test_tiled_build_sample_gives_the_oneshot_bytes(
         seen.clear()
         layouts.clear()
         assert np.array_equal(sample.params.a, ref.a)
-        assert np.array_equal(sample.params.B, ref.B)
+        assert np.array_equal(per_ue_B(sample.params), ref.B)
         assert sample.params.digest() == ref.digest()
     assert len(sizes) == (2 if n_real <= 192 else 3)
 
@@ -215,9 +218,10 @@ def relative_drift(params, ref):
     """Largest |a - a_ref| / a_ref, and largest |B - B_ref| over the entry's
     Cauchy-Schwarz bound sqrt(B_ref[k, i, l, l] B_ref[k, i, m, m])."""
     da = np.max(np.abs(params.a - ref.a) / ref.a)
-    diag = np.diagonal(ref.B, axis1=2, axis2=3)
+    B, B_ref = per_ue_B(params), per_ue_B(ref)
+    diag = np.diagonal(B_ref, axis1=2, axis2=3)
     bound = np.sqrt(diag[..., :, None] * diag[..., None, :])
-    return da, np.max(np.abs(params.B - ref.B) / bound)
+    return da, np.max(np.abs(B - B_ref) / bound)
 
 
 @pytest.mark.parametrize("precoder", ["mr", "rzf"])
@@ -243,15 +247,17 @@ def test_per_pilot_directions_give_the_per_ue_moments(monkeypatch, preset,
                                 precoder, n_real))
     per_pilot, per_ue = (s.params for s in samples)
     assert set(n_dirs) == {cfg.tau_p, cfg.K}
-    assert len(per_pilot.reps) == cfg.tau_p
+    # B is held once per pilot, J = tau_p blocks per UE, with no per-UE copy
+    assert per_pilot.B.nbytes == cfg.K * cfg.tau_p * cfg.L ** 2 * 8
     assert np.array_equal(per_ue.unit_of, np.arange(cfg.K))
-    # the solver views B as (K, K*L*L), which copies unless it is C-ordered
+    # the solver views B as (K, J*L*L), which copies unless it is C-ordered
     assert per_pilot.B.flags.c_contiguous and per_ue.B.flags.c_contiguous
     assert max(relative_drift(per_pilot, per_ue)) <= 1e-10
     # pilot-sharing UEs have one precoder, so their B columns are one
+    expanded = per_ue_B(per_pilot)
     for group in assign_pilots(samples[0].beta, cfg.tau_p).groups:
         for i in group[1:]:
-            assert np.array_equal(per_pilot.B[:, i], per_pilot.B[:, group[0]])
+            assert np.array_equal(expanded[:, i], expanded[:, group[0]])
 
 
 def phase_faults(h_hat, w, unit_of):
@@ -295,6 +301,7 @@ def test_precoders_give_real_nonnegative_signals(tiled, preset, correlation,
 def loop_sinr_terms(params, mu):
     """Signal and interference entry by entry over (k, i, l, m)."""
     K, L = mu.shape
+    B = per_ue_B(params)
     signal = np.zeros(K)
     interference = np.zeros(K)
     for k in range(K):
@@ -303,7 +310,7 @@ def loop_sinr_terms(params, mu):
         for i in range(K):
             for l in range(L):
                 for m in range(L):
-                    interference[k] += (mu[i, l] * params.B[k, i, l, m]
+                    interference[k] += (mu[i, l] * B[k, i, l, m]
                                         * mu[i, m])
     return signal, interference
 
@@ -326,8 +333,9 @@ def test_sinr_terms_match_plain_loops(synthetic_params, desk_sample,
 def test_jensen_gap_on_real_sample(desk_sample, desk_cfg):
     # B_kk - a_k a_k^T is a covariance, so it must stay PSD
     params = desk_sample("rzf").params
+    B = per_ue_B(params)
     for k in range(desk_cfg.K):
-        gap = params.B[k, k] - np.outer(params.a[k], params.a[k])
+        gap = B[k, k] - np.outer(params.a[k], params.a[k])
         eig = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         assert eig.min() >= -1e-12 * max(eig.max(), 1e-300)
 
@@ -388,36 +396,69 @@ def test_allocation_validation():
     assert np.allclose(alloc.mu ** 2, [[0.25, 0.09]])
 
 
-def test_unit_of_names_the_equal_b_columns(desk_sample):
+def test_b_is_held_per_direction(desk_sample):
     params = desk_sample("rzf").params
-    K, unit_of = params.K, params.unit_of
-    # desk's six UEs share three pilots: three directions, each named by
-    # its first UE
-    assert np.array_equal(unit_of[params.reps], np.arange(3))
-    for i in range(K):
-        assert np.array_equal(params.B[:, i],
-                              params.B[:, params.reps[unit_of[i]]])
-    assert not unit_of.flags.writeable
-    shifted = replace(params, unit_of=(unit_of + 1) % 3)
-    for j in range(3):
-        assert shifted.reps[j] == np.flatnonzero(shifted.unit_of == j)[0]
-    # the identity by default, and the digest leaves unit_of out
-    plain = replace(params, unit_of=None)
+    K, L, unit_of = params.K, params.L, params.unit_of
+    # desk's six UEs share three pilots: three directions, one B block each
+    assert params.B.shape == (K, 3, L, L)
+    assert not unit_of.flags.writeable and not params.member.flags.writeable
+    assert np.array_equal(params.member,
+                          (np.arange(3)[:, None] == unit_of) * 1.0)
+    # the digest hashes the per-UE expansion, whatever the labels
+    expanded = np.take(params.B, unit_of, axis=1)
+    head = struct.pack("<8sIIQdd", b"CFSEP001", K, L, params.n_real,
+                       params.prelog, params.sigma2)
+    body = params.a.astype("<f8").tobytes() + expanded.astype("<f8").tobytes()
+    assert params.digest() == hashlib.sha256(head + body).hexdigest()
+    relabelled = replace(params, unit_of=(unit_of + 1) % 3,
+                         B=np.roll(params.B, 1, axis=1))
+    assert relabelled.digest() == params.digest()
+    # the identity by default, on the per-UE B
+    plain = replace(params, unit_of=None, B=expanded)
     assert np.array_equal(plain.unit_of, np.arange(K))
-    assert np.array_equal(plain.reps, np.arange(K))
+    assert np.array_equal(plain.member, np.eye(K))
     assert plain.digest() == params.digest()
     # a NaN estimate is left to the solver's own checks
     B = params.B.copy()
     B[0] = np.nan
-    assert np.array_equal(replace(params, B=B).reps, params.reps)
+    assert np.isnan(replace(params, B=B).B[0]).all()
     for bad, message in [
-            (unit_of[:-1], "one integer direction per UE"),
-            (unit_of.astype(float), "one integer direction per UE"),
-            (np.where(unit_of == 2, 3, unit_of), "onto range"),
-            (np.roll(unit_of, 1), "differ within a direction"),
-            (np.zeros(K, dtype=int), "differ within a direction")]:
+            (dict(unit_of=unit_of[:-1]), "one integer direction per UE"),
+            (dict(unit_of=unit_of.astype(float)),
+             "one integer direction per UE"),
+            (dict(unit_of=np.where(unit_of == 2, 3, unit_of)), "onto range"),
+            (dict(unit_of=None), r"\(6, 6, 4, 4\)"),
+            (dict(B=expanded), r"\(6, 3, 4, 4\)"),
+            (dict(B=np.zeros((K, 3, L + 1, L + 1))), r"\(6, 3, 4, 4\)"),
+            (dict(B=np.zeros((K, 4, L, L))), r"\(6, 3, 4, 4\)"),
+            (dict(B=params.B[0]), r"\(6, 3, 4, 4\)"),
+            (dict(a=params.a[0]), "K x L"),
+            (dict(a=params.a[None]), "K x L")]:
         with pytest.raises(ValueError, match=message):
-            replace(params, unit_of=bad)
+            replace(params, **bad)
+    with pytest.raises(ValueError, match=r"\(1, 1, 2, 2\)"):
+        SEParameters(a=np.ones((1, 2)), B=np.ones((1, 1, 3, 3)), sigma2=1.0,
+                     prelog=1.0, n_real=10)
+
+
+def test_identity_layout_takes_the_per_ue_gemv(synthetic_params,
+                                               desk_sample):
+    # on one direction per UE the membership product copies the outer
+    # products, so the interference is the one GEMV over B as (K, K*L*L)
+    per_pilot = desk_sample("mr").params
+    identity = replace(per_pilot, unit_of=None, B=per_ue_B(per_pilot))
+    rng = np.random.default_rng(11)
+    for params in (synthetic_params(K=5, L=3, seed=12), identity):
+        K, L = params.K, params.L
+        mu = rng.uniform(0.0, 0.4, size=(K, L))
+        outer = mu[:, :, None] * mu[:, None, :]
+        want = params.B.reshape(K, -1) @ outer.ravel()
+        assert se.sinr_terms(params, mu)[1].tobytes() == want.tobytes()
+    # per direction the outer products are summed first: the same terms
+    # up to roundoff
+    got, want = se.sinr_terms(per_pilot, mu), se.sinr_terms(identity, mu)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
 
 def test_se_parameters_are_read_only(desk_sample):
